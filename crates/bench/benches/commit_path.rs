@@ -1,9 +1,6 @@
 //! Bench C1: the commit pipeline in isolation.
 //!
-//! Three groups:
-//! * `commit_path` — n producer threads hammering one `EventSink`
-//!   (observer + incremental stop predicate attached), streamed
-//!   pipeline vs the pre-pipeline `LockedReference` baseline;
+//! Two groups:
 //! * `commit_batch` — single-producer lock amortization: the same
 //!   event count committed via `try_commit_batch` at batch sizes
 //!   1/4/16/64;
@@ -14,7 +11,6 @@
 //!
 //! Set `SMOKE=1` to shrink measurement time for CI smoke runs.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use afd_algorithms::consensus::{all_live_decided, all_live_decided_stream};
@@ -22,8 +18,7 @@ use afd_algorithms::self_impl::self_impl_system;
 use afd_core::afds::Omega;
 use afd_core::automata::FdGen;
 use afd_core::{Action, AfdSpec, Loc, Msg, Pi, StreamChecker};
-use afd_obs::{Metrics, MetricsObserver};
-use afd_runtime::{Commit, CommitPipeline, EventSink, SinkOptions};
+use afd_runtime::{Commit, EventSink};
 use afd_system::{run_round_robin, RunStats, RunStatsStream, SimConfig};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -42,74 +37,6 @@ fn tune(g: &mut criterion::BenchmarkGroup) {
         g.measurement_time(Duration::from_secs(2));
         g.warm_up_time(Duration::from_millis(400));
     }
-}
-
-/// Drive `producers` threads through one sink until the budget stops
-/// the run; returns only when the final flush is done.
-fn hammer(pipeline: CommitPipeline, producers: usize, events: usize) -> usize {
-    let pi = Pi::new(producers);
-    let metrics = Arc::new(Metrics::new());
-    let sink = EventSink::with_options(SinkOptions {
-        max_events: events,
-        stop_check_interval: 16,
-        stop_when: match pipeline {
-            CommitPipeline::LockedReference => {
-                Some(Arc::new(move |s: &[Action]| all_live_decided(pi, s)))
-            }
-            CommitPipeline::Streamed => None,
-        },
-        stop_stream: match pipeline {
-            CommitPipeline::Streamed => Some(all_live_decided_stream(pi)),
-            CommitPipeline::LockedReference => None,
-        },
-        observer: Some(Arc::new(MetricsObserver::new(metrics))),
-        pipeline,
-    });
-    std::thread::scope(|s| {
-        for i in 0..producers {
-            let sink = &sink;
-            s.spawn(move || {
-                let mut k = 0u64;
-                loop {
-                    let a = Action::Send {
-                        from: Loc(i as u8),
-                        to: Loc(((i + 1) % producers) as u8),
-                        msg: Msg::Token(k),
-                    };
-                    match sink.try_commit(a) {
-                        Commit::Stopped => return,
-                        _ => k += 1,
-                    }
-                }
-            });
-        }
-    });
-    let (log, _) = sink.into_log();
-    log.len()
-}
-
-fn bench_commit_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("commit_path");
-    tune(&mut g);
-    let events = if smoke() { 4_000 } else { 20_000 };
-    g.throughput(Throughput::Elements(events as u64));
-    for producers in [2usize, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("streamed", producers),
-            &producers,
-            |b, &n| {
-                b.iter(|| assert_eq!(hammer(CommitPipeline::Streamed, n, events), events));
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("locked_reference", producers),
-            &producers,
-            |b, &n| {
-                b.iter(|| assert_eq!(hammer(CommitPipeline::LockedReference, n, events), events));
-            },
-        );
-    }
-    g.finish();
 }
 
 fn bench_commit_batch(c: &mut Criterion) {
@@ -233,10 +160,5 @@ fn bench_checkers(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_commit_path,
-    bench_commit_batch,
-    bench_checkers
-);
+criterion_group!(benches, bench_commit_batch, bench_checkers);
 criterion_main!(benches);

@@ -2,21 +2,22 @@
 //!
 //! `run_distributed` spawns N node processes, assigns each a subset of
 //! Π, and then plays the role every non-process component needs a home
-//! for: the failure-detector and environment automata run as local
-//! worker threads, every channel runs inside the [`crate::netchaos`]
-//! router, the crash injector fires the fault script (committing
-//! `Crash` for Halt faults, delivering a real `SIGKILL` for Kill
-//! faults), and the watchdog monitor bounds stalls and wall time.
+//! for: the failure-detector, environment and (under TCP) channel
+//! automata run on the coordinator's own [`afd_runtime::Engine`] — the
+//! threaded runtime's activation loop and pool, chaos included — the
+//! crash injector fires the fault script (committing `Crash` for Halt
+//! faults, delivering a real `SIGKILL` for Kill faults), and the
+//! watchdog monitor bounds stalls and wall time.
 //!
 //! The linearization point is a single [`EventSink`]: node `CommitReq`
-//! frames, local worker commits, router deliveries and injected
-//! crashes all funnel through `Fabric::commit_from`, which commits
-//! into the sink and — on acceptance — routes the action to every
-//! component that takes it as input, wherever that component lives
-//! (local queue, router inbox, or a `Deliver` frame to the hosting
-//! node). The sink drives the online streaming checkers through its
-//! observer hook, so conformance and consensus are checked *while* the
-//! run executes, not after.
+//! frames, the engine's own activations and injected crashes all
+//! commit through the engine's port (`Fabric`), which commits into
+//! the sink; on acceptance the engine routes the action to every
+//! component that takes it as input — through its inbox if the
+//! coordinator hosts it, as a `Deliver` frame to the hosting node
+//! otherwise. The sink drives the online streaming checkers through
+//! its observer hook, so conformance and consensus are checked *while*
+//! the run executes, not after.
 //!
 //! Crash containment: a node socket dying unexpectedly (EOF, write
 //! error) is treated exactly like a Kill fault — every location the
@@ -27,7 +28,7 @@ use std::io::Read as _;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -36,25 +37,18 @@ use afd_core::{Action, FdOutput, Loc, LocSet, Pi, Stamped};
 use afd_dgram::DgramStats;
 use afd_obs::Observer;
 use afd_runtime::{
-    chaos_plan_jsonl, ChaosReport, Commit, EventSink, LinkFaults, Partition, RuntimeConfig,
-    SinkOptions, StopReason,
+    chaos_plan_jsonl, ChaosReport, Commit, CommitPort, Engine, EventSink, LinkFaults, Partition,
+    RuntimeConfig, SinkOptions, StopReason,
 };
-use afd_system::{Component, ComponentKind};
-use ioa::{ActionClass, Automaton, TaskId};
+use afd_system::ComponentKind;
+use ioa::Automaton;
 
 use crate::codec::{read_frame, write_frame, CommitStatus, WireLinkProfile, WireMsg};
 use crate::deploy::{
     online_checks, post_checks, visit_system, DeploymentSpec, DynCheck, SystemVisitor,
 };
-use crate::netchaos::{run_router, CommitPort};
 use crate::NetError;
 
-/// How long an idle local worker blocks on its input queue per wait.
-const IDLE_WAIT: Duration = Duration::from_micros(500);
-/// Back-off after a suppressed commit (waiting for the crash input).
-const SUPPRESSED_WAIT: Duration = Duration::from_micros(200);
-/// Crash-injector polling period while waiting for a threshold.
-const INJECTOR_POLL: Duration = Duration::from_micros(100);
 /// Watchdog sampling period.
 const MONITOR_TICK: Duration = Duration::from_millis(5);
 /// Per-read socket timeout on node connections, so reader threads can
@@ -174,10 +168,8 @@ impl RecoveryPolicy {
 /// where the *channel* components live and how `Send`s travel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
-    /// Channels run inside the coordinator's netchaos router and every
-    /// message multiplexes over the TCP control plane. The default:
-    /// byte-for-byte the behavior of previous releases on the same
-    /// seed.
+    /// Channels run on the coordinator's engine and every message
+    /// multiplexes over the TCP control plane. The default.
     #[default]
     Tcp,
     /// Channels are hosted by the node hosting their destination and
@@ -211,7 +203,12 @@ pub struct NetConfig {
     pub seed: u64,
     /// Scripted crashes.
     pub faults: Vec<NetFault>,
-    /// Per-channel adversarial link profiles.
+    /// Per-channel link profiles. Drop/dup/reorder replay the seeded
+    /// chaos plan on either transport. `delay`/`jitter` are honoured
+    /// by [`Transport::Tcp`] exactly as by the threaded engine (the
+    /// channel's activation sleeps before each delivery commits) and
+    /// ignored by [`Transport::Udp`], where real socket latency takes
+    /// their place.
     pub links: LinkFaults,
     /// Scripted network partitions over the event clock.
     pub partitions: Vec<Partition>,
@@ -546,34 +543,19 @@ pub fn run_distributed(spec: &DeploymentSpec, cfg: &NetConfig) -> Result<NetRepo
     )
 }
 
-/// Which thread services a component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    /// A process hosted by node `id`.
-    Node(u32),
-    /// A coordinator-local worker thread (FD, environment, crash).
-    Local,
-    /// A channel inside the netchaos router.
-    Router,
-}
-
-/// The shared routing fabric: every commit in the run goes through
-/// here, whichever thread produced it.
-struct Fabric<'a, P>
-where
-    P: Automaton<Action = Action>,
-{
-    comps: &'a [Component<P>],
-    owner: Vec<Owner>,
+/// The coordinator's commit port: every commit in the run lands in
+/// its sink, and accepted actions bound for a node-hosted component
+/// leave through it as `Deliver` frames.
+struct Fabric<'a> {
+    /// The node hosting each component (`None`: the coordinator's own
+    /// engine does, or — the crash automaton — nobody).
+    owner: Vec<Option<u32>>,
     sink: &'a EventSink,
     /// Per-node write half (`None` once the node is dead).
     writers: Vec<Mutex<Option<TcpStream>>>,
     alive: Vec<AtomicBool>,
     /// Commits accepted per node.
     node_commits: Vec<AtomicU64>,
-    /// Per-local-component input queues (sparse over comp index).
-    local_tx: Vec<Option<Mutex<Sender<Action>>>>,
-    router_tx: Mutex<Sender<(usize, Action)>>,
     /// Per-node accumulated profiler telemetry (lane directory +
     /// records), appended by that node's reader thread only.
     node_telemetry: Vec<Mutex<afd_prof::Report>>,
@@ -585,44 +567,7 @@ where
     node_dgram: Vec<Mutex<DgramStats>>,
 }
 
-impl<P> Fabric<'_, P>
-where
-    P: Automaton<Action = Action>,
-{
-    /// Route an accepted action to every component that takes it as
-    /// input (excluding the producer).
-    fn route(&self, from: usize, a: Action) {
-        for (idx, c) in self.comps.iter().enumerate() {
-            if idx == from || c.classify(&a) != Some(ActionClass::Input) {
-                continue;
-            }
-            // Under UDP the sender node transmits the committed `Send`
-            // to the destination node's datagram socket itself (after
-            // shaping); a `Deliver` frame here would double-deliver.
-            if self.dgram_skip[idx] && matches!(a, Action::Send { .. } | Action::WireSend { .. }) {
-                continue;
-            }
-            match self.owner[idx] {
-                Owner::Node(nid) => self.deliver_to_node(nid, idx, a),
-                Owner::Local => {
-                    if let Some(tx) = &self.local_tx[idx] {
-                        let _ = tx
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .send(a);
-                    }
-                }
-                Owner::Router => {
-                    let _ = self
-                        .router_tx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .send((idx, a));
-                }
-            }
-        }
-    }
-
+impl Fabric<'_> {
     fn deliver_to_node(&self, nid: u32, idx: usize, a: Action) {
         let nid = nid as usize;
         if !self.alive[nid].load(Ordering::SeqCst) {
@@ -668,25 +613,20 @@ where
     }
 }
 
-impl<P> CommitPort for Fabric<'_, P>
-where
-    P: Automaton<Action = Action> + Sync,
-    P::State: Send,
-{
-    fn commit_from(&self, from: usize, a: Action) -> CommitStatus {
-        // `try_commit` profiles its own lock wait / hold (CommitWait,
-        // LockHold); the routing fan-out after acceptance is the
-        // coordinator-side servicing cost beyond the sink proper, so it
-        // gets its own non-overlapping stage.
-        match self.sink.try_commit(a) {
-            Commit::Accepted => {
-                let route = afd_prof::span(afd_prof::Stage::SinkCommit);
-                self.route(from, a);
-                route.done();
-                CommitStatus::Accepted
-            }
-            Commit::Suppressed => CommitStatus::Suppressed,
-            Commit::Stopped => CommitStatus::Stopped,
+impl CommitPort for Fabric<'_> {
+    fn commit(&self, _from: usize, a: Action) -> Commit {
+        self.sink.try_commit(a)
+    }
+
+    fn forward(&self, target: usize, a: Action) {
+        // Under UDP the sender node transmits the committed `Send` to
+        // the destination node's datagram socket itself (after
+        // shaping); a `Deliver` frame here would double-deliver.
+        if self.dgram_skip[target] && matches!(a, Action::Send { .. } | Action::WireSend { .. }) {
+            return;
+        }
+        if let Some(nid) = self.owner[target] {
+            self.deliver_to_node(nid, target, a);
         }
     }
 
@@ -697,7 +637,19 @@ where
     fn stopped(&self) -> bool {
         self.sink.is_stopped()
     }
+
+    fn crashed(&self, l: Loc) -> bool {
+        self.sink.is_crashed(l)
+    }
+
+    fn halt(&self, reason: StopReason) {
+        self.sink.stop(reason);
+    }
 }
+
+/// The coordinator's engine: the shared activation loop over the
+/// FD/environment/channel components, committing through [`Fabric`].
+type CoordEngine<'a, P> = Engine<'a, P, Fabric<'a>>;
 
 /// The observer that feeds every online checker, in schedule order,
 /// from the sink's in-order drain — and, when recovery is on, mirrors
@@ -941,23 +893,19 @@ impl SystemVisitor for CoordLoop {
 
         // Component ownership map. Under UDP, a channel lives on the
         // node hosting its destination (where its datagrams land);
-        // under TCP it lives in the netchaos router.
+        // under TCP it lives on the coordinator's engine, with the FD
+        // and environment automata.
         let udp = cfg.transport == Transport::Udp;
         let mut owner = Vec::with_capacity(kinds.len());
-        let mut chans: Vec<(usize, Loc, Loc)> = Vec::new();
         let mut dgram_skip = vec![false; kinds.len()];
         for (idx, k) in kinds.iter().enumerate() {
             owner.push(match k {
-                ComponentKind::Process(l) => Owner::Node(u32::try_from(node_of(*l)).unwrap_or(0)),
+                ComponentKind::Process(l) => u32::try_from(node_of(*l)).ok(),
                 ComponentKind::Channel(_, to) if udp => {
                     dgram_skip[idx] = true;
-                    Owner::Node(u32::try_from(node_of(*to)).unwrap_or(0))
+                    u32::try_from(node_of(*to)).ok()
                 }
-                ComponentKind::Channel(from, to) => {
-                    chans.push((idx, *from, *to));
-                    Owner::Router
-                }
-                _ => Owner::Local,
+                _ => None,
             });
         }
 
@@ -1196,32 +1144,14 @@ impl SystemVisitor for CoordLoop {
             stop_when: None,
             stop_stream,
             observer: Some(observer.clone() as Arc<dyn Observer>),
-            ..SinkOptions::default()
         });
 
-        let (router_tx, router_rx) = std::sync::mpsc::channel::<(usize, Action)>();
-        let mut local_tx: Vec<Option<Mutex<Sender<Action>>>> =
-            (0..comps.len()).map(|_| None).collect();
-        // Receiver halves ride with their worker directly (no
-        // `take().expect(..)` on a sparse slot vector).
-        let mut local_workers: Vec<(usize, ComponentKind, Receiver<Action>)> = Vec::new();
-        for (idx, o) in owner.iter().enumerate() {
-            if *o == Owner::Local {
-                let (tx, rx) = std::sync::mpsc::channel();
-                local_tx[idx] = Some(Mutex::new(tx));
-                local_workers.push((idx, kinds[idx], rx));
-            }
-        }
-
         let fabric = Fabric {
-            comps,
             owner,
             sink: &sink,
             writers,
             alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
             node_commits: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            local_tx,
-            router_tx: Mutex::new(router_tx),
             node_telemetry: (0..nodes)
                 .map(|_| Mutex::new(afd_prof::Report::default()))
                 .collect(),
@@ -1231,26 +1161,40 @@ impl SystemVisitor for CoordLoop {
                 .collect(),
         };
 
+        // The engine hosts everything no node does, bar the crash
+        // automaton (the injector below plays the fault script).
+        let rcfg = RuntimeConfig {
+            seed: cfg.seed,
+            links: cfg.links.clone(),
+            partitions: cfg.partitions.clone(),
+            fd_pacing: cfg.fd_pacing,
+            ..RuntimeConfig::default()
+        };
+        let eng: CoordEngine<'_, P> = Engine::new(
+            comps,
+            &kinds,
+            |k| match k {
+                ComponentKind::Fd | ComponentKind::Env => true,
+                ComponentKind::Channel(_, _) => !udp,
+                _ => false,
+            },
+            &fabric,
+            &rcfg,
+        );
+        eng.start();
+
         let children = Mutex::new(children);
         let killed: Vec<AtomicBool> = (0..nodes).map(|_| AtomicBool::new(false)).collect();
-        let chaos_slot: Mutex<ChaosReport> = Mutex::new(ChaosReport::default());
 
         // --- Run -----------------------------------------------------
         let plane_ref = plane.as_ref();
         thread::scope(|s| {
             for (nid, stream) in readers.into_iter().enumerate() {
-                let fabric = &fabric;
+                let eng = &eng;
                 let killed = &killed;
                 let node_locs = &node_locs;
                 s.spawn(move || {
-                    node_reader(
-                        fabric,
-                        nid,
-                        stream,
-                        &node_locs[nid],
-                        &killed[nid],
-                        plane_ref,
-                    );
+                    node_reader(eng, nid, stream, &node_locs[nid], &killed[nid], plane_ref);
                     // Flush before the scope sees this thread complete:
                     // scoped-thread TLS destructors run after the scope's
                     // completion signal, so a Drop-based flush could race
@@ -1258,45 +1202,18 @@ impl SystemVisitor for CoordLoop {
                     afd_prof::flush_local();
                 });
             }
-            for (idx, kind, rx) in local_workers.drain(..) {
-                let fabric = &fabric;
-                let fd_pacing = cfg.fd_pacing;
-                s.spawn(move || {
-                    local_worker(fabric, idx, kind, &rx, fd_pacing);
-                    afd_prof::flush_local();
-                });
-            }
-            // Under UDP the channels live on the nodes and there is
-            // nothing for the router to run.
-            if !udp {
-                let fabric = &fabric;
-                let chans = &chans;
-                let cfg = &cfg;
-                let chaos_slot = &chaos_slot;
-                s.spawn(move || {
-                    let report = run_router(
-                        comps,
-                        chans,
-                        &router_rx,
-                        fabric,
-                        cfg.seed,
-                        &cfg.links,
-                        &cfg.partitions,
-                    );
-                    *chaos_slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = report;
-                    afd_prof::flush_local();
-                });
+            for k in 0..eng.workers() {
+                let eng = &eng;
+                s.spawn(move || eng.run_worker(k));
             }
             {
-                let fabric = &fabric;
+                let eng = &eng;
                 let cfg = &cfg;
                 let children = &children;
                 let killed = &killed;
                 let node_locs = &node_locs;
                 s.spawn(move || {
-                    injector(fabric, cfg, children, killed, node_locs, node_of, plane_ref);
+                    injector(eng, cfg, children, killed, node_locs, node_of, plane_ref);
                     afd_prof::flush_local();
                 });
             }
@@ -1403,7 +1320,7 @@ impl SystemVisitor for CoordLoop {
                 // exactly events [0, pos) and everything from `pos`
                 // on arrives through this loop — no gaps, no
                 // duplicates, whatever the commit threads are doing.
-                let fabric = &fabric;
+                let (eng, fabric) = (&eng, &fabric);
                 let cfg = &cfg;
                 let spec = &spec;
                 let node_locs = &node_locs;
@@ -1417,7 +1334,7 @@ impl SystemVisitor for CoordLoop {
                             attach_rejoined(
                                 s,
                                 plane,
-                                fabric,
+                                eng,
                                 spec,
                                 cfg.seed,
                                 cfg.wire_pacing,
@@ -1430,20 +1347,17 @@ impl SystemVisitor for CoordLoop {
                         match rx.recv_timeout(Duration::from_millis(2)) {
                             Ok(ev) => {
                                 debug_assert_eq!(ev.seq as usize, pos);
-                                for (idx, c) in fabric.comps.iter().enumerate() {
-                                    let Owner::Node(nid) = fabric.owner[idx] else {
+                                for &idx in eng.targets(&ev.action).iter() {
+                                    let Some(nid) = fabric.owner[idx as usize] else {
                                         continue;
                                     };
-                                    let nid = nid as usize;
-                                    if plane.is_live(nid)
-                                        && c.classify(&ev.action) == Some(ActionClass::Input)
-                                    {
+                                    if plane.is_live(nid as usize) {
                                         // A dead pipe is claimed by the
                                         // incarnation's reader thread.
                                         let _ = fabric.send_ctrl(
-                                            nid,
+                                            nid as usize,
                                             &WireMsg::Deliver {
-                                                comp: idx as u32,
+                                                comp: idx,
                                                 action: ev.action,
                                             },
                                         );
@@ -1463,10 +1377,13 @@ impl SystemVisitor for CoordLoop {
                 });
             }
             {
-                let sink = &sink;
+                let (sink, eng) = (&sink, &eng);
                 let cfg = &cfg;
                 s.spawn(move || {
                     while !sink.is_stopped() {
+                        // Safety net for a partition heal crossed
+                        // concurrently with its registration.
+                        eng.drain_deferred();
                         if sink.elapsed() >= cfg.wall_timeout {
                             sink.stop(StopReason::WallClock);
                             break;
@@ -1487,6 +1404,7 @@ impl SystemVisitor for CoordLoop {
             while !sink.is_stopped() {
                 thread::sleep(MONITOR_TICK);
             }
+            eng.shutdown();
             for nid in 0..nodes {
                 if fabric.alive[nid].load(Ordering::SeqCst)
                     || plane_ref.is_some_and(|p| p.is_live(nid))
@@ -1566,17 +1484,10 @@ impl SystemVisitor for CoordLoop {
             all
         });
         // UDP runs synthesize the chaos surface from the shapers'
-        // injected decisions; TCP runs take the router's accounting.
-        let chaos = dgram.as_ref().map_or_else(
-            || {
-                std::mem::take(
-                    &mut *chaos_slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                )
-            },
-            DgramStats::to_chaos_report,
-        );
+        // injected decisions; TCP runs take the engine's accounting.
+        let chaos = dgram
+            .as_ref()
+            .map_or_else(|| eng.chaos_report(), DgramStats::to_chaos_report);
         let telemetry = if cfg.profiling {
             // Coordinator threads flushed on scope exit; grab whatever
             // the main thread still buffers, then merge with each
@@ -1596,6 +1507,7 @@ impl SystemVisitor for CoordLoop {
         } else {
             None
         };
+        drop(eng);
         drop(fabric);
         let (schedule, stop) = sink.into_log();
         let recovery = plane.map(|p| {
@@ -1627,12 +1539,7 @@ impl SystemVisitor for CoordLoop {
                 verdict,
             });
         }
-        let plan_cfg = RuntimeConfig {
-            seed: cfg.seed,
-            links: cfg.links.clone(),
-            ..RuntimeConfig::default()
-        };
-        let chaos_plan = chaos_plan_jsonl(&plan_cfg, pi, cfg.plan_arrivals);
+        let chaos_plan = chaos_plan_jsonl(&rcfg, pi, cfg.plan_arrivals);
         Ok(NetReport {
             events: schedule.len(),
             schedule,
@@ -1652,13 +1559,11 @@ impl SystemVisitor for CoordLoop {
 /// Fold one node's shipped per-channel datagram counters into its
 /// accumulation slot (sender and receiver halves of a channel arrive
 /// from different nodes; the report-time merge sums them).
-fn merge_dgram<P>(
-    fabric: &Fabric<'_, P>,
+fn merge_dgram(
+    fabric: &Fabric<'_>,
     nid: usize,
     per_channel: Vec<(Loc, Loc, afd_dgram::ChannelDgramStats)>,
-) where
-    P: Automaton<Action = Action>,
-{
+) {
     let mut incoming = DgramStats::default();
     for (from, to, s) in per_channel {
         let e = incoming.per_channel.entry((from, to)).or_default();
@@ -1704,7 +1609,7 @@ fn post_recovery_reelect(schedule: &[Action], from: usize) -> Option<usize> {
 fn attach_rejoined<'scope, 'env, P>(
     s: &'scope thread::Scope<'scope, 'env>,
     plane: &'scope RecoveryPlane,
-    fabric: &'scope Fabric<'env, P>,
+    eng: &'scope CoordEngine<'env, P>,
     spec: &'scope DeploymentSpec,
     seed: u64,
     wire_pacing: Duration,
@@ -1716,6 +1621,7 @@ fn attach_rejoined<'scope, 'env, P>(
     P: Automaton<Action = Action> + Sync,
     P::State: Send,
 {
+    let fabric = eng.port();
     let nid = req.node;
     let epoch = req.epoch;
     // Every hosted location owes a `Recover` unit on the stop gate;
@@ -1769,7 +1675,7 @@ fn attach_rejoined<'scope, 'env, P>(
     let locs = &node_locs[nid];
     let killed_flag = &killed[nid];
     s.spawn(move || {
-        node_reader(fabric, nid, read_half, locs, killed_flag, Some(plane));
+        node_reader(eng, nid, read_half, locs, killed_flag, Some(plane));
         if !fabric.sink.is_stopped() && plane.take_down(nid) {
             *fabric.writers[nid]
                 .lock()
@@ -1779,7 +1685,7 @@ fn attach_rejoined<'scope, 'env, P>(
             // fire on a Crash commit in the gap and end the run before
             // the respawn is even on the books.
             plane.schedule_respawn(nid, Instant::now());
-            contain_dead_node(fabric, locs);
+            contain_dead_node(eng, locs);
         }
         afd_prof::flush_local();
     });
@@ -1789,7 +1695,7 @@ fn attach_rejoined<'scope, 'env, P>(
     // (its workers absorb and retry), never illegally interleaved.
     for &l in &node_locs[nid] {
         if fabric.sink.is_crashed(l)
-            && fabric.commit_from(usize::MAX, Action::Recover(l)) == CommitStatus::Accepted
+            && eng.commit(usize::MAX, Action::Recover(l)) == Commit::Accepted
         {
             // This unit is now owned by the stream: the predicate
             // wrapper drains it when the drain judges the `Recover`.
@@ -1799,14 +1705,13 @@ fn attach_rejoined<'scope, 'env, P>(
 }
 
 /// Crash every not-yet-crashed location a dead node hosted.
-fn contain_dead_node<P>(fabric: &Fabric<'_, P>, locs: &[Loc])
+fn contain_dead_node<P>(eng: &CoordEngine<'_, P>, locs: &[Loc])
 where
-    P: Automaton<Action = Action> + Sync,
-    P::State: Send,
+    P: Automaton<Action = Action>,
 {
     for &l in locs {
-        if !fabric.sink.is_crashed(l) {
-            let _ = fabric.commit_from(usize::MAX, Action::Crash(l));
+        if !eng.port().sink.is_crashed(l) {
+            let _ = eng.commit(usize::MAX, Action::Crash(l));
         }
     }
 }
@@ -1814,16 +1719,16 @@ where
 /// Per-node reader: handles `CommitReq` frames inline (commit, route,
 /// reply) and contains the node if its socket dies.
 fn node_reader<P>(
-    fabric: &Fabric<'_, P>,
+    eng: &CoordEngine<'_, P>,
     nid: usize,
     mut stream: TcpStream,
     locs: &[Loc],
     killed: &AtomicBool,
     plane: Option<&RecoveryPlane>,
 ) where
-    P: Automaton<Action = Action> + Sync,
-    P::State: Send,
+    P: Automaton<Action = Action>,
 {
+    let fabric = eng.port();
     afd_prof::set_lane(&format!("reader:node{nid}"));
     let died = loop {
         if fabric.sink.is_stopped() {
@@ -1835,13 +1740,17 @@ fn node_reader<P>(
         match frame {
             Ok(Some(WireMsg::CommitReq { comp, action })) => {
                 let idx = comp as usize;
-                if fabric.owner.get(idx) != Some(&Owner::Node(nid as u32)) {
+                if fabric.owner.get(idx) != Some(&Some(nid as u32)) {
                     break true; // protocol violation: contain it
                 }
-                let status = fabric.commit_from(idx, action);
-                if status == CommitStatus::Accepted {
-                    fabric.node_commits[nid].fetch_add(1, Ordering::SeqCst);
-                }
+                let status = match eng.commit(idx, action) {
+                    Commit::Accepted => {
+                        fabric.node_commits[nid].fetch_add(1, Ordering::SeqCst);
+                        CommitStatus::Accepted
+                    }
+                    Commit::Suppressed => CommitStatus::Suppressed,
+                    Commit::Stopped => CommitStatus::Stopped,
+                };
                 // The response leg: queueing behind this node's writer
                 // lock (shared with Deliver routing) plus the write.
                 let resp = afd_prof::span(afd_prof::Stage::CoordQueue);
@@ -1881,7 +1790,7 @@ fn node_reader<P>(
             if let Some(p) = plane {
                 p.schedule_respawn(nid, Instant::now());
             }
-            contain_dead_node(fabric, locs);
+            contain_dead_node(eng, locs);
         }
     }
     if !died {
@@ -1918,92 +1827,13 @@ fn node_reader<P>(
     while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
 }
 
-/// Coordinator-local worker for a non-process, non-channel component
-/// (failure detector, environment, crash adversary): the threaded
-/// runtime's worker loop with the sink call replaced by the fabric.
-fn local_worker<P>(
-    fabric: &Fabric<'_, P>,
-    idx: usize,
-    kind: ComponentKind,
-    rx: &Receiver<Action>,
-    fd_pacing: Duration,
-) where
-    P: Automaton<Action = Action> + Sync,
-    P::State: Send,
-{
-    let comp = &fabric.comps[idx];
-    afd_prof::set_lane(&comp.name());
-    let mut state = comp.initial_state();
-    loop {
-        if fabric.sink.is_stopped() {
-            return;
-        }
-        while let Ok(a) = rx.try_recv() {
-            let _s = afd_prof::span(afd_prof::Stage::Step);
-            if let Some(next) = comp.step(&state, &a) {
-                state = next;
-            }
-        }
-        let mut progressed = false;
-        for t in 0..comp.task_count() {
-            if fabric.sink.is_stopped() {
-                return;
-            }
-            let Some(a) = comp.enabled(&state, TaskId(t)) else {
-                continue;
-            };
-            if matches!(kind, ComponentKind::Fd) && !fd_pacing.is_zero() {
-                let pace = afd_prof::span(afd_prof::Stage::Pacing);
-                thread::sleep(fd_pacing);
-                pace.done();
-            }
-            let status = fabric.commit_from(idx, a);
-            match status {
-                CommitStatus::Accepted => {
-                    let step = afd_prof::span(afd_prof::Stage::Step);
-                    if let Some(next) = comp.step(&state, &a) {
-                        state = next;
-                    }
-                    step.done();
-                    progressed = true;
-                }
-                CommitStatus::Suppressed => {
-                    let wait = afd_prof::span(afd_prof::Stage::RecvWait);
-                    let got = rx.recv_timeout(SUPPRESSED_WAIT);
-                    wait.done();
-                    if let Ok(a) = got {
-                        if let Some(next) = comp.step(&state, &a) {
-                            state = next;
-                        }
-                    }
-                }
-                CommitStatus::Stopped => return,
-            }
-        }
-        if !progressed {
-            let wait = afd_prof::span(afd_prof::Stage::RecvWait);
-            let got = rx.recv_timeout(IDLE_WAIT);
-            wait.done();
-            match got {
-                Ok(a) => {
-                    if let Some(next) = comp.step(&state, &a) {
-                        state = next;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
-}
-
 /// The crash injector: fires the fault script against the global event
 /// clock. Halt faults commit `Crash` into the schedule; Kill faults
 /// SIGKILL the hosting node process first, then crash everything it
 /// hosted.
 #[allow(clippy::too_many_arguments)]
 fn injector<P>(
-    fabric: &Fabric<'_, P>,
+    eng: &CoordEngine<'_, P>,
     cfg: &NetConfig,
     children: &Mutex<Vec<Option<Child>>>,
     killed: &[AtomicBool],
@@ -2011,27 +1841,24 @@ fn injector<P>(
     node_of: impl Fn(Loc) -> usize,
     plane: Option<&RecoveryPlane>,
 ) where
-    P: Automaton<Action = Action> + Sync,
-    P::State: Send,
+    P: Automaton<Action = Action>,
 {
+    let fabric = eng.port();
     afd_prof::set_lane("injector");
     let mut pending = cfg.faults.clone();
     pending.sort_by_key(|f| f.at_event);
     for f in pending {
-        loop {
-            if fabric.sink.is_stopped() {
-                return;
-            }
-            if fabric.sink.len() >= f.at_event {
-                break;
-            }
-            let wait = afd_prof::span(afd_prof::Stage::RecvWait);
-            thread::sleep(INJECTOR_POLL);
-            wait.done();
+        // Blocks on the sink's length watch (signalled by the commit
+        // path, released by any stop) — no polling.
+        let wait = afd_prof::span(afd_prof::Stage::RecvWait);
+        fabric.sink.wait_len_at_least(f.at_event);
+        wait.done();
+        if fabric.sink.is_stopped() {
+            return;
         }
         match f.mode {
             NetCrashMode::Halt => {
-                if fabric.commit_from(usize::MAX, Action::Crash(f.loc)) == CommitStatus::Stopped {
+                if eng.commit(usize::MAX, Action::Crash(f.loc)) == Commit::Stopped {
                     return;
                 }
             }
@@ -2061,7 +1888,7 @@ fn injector<P>(
                     if let Some(p) = plane {
                         p.schedule_respawn(nid, Instant::now());
                     }
-                    contain_dead_node(fabric, &node_locs[nid]);
+                    contain_dead_node(eng, &node_locs[nid]);
                 }
             }
         }

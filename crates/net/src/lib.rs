@@ -13,13 +13,16 @@
 //! One **coordinator** process owns the run: it spawns N **node**
 //! processes, assigns each a subset of Π, owns the `EventSink` commit
 //! pipeline (the linearization point), hosts the non-process automata
-//! (failure detector, environment, crash injector) and the channels
-//! (as the socket-level chaos router in [`netchaos`]), and drives the
-//! online checkers over the merged schedule. Every socket is
-//! node ↔ coordinator: node-to-node frames are routed *through* the
-//! coordinator's chaos thread, which is what lets one seeded
-//! [`afd_runtime::LinkProfile`] plan replay drop/dup/reorder/partition
-//! decisions byte-identically across same-seed runs.
+//! (failure detector, environment, the channels; the crash injector
+//! plays the fault script) on its own [`afd_runtime::Engine`], and
+//! drives the online checkers over the merged schedule. Every socket
+//! is node ↔ coordinator: node-to-node frames are routed *through*
+//! the coordinator's channel components, which is what lets one
+//! seeded [`afd_runtime::LinkProfile`] plan replay
+//! drop/dup/reorder/partition decisions byte-identically across
+//! same-seed runs — the coordinator, its nodes and `run_threaded` all
+//! run the same activation loop, so there is one interpreter of that
+//! plan.
 //!
 //! Selecting [`Transport::Udp`] moves the node↔node *data* channels
 //! onto real `std::net::UdpSocket`s (`afd-dgram` framing, sender-side
@@ -32,7 +35,7 @@
 //! A node worker that finds an enabled task sends `CommitReq` and
 //! blocks; the coordinator linearizes the action into the sink
 //! (crash-suppression included), routes it to every component that
-//! takes it as input — local queues for coordinator-hosted automata,
+//! takes it as input — engine inboxes for coordinator-hosted automata,
 //! `Deliver` frames for node-hosted ones — and answers
 //! `CommitResp`. Only on `Accepted` does the worker apply the step.
 //! Since routed inputs wait in the worker's queue while it blocks,
@@ -52,7 +55,6 @@
 pub mod codec;
 pub mod coord;
 pub mod deploy;
-pub mod netchaos;
 pub mod node;
 
 pub use codec::{CommitStatus, DecodeError, WireLinkProfile, WireMsg};

@@ -4,38 +4,35 @@
 //!
 //! A node is deliberately thin. It builds the same `System<P>` as the
 //! coordinator (from the wire-encoded [`crate::DeploymentSpec`]) and
-//! drives its hosted process components on the same sharded executor
-//! pool as the threaded runtime ([`afd_runtime::exec`]): a reader
-//! thread demultiplexes coordinator frames, marking a component ready
-//! whenever an input lands in its inbox, and a small pool of workers
-//! runs activations — drain routed inputs, sweep enabled tasks,
-//! commit, step — except that "commit" is a synchronous
-//! `CommitReq`/`CommitResp` round trip over the coordinator socket
-//! instead of a sink call. The activation blocks while the request is
-//! in flight, so its component state cannot drift between speculation
-//! and application: routed inputs queue up in the inbox and are
-//! applied only between commits, which keeps the merged schedule a
-//! legal schedule of the composition.
+//! drives its hosted process components with the threaded runtime's
+//! own activation loop ([`afd_runtime::Engine`]): a reader thread
+//! demultiplexes coordinator frames, handing each routed input to the
+//! engine, and a small pool of workers runs activations — drain routed
+//! inputs, sweep enabled tasks, commit, step — where "commit" is the
+//! engine's port (`NodePort`): a synchronous `CommitReq`/`CommitResp`
+//! round trip over the coordinator socket instead of a sink call. The
+//! activation blocks while the request is in flight, so its component
+//! state cannot drift between proposal and application: routed inputs
+//! queue up in the inbox and are applied only between commits, which
+//! keeps the merged schedule a legal schedule of the composition.
 //!
 //! The node never decides anything about the run: crashes arrive as
 //! routed `Crash` inputs (Halt) or as `SIGKILL` (Kill — no code here
 //! runs at all), and the run ends when the coordinator says so.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use afd_core::{Action, Loc};
 use afd_dgram::{AddShaper, DgramStats, Reassembly, DEFAULT_MTU};
-use afd_runtime::exec::{Directive, Pool};
-use afd_runtime::LinkProfile;
+use afd_runtime::{Commit, CommitPort, Engine, LinkProfile, RuntimeConfig, StopReason};
 use afd_system::{ComponentKind, System};
-use ioa::{Automaton, TaskId};
+use ioa::Automaton;
 
 use crate::codec::{
     decode_action, encode_action, encode_msg, read_frame, write_encoded, write_frame, CommitStatus,
@@ -374,12 +371,11 @@ impl UdpRt {
     }
 
     /// Drain the socket until `stop`: reassemble datagrams per hosted
-    /// channel and push each completed `Send` into that channel
-    /// component's inbox (the channel then proposes its `Receive`
-    /// through the ordinary commit pipeline). Malformed or misrouted
-    /// datagrams are counted and dropped — UDP noise must never wedge
-    /// the run.
-    fn recv_loop(&self, inboxes: &[Mutex<VecDeque<Action>>], pool: &Pool, stop: &AtomicBool) {
+    /// channel and `deliver` each completed `Send` to that channel
+    /// component (the channel then proposes its `Receive` through the
+    /// ordinary commit pipeline). Malformed or misrouted datagrams are
+    /// counted and dropped — UDP noise must never wedge the run.
+    fn recv_loop(&self, deliver: impl Fn(usize, Action), stop: &AtomicBool) {
         let Ok(sock) = self.plan.socket.try_clone() else {
             return;
         };
@@ -421,8 +417,7 @@ impl UdpRt {
                     Ok(a @ (Action::Send { from, to, .. } | Action::WireSend { from, to, .. }))
                         if (from, to) == key =>
                     {
-                        lock(&inboxes[comp]).push_back(a);
-                        pool.enqueue(comp);
+                        deliver(comp, a);
                     }
                     _ => r.stats.decode_errors += 1,
                 }
@@ -540,16 +535,13 @@ impl SystemVisitor for NodeLoop {
         // every channel whose destination we host (its datagrams land
         // on our socket; its `Receive` proposals ride our commit
         // pipeline).
-        let mine: Vec<usize> = kinds
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, k)| match k {
-                ComponentKind::Process(l) if hosted.contains(l) => Some(idx),
-                ComponentKind::Channel(_, to) if udp.is_some() && hosted.contains(to) => Some(idx),
-                _ => None,
-            })
-            .collect();
-        if mine.is_empty() {
+        let is_udp = udp.is_some();
+        let hosts = |k: ComponentKind| match k {
+            ComponentKind::Process(l) => hosted.contains(&l),
+            ComponentKind::Channel(_, to) => is_udp && hosted.contains(&to),
+            _ => false,
+        };
+        if !kinds.iter().any(|&k| hosts(k)) {
             return Err(NetError::Protocol("assigned no hostable locations".into()));
         }
         let udp_rt = udp.map(|plan| UdpRt {
@@ -568,24 +560,22 @@ impl SystemVisitor for NodeLoop {
             plan,
         });
 
-        // Per-hosted-component plumbing, indexed by global component
-        // index (sparse: only `mine` entries are populated). Inputs go
-        // into per-component inboxes drained by pool activations;
-        // commit responses go over a dedicated mpsc whose receiver
-        // lives inside the component's cell — the activation holding
-        // the cell is the only possible waiter.
-        let inboxes: Vec<Mutex<VecDeque<Action>>> = (0..comps.len())
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        let mut resp_tx: Vec<Option<Sender<CommitStatus>>> =
-            (0..comps.len()).map(|_| None).collect();
-        let mut resp_rx: Vec<Option<Receiver<CommitStatus>>> =
-            (0..comps.len()).map(|_| None).collect();
-        for &idx in &mine {
-            let (rtx, rrx) = std::sync::mpsc::channel();
-            resp_tx[idx] = Some(rtx);
-            resp_rx[idx] = Some(rrx);
-        }
+        let mut reader_stream = stream.try_clone().map_err(NetError::Io)?;
+        let port = NodePort {
+            writer: Mutex::new(stream),
+            stop: AtomicBool::new(false),
+            resps: Mutex::new(vec![None; comps.len()]),
+            resp_cv: Condvar::new(),
+            node,
+            udp: udp_rt.as_ref(),
+        };
+        // Link shaping under UDP is the sender-side `AddShaper`'s job,
+        // so hosted channels run with clean profiles here.
+        let cfg = RuntimeConfig {
+            wire_pacing,
+            ..RuntimeConfig::default()
+        };
+        let eng = Engine::new(comps, &kinds, hosts, &port, &cfg);
 
         // Rejoin replay: apply the committed schedule prefix to every
         // hosted component by signature before going live. Crashes of
@@ -593,14 +583,8 @@ impl SystemVisitor for NodeLoop {
         // that this incarnation resumes from the durably committed
         // protocol state, not from a silenced automaton; the
         // coordinator commits a fresh `Recover` once we are attached.
-        let mut states: Vec<Option<<afd_system::Component<P> as Automaton>::State>> =
-            (0..comps.len()).map(|_| None).collect();
-        for &idx in &mine {
-            states[idx] = Some(comps[idx].initial_state());
-        }
-        let mut stream = stream;
         for _ in 0..replay_len {
-            let msg = read_frame(&mut stream)?
+            let msg = read_frame(&mut reader_stream)?
                 .ok_or_else(|| NetError::Protocol("coordinator closed during replay".into()))?;
             let WireMsg::Deliver { comp, action } = msg else {
                 return Err(NetError::Protocol(format!(
@@ -615,112 +599,53 @@ impl SystemVisitor for NodeLoop {
             if action.crash_loc().is_some_and(|l| hosted.contains(&l)) {
                 continue;
             }
-            for &idx in &mine {
-                if let Some(st) = states[idx].as_mut() {
-                    if let Some(next) = comps[idx].step(st, &action) {
-                        *st = next;
-                    }
-                }
-            }
+            eng.replay(&action);
         }
-
-        // One cell per hosted component: the replayed (or initial)
-        // automaton state plus the commit-response receiver. The pool
-        // guarantees one activation per component at a time, so the
-        // mutex is uncontended — it exists to move the cell across
-        // worker threads.
-        let cells: Vec<Option<Mutex<NodeCell<P>>>> = (0..comps.len())
-            .map(|idx| {
-                // Both slots are populated exactly for `mine` entries;
-                // pairing them here keeps the construction total — no
-                // panic path if either invariant ever drifts.
-                match (states[idx].take(), resp_rx[idx].take()) {
-                    (Some(state), Some(resps)) => Some(Mutex::new(NodeCell { state, resps })),
-                    _ => None,
-                }
-            })
-            .collect();
-
-        let stop = AtomicBool::new(false);
-        let reader_stream = stream.try_clone().map_err(NetError::Io)?;
-        let writer = Mutex::new(stream);
-        let w_node = thread::available_parallelism()
-            .map_or(4, std::num::NonZeroUsize::get)
-            .min(mine.len())
-            .max(1);
-        let pool = Pool::new(w_node, comps.len());
-        // Seed: every hosted component starts with one activation.
-        for &idx in &mine {
-            pool.enqueue(idx);
-        }
+        eng.start();
 
         thread::scope(|s| {
-            // Reader: demultiplex coordinator frames — inputs into the
-            // target component's inbox (then mark it ready), commit
+            // Reader: demultiplex coordinator frames — inputs to the
+            // engine (which marks the target component ready), commit
             // responses to the blocked activation.
             s.spawn(|| {
                 let mut rs = reader_stream;
                 loop {
                     match read_frame(&mut rs) {
                         Ok(Some(WireMsg::Deliver { comp, action })) => {
-                            let comp = comp as usize;
-                            if cells.get(comp).is_some_and(Option::is_some) {
-                                lock(&inboxes[comp]).push_back(action);
-                                pool.enqueue(comp);
-                            }
+                            eng.deliver(comp as usize, action);
                         }
                         Ok(Some(WireMsg::CommitResp { comp, status })) => {
-                            if let Some(tx) = resp_tx.get(comp as usize).and_then(Option::as_ref) {
-                                let _ = tx.send(status);
+                            if let Some(slot) = lock(&port.resps).get_mut(comp as usize) {
+                                *slot = Some(status);
                             }
+                            port.resp_cv.notify_all();
                         }
                         Ok(Some(WireMsg::Stop { .. })) | Ok(None) | Err(_) => break,
                         Ok(Some(_)) => break, // protocol violation: give up
                     }
                 }
-                stop.store(true, Ordering::SeqCst);
-                pool.shutdown();
+                port.halt(StopReason::Idle);
+                eng.shutdown();
             });
 
             // UDP receive loop: datagrams in, hosted-channel inboxes
             // out. Exits on the stop flag (20ms socket tick).
             if let Some(rt) = udp_rt.as_ref() {
-                let (inboxes, pool, stop) = (&inboxes, &pool, &stop);
+                let (eng, stop) = (&eng, &port.stop);
                 s.spawn(move || {
                     afd_prof::set_lane("dgram-recv");
-                    rt.recv_loop(inboxes, pool, stop);
+                    rt.recv_loop(|comp, a| eng.deliver(comp, a), stop);
                     afd_prof::flush_local();
                 });
             }
 
-            for k in 0..w_node {
-                let (pool, cells, inboxes, writer, stop) =
-                    (&pool, &cells, &inboxes, &writer, &stop);
-                let udp = udp_rt.as_ref();
-                s.spawn(move || {
-                    afd_prof::set_lane(&format!("worker-{k}"));
-                    pool.run_worker(k, |idx| {
-                        node_activate(
-                            comps,
-                            idx,
-                            cells,
-                            inboxes,
-                            writer,
-                            stop,
-                            pool,
-                            wire_pacing,
-                            node,
-                            udp,
-                        )
-                    });
-                    // Flush before the scope sees this thread complete:
-                    // scoped-thread TLS destructors run after the scope's
-                    // completion signal, so a Drop-based flush could race
-                    // the post-scope `take()` below.
-                    afd_prof::flush_local();
-                });
+            for k in 0..eng.workers() {
+                let eng = &eng;
+                s.spawn(move || eng.run_worker(k));
             }
         });
+        drop(eng);
+        let writer = port.writer;
         // UDP: flush shaper reorder buffers and ship the datagram-
         // plane accounting (sender + receiver halves) before the
         // socket closes; the coordinator's post-stop harvest loop
@@ -754,71 +679,28 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The mutable half of one hosted component: its automaton state and
-/// the receiver its commit responses arrive on. The pool guarantees
-/// one activation at a time, so the wrapping mutex is uncontended.
-struct NodeCell<P: Automaton<Action = Action>> {
-    state: <afd_system::Component<P> as Automaton>::State,
-    resps: Receiver<CommitStatus>,
+/// A node's commit port: the blocking `CommitReq`/`CommitResp` round
+/// trip to the coordinator, which linearizes the action and does all
+/// the routing (inputs for our components come back as `Deliver`
+/// frames through the reader thread).
+struct NodePort<'a> {
+    writer: Mutex<TcpStream>,
+    /// Set by the reader thread when the coordinator stops the run or
+    /// the connection dies.
+    stop: AtomicBool,
+    /// Per-component response slot, filled by the reader thread. At
+    /// most one request per component is in flight — the activation
+    /// holding the component is the only possible waiter.
+    resps: Mutex<Vec<Option<CommitStatus>>>,
+    resp_cv: Condvar,
+    node: u32,
+    udp: Option<&'a UdpRt>,
 }
 
-/// One activation of a hosted process component: the threaded-runtime
-/// activation with the sink call replaced by a commit round trip.
-#[allow(clippy::too_many_arguments)]
-fn node_activate<P>(
-    comps: &[afd_system::Component<P>],
-    idx: usize,
-    cells: &[Option<Mutex<NodeCell<P>>>],
-    inboxes: &[Mutex<VecDeque<Action>>],
-    writer: &Mutex<TcpStream>,
-    stop: &AtomicBool,
-    pool: &Pool,
-    wire_pacing: Duration,
-    node: u32,
-    udp: Option<&UdpRt>,
-) -> Directive
-where
-    P: Automaton<Action = Action>,
-{
-    if stop.load(Ordering::SeqCst) {
-        pool.shutdown();
-        return Directive::Done;
-    }
-    let comp = &comps[idx];
-    // Only hosted components are ever enqueued; if that invariant
-    // drifts, an empty slot is simply not our work.
-    let Some(cell) = cells[idx].as_ref() else {
-        return Directive::Idle;
-    };
-    let mut c = lock(cell);
-    // Drain routed inputs (inputs are always enabled; a `None` step
-    // would be a signature bug, tolerated as a no-op).
-    let drained = std::mem::take(&mut *lock(&inboxes[idx]));
-    for a in drained {
-        let _s = afd_prof::span(afd_prof::Stage::Step);
-        if let Some(next) = comp.step(&c.state, &a) {
-            c.state = next;
-        }
-    }
-    let mut progressed = false;
-    for t in 0..comp.task_count() {
-        if stop.load(Ordering::SeqCst) {
-            pool.shutdown();
-            return Directive::Done;
-        }
-        let Some(a) = comp.enabled(&c.state, TaskId(t)) else {
-            continue;
-        };
-        // Throttle stubborn retransmission so it cannot flood the
-        // coordinator's event budget (mirrors `wire_pacing` in the
-        // threaded runtime).
-        if matches!(a, Action::WireSend { .. }) && !wire_pacing.is_zero() {
-            let pace = afd_prof::span(afd_prof::Stage::Retransmit);
-            thread::sleep(wire_pacing);
-            pace.done();
-        }
+impl CommitPort for NodePort<'_> {
+    fn commit(&self, from: usize, a: Action) -> Commit {
         let req = WireMsg::CommitReq {
-            comp: idx as u32,
+            comp: from as u32,
             action: a,
         };
         let enc = afd_prof::span(afd_prof::Stage::NetEncode);
@@ -826,79 +708,95 @@ where
         enc.done();
         let sock = afd_prof::span(afd_prof::Stage::NetSocket);
         {
-            let mut w = lock(writer);
+            let mut w = lock(&self.writer);
             if write_encoded(&mut *w, &payload)
                 .and_then(|()| w.flush())
                 .is_err()
             {
-                stop.store(true, Ordering::SeqCst);
-                pool.shutdown();
-                return Directive::Done;
+                self.halt(StopReason::Idle);
+                return Commit::Stopped;
             }
         }
         sock.done();
-        // Exactly one response per request, in order: block for it
-        // (inputs wait in the inbox, so the state cannot drift). This
-        // pins the worker for the round trip, which is fine — the
-        // pool is sized for the hosted components, and responses come
-        // from the dedicated reader thread.
+        // Exactly one response per request: block for it (inputs wait
+        // in the inbox, so the state cannot drift). This pins the
+        // worker for the round trip, which is fine — the pool is sized
+        // for the hosted components, and responses come from the
+        // dedicated reader thread.
         let ack = afd_prof::span(afd_prof::Stage::NetAckWait);
-        let status = loop {
-            match c.resps.recv_timeout(RESP_WAIT) {
-                Ok(st) => break st,
-                Err(RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::SeqCst) {
-                        pool.shutdown();
-                        return Directive::Done;
-                    }
+        let status = {
+            let mut slots = lock(&self.resps);
+            loop {
+                if let Some(st) = slots[from].take() {
+                    break st;
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    pool.shutdown();
-                    return Directive::Done;
+                if self.stopped() {
+                    return Commit::Stopped;
                 }
+                slots = self
+                    .resp_cv
+                    .wait_timeout(slots, RESP_WAIT)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .0;
             }
         };
         ack.done();
+        // Opportunistically stream flushed profiler records so a
+        // long run's telemetry doesn't pile up until shutdown.
+        if afd_prof::is_enabled() && afd_prof::pending() >= TELEM_STREAM {
+            send_report(self.node, afd_prof::take(), &self.writer);
+        }
         match status {
             CommitStatus::Accepted => {
-                let step = afd_prof::span(afd_prof::Stage::Step);
-                if let Some(next) = comp.step(&c.state, &a) {
-                    c.state = next;
-                }
-                step.done();
                 // UDP data plane: a committed `Send` (or stubborn
                 // `WireSend`) goes out over the real socket, shaped by
                 // the channel's ADD shaper. The coordinator skipped
                 // routing it to the channel — the datagram (if it
                 // survives) is the only copy.
-                if let Some(rt) = udp {
+                if let Some(rt) = self.udp {
                     if let Action::Send { from, to, .. } | Action::WireSend { from, to, .. } = a {
                         let tx = afd_prof::span(afd_prof::Stage::NetDgramSend);
                         rt.transmit_send(&a, from, to);
                         tx.done();
                     }
                 }
-                progressed = true;
+                Commit::Accepted
             }
-            // Our location is dead but the Crash input hasn't reached
-            // us yet: skip — the routed Crash will re-enqueue this
-            // component and its step disables the task.
-            CommitStatus::Suppressed => {}
+            CommitStatus::Suppressed => Commit::Suppressed,
             CommitStatus::Stopped => {
-                stop.store(true, Ordering::SeqCst);
-                pool.shutdown();
-                return Directive::Done;
+                self.halt(StopReason::Idle);
+                Commit::Stopped
             }
-        }
-        // Opportunistically stream flushed profiler records so a
-        // long run's telemetry doesn't pile up until shutdown.
-        if afd_prof::is_enabled() && afd_prof::pending() >= TELEM_STREAM {
-            send_report(node, afd_prof::take(), writer);
         }
     }
-    if progressed {
-        Directive::Again
-    } else {
-        Directive::Idle
+
+    /// Never called: the coordinator routes.
+    fn forward(&self, _target: usize, _a: Action) {}
+
+    fn routes(&self) -> bool {
+        false
+    }
+
+    /// Nodes run no scripted partitions, the clock's only reader.
+    fn events(&self) -> usize {
+        0
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Crashes reach a node as routed `Crash` inputs (Halt) or as
+    /// `SIGKILL` (Kill); it keeps no crash set of its own.
+    fn crashed(&self, _l: Loc) -> bool {
+        false
+    }
+
+    /// Leave the run (the coordinator contains a node that goes away);
+    /// wakes any activation blocked on a response.
+    fn halt(&self, _reason: StopReason) {
+        self.stop.store(true, Ordering::SeqCst);
+        drop(lock(&self.resps));
+        self.resp_cv.notify_all();
     }
 }

@@ -77,7 +77,9 @@ pub enum Stage {
     NetAckWait = 9,
     /// Coordinator side: from socket read to sink commit start.
     CoordQueue = 10,
-    /// Coordinator side: the sink commit of a node's request.
+    /// Retired: the coordinator's fan-out of a node's commit, now
+    /// [`Stage::Route`] like every other. The id stays reserved so the
+    /// Telemetry wire format and recorded traces keep their numbering.
     SinkCommit = 11,
     /// Deliberate throttling sleeps: FD-output pacing, link
     /// delay/jitter, partition holds.

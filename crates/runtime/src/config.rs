@@ -82,13 +82,6 @@ impl LinkProfile {
         }
     }
 
-    /// Set the drop probability.
-    #[must_use]
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop = p;
-        self
-    }
-
     /// Set the duplication probability.
     #[must_use]
     pub fn with_dup(mut self, p: f64) -> Self {
@@ -236,20 +229,6 @@ pub type StreamPredicate = Box<dyn FnMut(&Action) -> bool + Send>;
 /// carries the factory and the runtime instantiates at start.
 pub type StreamPredicateFactory = Arc<dyn Fn() -> StreamPredicate + Send + Sync>;
 
-/// Which commit path the sink runs (see `crate::sink` module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitPipeline {
-    /// Short critical section; observer dispatch and stop predicates
-    /// run on an in-order drain off the commit lock.
-    #[default]
-    Streamed,
-    /// The pre-pipeline reference: dispatch and predicate evaluation
-    /// under the commit lock. Kept as an executable baseline for the
-    /// commit-path benchmarks; semantics are equivalent, throughput
-    /// under contention is not.
-    LockedReference,
-}
-
 /// Configuration of a threaded run.
 #[derive(Clone)]
 pub struct RuntimeConfig {
@@ -301,17 +280,6 @@ pub struct RuntimeConfig {
     /// off the commit lock. `None` — the default — costs nothing on
     /// the commit path.
     pub observer: Option<Arc<dyn Observer>>,
-    /// Maximum number of locally-controlled actions a worker may
-    /// speculate and commit under one sink-lock acquisition. `1` (the
-    /// default) commits one action at a time; larger values batch
-    /// unpaced action bursts (FD output chains with zero pacing,
-    /// channel drains with a zero-latency profile). Batching never
-    /// changes which schedules are *possible* — a batch is a legal
-    /// scheduling choice — but it coarsens interleaving granularity,
-    /// so keep it at 1 when maximum nondeterminism is the point.
-    pub commit_batch: usize,
-    /// Which commit pipeline the sink runs.
-    pub pipeline: CommitPipeline,
     /// Worker-pool size for the sharded executor. `None` (the default)
     /// uses `std::thread::available_parallelism()`. The verdict of a
     /// run must never depend on this knob — it only changes which legal
@@ -338,8 +306,6 @@ impl Default for RuntimeConfig {
             stop_when: None,
             stop_when_stream: None,
             observer: None,
-            commit_batch: 1,
-            pipeline: CommitPipeline::Streamed,
             workers: None,
         }
     }
@@ -363,8 +329,6 @@ impl std::fmt::Debug for RuntimeConfig {
             .field("stop_when", &self.stop_when.is_some())
             .field("stop_when_stream", &self.stop_when_stream.is_some())
             .field("observer", &self.observer.is_some())
-            .field("commit_batch", &self.commit_batch)
-            .field("pipeline", &self.pipeline)
             .field("workers", &self.workers)
             .finish()
     }
@@ -472,20 +436,6 @@ impl RuntimeConfig {
     #[must_use]
     pub fn with_observer(mut self, obs: Arc<dyn Observer>) -> Self {
         self.observer = Some(obs);
-        self
-    }
-
-    /// Set the per-worker commit batch cap (`0` is treated as `1`).
-    #[must_use]
-    pub fn with_commit_batch(mut self, n: usize) -> Self {
-        self.commit_batch = n.max(1);
-        self
-    }
-
-    /// Select the commit pipeline.
-    #[must_use]
-    pub fn with_pipeline(mut self, pipeline: CommitPipeline) -> Self {
-        self.pipeline = pipeline;
         self
     }
 
@@ -751,16 +701,12 @@ mod tests {
                     count += 1;
                     count > 3
                 })
-            })
-            .with_commit_batch(0)
-            .with_pipeline(CommitPipeline::LockedReference);
+            });
         assert_eq!(cfg.max_events, 99);
         assert_eq!(cfg.crash_mode, CrashMode::Kill);
         assert_eq!(cfg.wire_pacing, Duration::from_micros(10));
         assert_eq!(cfg.watchdog_tick, Duration::from_millis(5));
         assert!(cfg.stop_when.is_some());
-        assert_eq!(cfg.commit_batch, 1, "0 clamps to 1");
-        assert_eq!(cfg.pipeline, CommitPipeline::LockedReference);
         // The factory mints independent predicate instances.
         let factory = cfg.stop_when_stream.clone().unwrap();
         let mut p = factory();
@@ -770,7 +716,6 @@ mod tests {
         assert!(!q(&a), "fresh instance starts from scratch");
         let dbg = format!("{cfg:?}");
         assert!(dbg.contains("max_events: 99"));
-        assert!(dbg.contains("commit_batch: 1"));
     }
 
     #[test]

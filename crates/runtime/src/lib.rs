@@ -23,10 +23,14 @@
 //! The commit path is deliberately thin: the critical section is only
 //! crash-check + append + sequence reservation, with observer dispatch
 //! and stop-predicate evaluation running on an in-order drain off the
-//! lock (see [`sink`]); workers can additionally batch chains of
-//! locally-controlled actions under one lock acquisition
-//! ([`RuntimeConfig::with_commit_batch`]). The pre-pipeline sink
-//! survives as [`CommitPipeline::LockedReference`] for benchmarking.
+//! lock (see [`sink`]).
+//!
+//! The activation loop itself ([`Engine`]) is public and generic over
+//! which components it hosts and where a commit lands
+//! ([`CommitPort`]): [`run_threaded`] hosts everything and commits
+//! into its own sink; `afd-net`'s coordinator and nodes run the same
+//! loop over their share of the composition, with a forwarding and a
+//! round-trip port respectively.
 //!
 //! Fault injection:
 //! - a crash injector fires the configured `FaultPattern` at global
@@ -72,9 +76,11 @@ pub mod sink;
 
 pub use chaos::{chaos_plan_jsonl, ChannelChaos, ChannelChaosStats, ChaosDecision, ChaosReport};
 pub use config::{
-    validate_loc_capacity, CommitPipeline, ConfigError, CrashMode, LinkFaults, LinkProfile,
-    Partition, RuntimeConfig, StopPredicate, StreamPredicate, StreamPredicateFactory,
+    validate_loc_capacity, ConfigError, CrashMode, LinkFaults, LinkProfile, Partition,
+    RuntimeConfig, StopPredicate, StreamPredicate, StreamPredicateFactory,
 };
 pub use harness::{check_fd_trace, fd_projection, fifo_violation, FifoViolation};
-pub use runtime::{run_threaded, try_run_threaded, RunDiagnostic, RuntimeOutcome};
+pub use runtime::{
+    run_threaded, try_run_threaded, CommitPort, Engine, RunDiagnostic, RuntimeOutcome,
+};
 pub use sink::{Commit, EventSink, SinkOptions, StopReason, CRASH_CAPACITY};

@@ -1,7 +1,9 @@
-//! The threaded executor: a sharded, event-driven worker pool
-//! (see [`crate::exec`]) multiplexing every component automaton of the
-//! run, a crash injector, an adversarial link layer, and a watchdog
-//! monitor.
+//! The executor: a sharded, event-driven worker pool (see
+//! [`crate::exec`]) multiplexing the component automata an [`Engine`]
+//! hosts, plus what `run_threaded` adds around it — a crash injector
+//! and a watchdog monitor. The engine is generic over its hosted set
+//! and its [`CommitPort`], so the same activation loop, adversarial
+//! link layer included, also runs the `afd-net` coordinator and nodes.
 //!
 //! **Why a pool.** The previous engine spawned one OS thread per
 //! component. At n = 16 that is ~270 threads (16 processes + 240
@@ -16,9 +18,11 @@
 //! **Activation model.** Each component owns an inbox (routed inputs)
 //! and a body (automaton state plus per-channel adversary state). An
 //! activation drains the inbox (applying `step`), then sweeps local
-//! tasks: commit each enabled action through the shared [`EventSink`],
-//! apply the local `step`, and route the action to the components that
-//! classify it as an input. The commit-then-step-then-route order is
+//! tasks: commit each enabled action through the port (the shared
+//! [`EventSink`], directly or at the far end of a socket), apply the
+//! local `step`, and route the action to the components that classify
+//! it as an input — hosted ones through their inbox, the rest through
+//! the port. The commit-then-step-then-route order is
 //! what makes the sink's log a legal schedule (see the linearization
 //! convention in [`crate::sink`]). The pool guarantees at most one
 //! activation per component at a time, so bodies need no contended
@@ -75,6 +79,60 @@ use crate::config::{ConfigError, CrashMode, LinkProfile, RuntimeConfig};
 use crate::exec::{Directive, Pool};
 use crate::rng::SplitMix64;
 use crate::sink::{Commit, EventSink, SinkOptions, StopReason};
+
+/// Where a commit lands: one of the two things — with the hosted set
+/// — an [`Engine`] observes from its caller. `run_threaded` commits
+/// into its own [`EventSink`]; the distributed coordinator commits
+/// into its sink and forwards accepted actions to components a node
+/// hosts; a node's commit is a blocking round trip to the coordinator,
+/// which does the routing for it.
+pub trait CommitPort: Sync {
+    /// Linearize `a`, proposed by component `from` (`usize::MAX` for
+    /// an injected crash or recovery, which no component proposes).
+    fn commit(&self, from: usize, a: Action) -> Commit;
+    /// Hand accepted `a` to component `target`, which takes it as an
+    /// input and which the engine does not host.
+    fn forward(&self, target: usize, a: Action);
+    /// Does the engine fan accepted actions out? `false` when the far
+    /// side of the port already has.
+    fn routes(&self) -> bool {
+        true
+    }
+    /// Committed event count: the clock scripted partitions run on.
+    fn events(&self) -> usize;
+    /// Has the run stopped?
+    fn stopped(&self) -> bool;
+    /// Has `l` crashed?
+    fn crashed(&self, l: Loc) -> bool;
+    /// Stop the run with `reason`.
+    fn halt(&self, reason: StopReason);
+}
+
+impl CommitPort for EventSink {
+    fn commit(&self, _from: usize, a: Action) -> Commit {
+        self.try_commit(a)
+    }
+
+    /// `run_threaded` hosts everything but the crash automaton, which
+    /// takes no inputs.
+    fn forward(&self, _target: usize, _a: Action) {}
+
+    fn events(&self) -> usize {
+        self.len()
+    }
+
+    fn stopped(&self) -> bool {
+        self.is_stopped()
+    }
+
+    fn crashed(&self, l: Loc) -> bool {
+        self.is_crashed(l)
+    }
+
+    fn halt(&self, reason: StopReason) {
+        self.stop(reason);
+    }
+}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -376,34 +434,43 @@ fn route_key(a: &Action) -> (u8, u8, u8) {
 /// classify such actions as inputs (see [`route_key`]).
 type RouteIndex = RwLock<HashMap<(u8, u8, u8), Arc<[u32]>>>;
 
-/// Everything a worker needs to run any component: the composition,
-/// per-component cells, the pool, the routing index, and the shared
-/// sink/telemetry. Borrowed by every worker thread inside the run's
-/// scope.
-struct Engine<'a, P: Automaton<Action = Action>> {
+/// The activation loop and everything it needs to run any hosted
+/// component: the composition, per-component cells, the pool, the
+/// routing index, and the commit port. Borrowed by every worker thread
+/// inside the run's scope. This is the only activation loop in the
+/// workspace — `run_threaded`, the distributed coordinator and its
+/// nodes differ in which components they host and where their commits
+/// land ([`CommitPort`]), nothing else.
+pub struct Engine<'a, P: Automaton<Action = Action>, C: CommitPort> {
     comps: &'a [Component<P>],
     kinds: &'a [ComponentKind],
-    cells: Vec<Cell<P>>,
+    /// `Some` for exactly the hosted components.
+    cells: Vec<Option<Cell<P>>>,
     profiles: Vec<LinkProfile>,
-    tel: &'a Telemetry,
-    sink: &'a EventSink,
+    tel: Telemetry,
+    port: &'a C,
     cfg: &'a RuntimeConfig,
     pool: Pool,
     router: RouteIndex,
     deferred: Deferred,
 }
 
-impl<'a, P> Engine<'a, P>
+impl<'a, P, C> Engine<'a, P, C>
 where
     P: Automaton<Action = Action>,
+    C: CommitPort,
 {
-    fn new(
+    /// An engine hosting the components whose kind `hosts` accepts,
+    /// committing through `port`. `cfg` supplies the seed, pacing,
+    /// link profiles, partitions and crash mode; the pool gets
+    /// `cfg.workers` (default `available_parallelism`) workers,
+    /// clamped to the hosted count.
+    pub fn new(
         comps: &'a [Component<P>],
         kinds: &'a [ComponentKind],
-        tel: &'a Telemetry,
-        sink: &'a EventSink,
+        hosts: impl Fn(ComponentKind) -> bool,
+        port: &'a C,
         cfg: &'a RuntimeConfig,
-        workers: usize,
     ) -> Self {
         let adversary = !cfg.partitions.is_empty();
         let mut cells = Vec::with_capacity(comps.len());
@@ -413,6 +480,11 @@ where
                 ComponentKind::Channel(i, j) => cfg.links.profile(i, j),
                 _ => LinkProfile::default(),
             };
+            profiles.push(profile);
+            if !hosts(kinds[idx]) {
+                cells.push(None);
+                continue;
+            }
             let seed = cfg.seed ^ (idx as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93);
             let chaos = match kinds[idx] {
                 ComponentKind::Channel(i, j) if profile.is_chaotic() || adversary => {
@@ -426,7 +498,7 @@ where
                 }
                 _ => None,
             };
-            cells.push(Cell {
+            cells.push(Some(Cell {
                 inbox: Mutex::new(Inbox {
                     q: VecDeque::new(),
                     killed: false,
@@ -436,16 +508,23 @@ where
                     rng: SplitMix64::new(seed),
                     chaos,
                 }),
-            });
-            profiles.push(profile);
+            }));
         }
+        let hosted = cells.iter().flatten().count();
+        let workers = cfg
+            .workers
+            .unwrap_or_else(|| {
+                thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+            })
+            .min(hosted)
+            .max(1);
         Engine {
             comps,
             kinds,
             cells,
             profiles,
-            tel,
-            sink,
+            tel: Telemetry::new(comps.len()),
+            port,
             cfg,
             pool: Pool::new(workers, comps.len()),
             router: RwLock::new(HashMap::new()),
@@ -453,10 +532,60 @@ where
         }
     }
 
+    /// The commit port.
+    pub fn port(&self) -> &'a C {
+        self.port
+    }
+
+    /// Pool size: the caller runs [`Engine::run_worker`] on this many
+    /// threads.
+    pub fn workers(&self) -> usize {
+        self.pool.workers()
+    }
+
+    /// Seed the ready queues: every hosted component starts with one
+    /// activation (its initial task sweep); the rest are never
+    /// scheduled.
+    pub fn start(&self) {
+        for (idx, cell) in self.cells.iter().enumerate() {
+            if cell.is_some() {
+                self.pool.enqueue(idx);
+            } else {
+                self.pool.retire(idx);
+            }
+        }
+    }
+
+    /// Wake every worker and have it return.
+    pub fn shutdown(&self) {
+        self.pool.shutdown();
+    }
+
+    /// Worker `k`'s main loop: run activations until shutdown,
+    /// containing panics that escape one.
+    pub fn run_worker(&self, k: usize) {
+        afd_prof::set_lane(&format!("worker-{k}"));
+        let mut drain = VecDeque::new();
+        self.pool.run_worker(k, |i| {
+            match catch_unwind(AssertUnwindSafe(|| activate(self, i, &mut drain))) {
+                Ok(d) => d,
+                Err(p) => {
+                    drain.clear();
+                    contain_panic(self, i, p)
+                }
+            }
+        });
+        // Flush this thread's profiling buffer before the scope
+        // observes completion: scoped-thread TLS destructors run
+        // *after* the scope's completion signal, so a Drop-based flush
+        // could race the post-scope report harvest.
+        afd_prof::flush_local();
+    }
+
     /// The cached fan-out set of `a` (all components classifying it as
     /// an input). A miss costs one classify scan; every later action
     /// with the same variant and locations hits the cache.
-    fn targets(&self, a: &Action) -> Arc<[u32]> {
+    pub fn targets(&self, a: &Action) -> Arc<[u32]> {
         let key = route_key(a);
         if let Some(t) = self
             .router
@@ -480,12 +609,33 @@ where
         list
     }
 
-    /// Deliver committed `a` to every component (except `from_idx`)
-    /// that classifies it as an input: push to the inbox (keeping the
+    /// Push input `a` into hosted component `idx`'s inbox (keeping the
     /// backlog accounting exact, under the inbox lock), then mark the
     /// component ready. Killed inboxes drop the message on the floor —
-    /// exactly the crash-stop semantics `CrashMode::Kill` asks for.
+    /// exactly the crash-stop semantics `CrashMode::Kill` asks for —
+    /// and so do components hosted elsewhere.
+    pub fn deliver(&self, idx: usize, a: Action) {
+        let Some(cell) = self.cells.get(idx).and_then(Option::as_ref) else {
+            return;
+        };
+        {
+            let mut inbox = lock(&cell.inbox);
+            if inbox.killed {
+                return;
+            }
+            inbox.q.push_back(a);
+            self.tel.backlog[idx].store(inbox.q.len(), Ordering::SeqCst);
+        }
+        self.pool.enqueue(idx);
+    }
+
+    /// Fan committed `a` out to every component (except `from_idx`)
+    /// that classifies it as an input: hosted ones through their
+    /// inbox, the rest through the port.
     fn route(&self, from_idx: usize, a: Action) {
+        if !self.port.routes() {
+            return;
+        }
         let _s = afd_prof::span(afd_prof::Stage::Route);
         let targets = self.targets(&a);
         for &t in targets.iter() {
@@ -493,23 +643,61 @@ where
             if t == from_idx {
                 continue;
             }
-            {
-                let mut inbox = lock(&self.cells[t].inbox);
-                if inbox.killed {
-                    continue;
-                }
-                inbox.q.push_back(a);
-                self.tel.backlog[t].store(inbox.q.len(), Ordering::SeqCst);
+            if self.cells[t].is_some() {
+                self.deliver(t, a);
+            } else {
+                self.port.forward(t, a);
             }
-            self.pool.enqueue(t);
         }
+    }
+
+    /// Commit `a` on behalf of `from` (see [`CommitPort::commit`]) and
+    /// route it if accepted. The entry point for commits that do not
+    /// come out of an activation: injected crashes and recoveries, and
+    /// the requests of remote nodes.
+    pub fn commit(&self, from: usize, a: Action) -> Commit {
+        let status = self.port.commit(from, a);
+        if status == Commit::Accepted {
+            self.route(from, a);
+            self.drain_deferred();
+        }
+        status
+    }
+
+    /// Apply `a` to every hosted component that has it in its
+    /// signature, before the workers start: how a rejoining node
+    /// rebuilds its state from the committed schedule prefix.
+    pub fn replay(&self, a: &Action) {
+        for (comp, cell) in self.comps.iter().zip(&self.cells) {
+            if let Some(cell) = cell {
+                let mut body = lock(&cell.body);
+                if let Some(next) = comp.step(&body.state, a) {
+                    body.state = next;
+                }
+            }
+        }
+    }
+
+    /// What the link adversary did on the hosted channels.
+    pub fn chaos_report(&self) -> ChaosReport {
+        let mut report = ChaosReport::default();
+        for (kind, cell) in self.kinds.iter().zip(&self.cells) {
+            if let (ComponentKind::Channel(i, j), Some(cell)) = (kind, cell) {
+                if let Some(ch) = &lock(&cell.body).chaos {
+                    if ch.stats != ChannelChaosStats::default() {
+                        report.per_channel.insert((*i, *j), ch.stats);
+                    }
+                }
+            }
+        }
+        report
     }
 
     /// Permanently remove `idx` from the run: future routes to it are
     /// dropped, its backlog no longer counts against quiescence.
     fn kill_component(&self, idx: usize) {
-        {
-            let mut inbox = lock(&self.cells[idx].inbox);
+        if let Some(cell) = &self.cells[idx] {
+            let mut inbox = lock(&cell.inbox);
             inbox.killed = true;
             inbox.q.clear();
         }
@@ -518,48 +706,33 @@ where
     }
 
     /// Re-arm any cut channel whose heal step the log has reached.
-    /// Cheap (one relaxed load) when nothing is registered.
-    fn drain_deferred(&self) {
-        self.deferred.drain(self.sink.len(), &self.pool);
-    }
-}
-
-/// Reusable per-worker buffers: the inbox drain swap target and the
-/// commit-batch speculation buffers (kept out of the sweep so the
-/// common single-action commit allocates nothing after warm-up).
-struct Scratch<S> {
-    drain: VecDeque<Action>,
-    chain: Vec<Action>,
-    states: Vec<S>,
-}
-
-impl<S> Default for Scratch<S> {
-    fn default() -> Self {
-        Scratch {
-            drain: VecDeque::new(),
-            chain: Vec::new(),
-            states: Vec::new(),
-        }
+    /// Cheap (one relaxed load) when nothing is registered. Accepted
+    /// commits call this themselves; a watchdog tick is the safety net
+    /// for a heal crossed concurrently with its registration.
+    pub fn drain_deferred(&self) {
+        self.deferred.drain(self.port.events(), &self.pool);
     }
 }
 
 /// One activation of component `idx`: drain the inbox, then sweep
 /// local tasks (or run the channel adversary). Returns the scheduling
-/// directive for the pool.
-fn activate<P>(eng: &Engine<'_, P>, idx: usize, scratch: &mut Scratch<CState<P>>) -> Directive
+/// directive for the pool. `drain` is the worker's reusable inbox swap
+/// target.
+fn activate<P, C>(eng: &Engine<'_, P, C>, idx: usize, drain: &mut VecDeque<Action>) -> Directive
 where
     P: Automaton<Action = Action>,
+    C: CommitPort,
 {
-    let sink = eng.sink;
+    let port = eng.port;
     let cfg = eng.cfg;
-    if sink.is_stopped() {
+    if port.stopped() {
         eng.pool.shutdown();
         return Directive::Done;
     }
     let kind = eng.kinds[idx];
     if cfg.crash_mode == CrashMode::Kill {
         if let ComponentKind::Process(l) = kind {
-            if sink.is_crashed(l) {
+            if port.crashed(l) {
                 // kill -9: retire the component, dropping queued inputs.
                 eng.kill_component(idx);
                 return Directive::Done;
@@ -567,25 +740,27 @@ where
         }
     }
     let comp = &eng.comps[idx];
-    let cell = &eng.cells[idx];
+    // Only hosted components are ever enqueued.
+    let Some(cell) = eng.cells[idx].as_ref() else {
+        return Directive::Done;
+    };
     // One tiled `step` span covers the whole activation — body/inbox
-    // locks, input drain, enabled scans, chain speculation — handed
-    // off (never nested) around the pacing/commit/route regions, which
-    // carry their own stages. Tiling instead of point spans is what
-    // lets Table W's coverage gate account for the activation loop's
-    // bookkeeping.
+    // locks, input drain, enabled scans — handed off (never nested)
+    // around the pacing/commit/route regions, which carry their own
+    // stages. Tiling instead of point spans is what lets Table W's
+    // coverage gate account for the activation loop's bookkeeping.
     let mut tile = afd_prof::span(afd_prof::Stage::Step);
     let mut body = lock(&cell.body);
     eng.tel.unpark(idx);
     {
         let mut inbox = lock(&cell.inbox);
-        std::mem::swap(&mut inbox.q, &mut scratch.drain);
+        std::mem::swap(&mut inbox.q, drain);
         eng.tel.backlog[idx].store(0, Ordering::SeqCst);
     }
     let Body { state, rng, chaos } = &mut *body;
     // Apply routed inputs (inputs are always enabled; a `None` step
     // would be a signature bug, tolerated as a no-op).
-    for a in scratch.drain.drain(..) {
+    for a in drain.drain(..) {
         if let Some(next) = comp.step(state, &a) {
             *state = next;
         }
@@ -596,17 +771,9 @@ where
     }
     // Sweep local tasks.
     let profile = eng.profiles[idx];
-    let needs_pacing = |a: &Action| match kind {
-        ComponentKind::Fd => !cfg.fd_pacing.is_zero(),
-        ComponentKind::Channel(_, _) => !profile.is_zero(),
-        ComponentKind::Process(_) => {
-            matches!(a, Action::WireSend { .. }) && !cfg.wire_pacing.is_zero()
-        }
-        _ => false,
-    };
     let mut progressed = false;
     for t in 0..comp.task_count() {
-        if sink.is_stopped() {
+        if port.stopped() {
             eng.pool.shutdown();
             return Directive::Done;
         }
@@ -615,82 +782,53 @@ where
         };
         // Pacing and link faults happen before the commit, so the
         // linearization point itself stays instantaneous.
-        if needs_pacing(&a) {
-            match kind {
-                ComponentKind::Fd => {
-                    tile = tile.handoff(afd_prof::Stage::Pacing);
-                    thread::sleep(cfg.fd_pacing);
-                }
-                ComponentKind::Channel(_, _) => {
-                    tile = tile.handoff(afd_prof::Stage::Pacing);
-                    let jitter_ns =
-                        rng.below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
-                    thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
-                }
-                // Throttle stubborn retransmission (WireSend) so it
-                // cannot flood the event budget.
-                _ => {
-                    tile = tile.handoff(afd_prof::Stage::Retransmit);
-                    thread::sleep(cfg.wire_pacing);
-                }
+        match kind {
+            ComponentKind::Fd if !cfg.fd_pacing.is_zero() => {
+                tile = tile.handoff(afd_prof::Stage::Pacing);
+                thread::sleep(cfg.fd_pacing);
+                tile = tile.handoff(afd_prof::Stage::Step);
             }
-            tile = tile.handoff(afd_prof::Stage::Step);
-        }
-        // Speculate a chain of locally-controlled actions from this
-        // task: each is enabled in the state its predecessors produce,
-        // and nothing else can change that state (routed inputs wait
-        // in the inbox until the next activation), so committing the
-        // chain as one batch is a legal scheduling choice. The
-        // accepted prefix — the sink can cut a batch short at the
-        // budget — is applied and routed in order; the rest of the
-        // speculation is discarded.
-        let cap = if needs_pacing(&a) {
-            1
-        } else {
-            cfg.commit_batch.max(1)
-        };
-        scratch.chain.clear();
-        scratch.states.clear();
-        scratch.chain.push(a);
-        if let Some(s1) = comp.step(state, &a) {
-            scratch.states.push(s1);
-            while scratch.chain.len() < cap {
-                let cur = scratch.states.last().expect("one state per chained action");
-                let Some(next_a) = comp.enabled(cur, TaskId(t)) else {
-                    break;
-                };
-                if needs_pacing(&next_a) {
-                    break;
-                }
-                let Some(next_s) = comp.step(cur, &next_a) else {
-                    break;
-                };
-                scratch.chain.push(next_a);
-                scratch.states.push(next_s);
+            ComponentKind::Channel(_, _) if !profile.is_zero() => {
+                tile = tile.handoff(afd_prof::Stage::Pacing);
+                let jitter_ns =
+                    rng.below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
+                thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
+                tile = tile.handoff(afd_prof::Stage::Step);
             }
+            // Throttle stubborn retransmission (WireSend) so it cannot
+            // flood the event budget.
+            ComponentKind::Process(_)
+                if matches!(a, Action::WireSend { .. }) && !cfg.wire_pacing.is_zero() =>
+            {
+                tile = tile.handoff(afd_prof::Stage::Retransmit);
+                thread::sleep(cfg.wire_pacing);
+                tile = tile.handoff(afd_prof::Stage::Step);
+            }
+            _ => {}
         }
         // The commit and route regions carry their own stages
-        // (commit-wait/lock-hold inside the sink, route below); the
-        // tile pauses so spans never nest.
+        // (commit-wait/lock-hold inside the sink, the wire stages of a
+        // remote port, route below); the tile pauses so spans never
+        // nest.
         tile.done();
-        let (n, status) = sink.try_commit_batch(&scratch.chain);
-        if n > 0 {
-            scratch.states.truncate(n);
-            if let Some(s) = scratch.states.pop() {
-                *state = s;
-            }
-            for &committed in &scratch.chain[..n] {
-                eng.route(idx, committed);
-            }
-            progressed = true;
-        }
+        let status = port.commit(idx, a);
         tile = afd_prof::span(afd_prof::Stage::Step);
         match status {
-            Commit::Accepted => {}
+            Commit::Accepted => {
+                if let Some(next) = comp.step(state, &a) {
+                    *state = next;
+                }
+                tile.done();
+                eng.route(idx, a);
+                tile = afd_prof::span(afd_prof::Stage::Step);
+                progressed = true;
+            }
             // Our location is dead but the Crash input hasn't reached
-            // us yet: skip — the routed Crash will re-enqueue this
-            // component and its step disables the task.
-            Commit::Suppressed => {}
+            // us yet, so the rest of this sweep would propose from a
+            // state known to be stale (an FD naming the dead leader):
+            // end it — the routed Crash re-enqueues this component and
+            // its step disables the task.
+            Commit::Suppressed => break,
             Commit::Stopped => {
                 eng.pool.shutdown();
                 return Directive::Done;
@@ -711,8 +849,9 @@ where
 /// The adversarial channel activation: like the task sweep for a
 /// channel component, but every consumed arrival draws a chaos
 /// decision (drop/dup/hold) and scripted partitions gate delivery.
-fn activate_chaos<P>(
-    eng: &Engine<'_, P>,
+/// The only consumer of [`ChannelChaos::next`] on a commit path.
+fn activate_chaos<P, C>(
+    eng: &Engine<'_, P, C>,
     idx: usize,
     comp: &Component<P>,
     state: &mut CState<P>,
@@ -720,13 +859,14 @@ fn activate_chaos<P>(
 ) -> Directive
 where
     P: Automaton<Action = Action>,
+    C: CommitPort,
 {
-    let sink = eng.sink;
+    let port = eng.port;
     let ComponentKind::Channel(from, to) = eng.kinds[idx] else {
         unreachable!("chaos state only attaches to channel components")
     };
     let profile = eng.profiles[idx];
-    let cut = eng.cfg.is_cut(from, to, sink.len());
+    let cut = eng.cfg.is_cut(from, to, port.events());
     let mut progressed = false;
     if !cut {
         // Release matured holds (never across an active cut). The
@@ -737,12 +877,10 @@ where
                 break;
             }
             ch.held.pop_front();
-            match sink.try_commit(a) {
+            match eng.commit(idx, a) {
                 Commit::Accepted => {
-                    eng.route(idx, a);
-                    if dup && sink.try_commit(a) == Commit::Accepted {
-                        eng.route(idx, a);
-                        ch.stats.duplicated += 1;
+                    if dup {
+                        eng.commit(idx, a);
                     }
                     progressed = true;
                 }
@@ -763,7 +901,7 @@ where
         // reached (an eternal cut registers nothing and the watchdog
         // eventually fires).
         eng.deferred
-            .register(heal_threshold(eng.cfg, from, to, sink.len()), idx);
+            .register(heal_threshold(eng.cfg, from, to, port.events()), idx);
         return Directive::Idle;
     }
     if let Some(a) = head {
@@ -772,26 +910,24 @@ where
         decision_span.done();
         ch.arrivals += 1;
         ch.stats.arrivals += 1;
+        ch.stats.dropped += u64::from(d.drop);
+        ch.stats.duplicated += u64::from(d.dup);
+        ch.stats.held += u64::from(d.hold > 0);
         afd_prof::gauge_sampled(
             afd_prof::GaugeKind::ChannelBacklog,
             (eng.tel.backlog[idx].load(Ordering::SeqCst) + ch.held.len()) as u64,
             64,
         );
-        if d.drop {
-            // Consume without committing: the message vanishes.
+        if d.drop || d.hold > 0 {
+            // Consume without committing: a dropped message vanishes,
+            // a held one waits in the reorder buffer.
             if let Some(next) = comp.step(state, &a) {
                 *state = next;
             }
-            ch.stats.dropped += 1;
-            progressed = true;
-        } else if d.hold > 0 {
-            // Consume into the reorder buffer.
-            if let Some(next) = comp.step(state, &a) {
-                *state = next;
+            if !d.drop {
+                ch.held
+                    .push_back((a, ch.arrivals + u64::from(d.hold), d.dup));
             }
-            ch.held
-                .push_back((a, ch.arrivals + u64::from(d.hold), d.dup));
-            ch.stats.held += 1;
             progressed = true;
         } else {
             if !profile.is_zero() {
@@ -801,15 +937,14 @@ where
                     .below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
                 thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
             }
-            match sink.try_commit(a) {
+            match port.commit(idx, a) {
                 Commit::Accepted => {
                     if let Some(next) = comp.step(state, &a) {
                         *state = next;
                     }
                     eng.route(idx, a);
-                    if d.dup && sink.try_commit(a) == Commit::Accepted {
-                        eng.route(idx, a);
-                        ch.stats.duplicated += 1;
+                    if d.dup {
+                        eng.commit(idx, a);
                     }
                     progressed = true;
                 }
@@ -838,13 +973,14 @@ where
 /// Contain a panic that escaped an activation of `idx`: the component
 /// is retired; a process panic becomes a `Crash` at its location, any
 /// other panic stops the run.
-fn contain_panic<P>(
-    eng: &Engine<'_, P>,
+fn contain_panic<P, C>(
+    eng: &Engine<'_, P, C>,
     idx: usize,
     payload: Box<dyn std::any::Any + Send>,
 ) -> Directive
 where
     P: Automaton<Action = Action>,
+    C: CommitPort,
 {
     let msg = panic_message(payload);
     eng.tel
@@ -854,11 +990,11 @@ where
         // Contain the panic as a crash at this location: the rest of
         // the run proceeds under ordinary crash semantics, and the
         // crash is observable like any other.
-        if !eng.sink.is_crashed(l) && eng.sink.try_commit(Action::Crash(l)) == Commit::Accepted {
-            eng.route(idx, Action::Crash(l));
+        if !eng.port.crashed(l) {
+            eng.commit(idx, Action::Crash(l));
         }
     } else {
-        eng.sink.stop(StopReason::Panicked);
+        eng.port.halt(StopReason::Panicked);
         eng.pool.shutdown();
     }
     Directive::Done
@@ -869,12 +1005,12 @@ where
 /// reaches each threshold, validating the adversary's script order
 /// (entries the script rejects are dropped, mirroring the simulator).
 /// Blocks on the sink's length watch between thresholds — no polling.
-fn injector<P>(eng: &Engine<'_, P>, crash_idx: usize)
+fn injector<P>(eng: &Engine<'_, P, EventSink>, crash_idx: usize)
 where
     P: Automaton<Action = Action>,
 {
     let comp = &eng.comps[crash_idx];
-    let sink = eng.sink;
+    let sink = eng.port;
     afd_prof::set_lane("injector");
     let mut state = comp.initial_state();
     let mut pending: VecDeque<(usize, Loc)> = eng.cfg.faults.crashes.iter().copied().collect();
@@ -899,12 +1035,8 @@ where
         let Some(next) = comp.step(&state, &a) else {
             continue; // script mismatch: drop, like `run_sim`
         };
-        match sink.try_commit(a) {
-            Commit::Accepted => {
-                state = next;
-                eng.route(crash_idx, a);
-                eng.drain_deferred();
-            }
+        match eng.commit(crash_idx, a) {
+            Commit::Accepted => state = next,
             Commit::Suppressed => unreachable!("crash events are never suppressed"),
             Commit::Stopped => return,
         }
@@ -916,11 +1048,11 @@ where
 /// stops stalls at the deadline with a diagnostic, enforces the
 /// wall-clock safety net, and backstops deferred partition heals.
 /// Always shuts the pool down on the way out.
-fn monitor<P>(eng: &Engine<'_, P>)
+fn monitor<P>(eng: &Engine<'_, P, EventSink>)
 where
     P: Automaton<Action = Action>,
 {
-    let sink = eng.sink;
+    let sink = eng.port;
     let cfg = eng.cfg;
     let deadline_ns = u64::try_from(cfg.watchdog_deadline.as_nanos()).unwrap_or(u64::MAX);
     let mut prev_len = usize::MAX;
@@ -950,7 +1082,7 @@ where
         if stalled_ns >= deadline_ns {
             // Snapshot who was busy/backlogged NOW — once the stop
             // propagates, everything parks and the evidence is gone.
-            *lock(&eng.tel.snapshot) = Some(live_snapshot(eng.comps, eng.tel, len, stalled_ns));
+            *lock(&eng.tel.snapshot) = Some(live_snapshot(eng.comps, &eng.tel, len, stalled_ns));
             sink.stop(StopReason::Watchdog);
             break;
         }
@@ -1022,7 +1154,6 @@ where
     cfg.validate(sys.pi)?;
     let comps = sys.composition.components();
     let kinds = sys.component_kinds();
-    let tel = Telemetry::new(comps.len());
 
     let sink = EventSink::with_options(SinkOptions {
         max_events: cfg.max_events,
@@ -1031,52 +1162,23 @@ where
         // The factory mints a fresh stateful predicate for this run.
         stop_stream: cfg.stop_when_stream.as_ref().map(|mint| mint()),
         observer: cfg.observer.clone(),
-        pipeline: cfg.pipeline,
     });
-    let workers = cfg
-        .workers
-        .unwrap_or_else(|| thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get))
-        .min(comps.len().max(1))
-        .max(1);
-    let eng = Engine::new(comps, &kinds, &tel, &sink, cfg, workers);
-
-    // Seed the ready queues: every component starts with one
-    // activation (its initial task sweep). The crash automaton is
-    // owned by the injector and never scheduled on the pool.
+    // The crash automaton is owned by the injector and never
+    // scheduled on the pool.
+    let eng = Engine::new(
+        comps,
+        &kinds,
+        |k| !matches!(k, ComponentKind::Crash),
+        &sink,
+        cfg,
+    );
     let crash_idx = kinds.iter().position(|k| matches!(k, ComponentKind::Crash));
-    for idx in 0..comps.len() {
-        if Some(idx) == crash_idx {
-            eng.pool.retire(idx);
-            lock(&eng.cells[idx].inbox).killed = true;
-        } else {
-            eng.pool.enqueue(idx);
-        }
-    }
+    eng.start();
 
     thread::scope(|s| {
-        for k in 0..eng.pool.workers() {
+        for k in 0..eng.workers() {
             let eng = &eng;
-            s.spawn(move || {
-                afd_prof::set_lane(&format!("worker-{k}"));
-                let mut scratch: Scratch<CState<P>> = Scratch::default();
-                eng.pool.run_worker(k, |i| {
-                    match catch_unwind(AssertUnwindSafe(|| activate(eng, i, &mut scratch))) {
-                        Ok(d) => d,
-                        Err(p) => {
-                            scratch.drain.clear();
-                            scratch.chain.clear();
-                            scratch.states.clear();
-                            contain_panic(eng, i, p)
-                        }
-                    }
-                });
-                // Flush this thread's profiling buffer before the
-                // scope observes completion: scoped-thread TLS
-                // destructors run *after* the scope's completion
-                // signal, so a Drop-based flush could race the
-                // post-scope report harvest.
-                afd_prof::flush_local();
-            });
+            s.spawn(move || eng.run_worker(k));
         }
         if let Some(crash_idx) = crash_idx {
             let eng = &eng;
@@ -1087,7 +1189,7 @@ where
                 if let Err(p) = res {
                     eng.tel
                         .note_panic(format!("injector: {}", panic_message(p)));
-                    eng.sink.stop(StopReason::Panicked);
+                    eng.port.stop(StopReason::Panicked);
                     eng.pool.shutdown();
                 }
             });
@@ -1100,17 +1202,8 @@ where
 
     let elapsed = sink.elapsed();
     let stalled_ns = sink.ns_since_last_commit();
-    let mut chaos = ChaosReport::default();
-    for (idx, kind) in kinds.iter().enumerate() {
-        if let ComponentKind::Channel(i, j) = kind {
-            if let Some(ch) = &lock(&eng.cells[idx].body).chaos {
-                if ch.stats != ChannelChaosStats::default() {
-                    chaos.per_channel.insert((*i, *j), ch.stats);
-                }
-            }
-        }
-    }
-    drop(eng);
+    let chaos = eng.chaos_report();
+    let tel = eng.tel;
     let (schedule, stop) = sink.into_log();
     let stop = stop.unwrap_or(StopReason::Idle);
     if let Some(obs) = &cfg.observer {

@@ -38,11 +38,7 @@
 //!
 //! One consequence is *bounded stop lag*: a stop predicate may be
 //! evaluated a few commits after its triggering event, so a handful of
-//! extra events can commit after the predicate first holds. Runs that
-//! need the pre-drain behavior for baseline measurements can opt into
-//! [`crate::config::CommitPipeline::LockedReference`], which is the
-//! pre-pipeline sink (dispatch and predicate under the log lock),
-//! kept as an executable reference for the benches.
+//! extra events can commit after the predicate first holds.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,7 +47,7 @@ use std::time::Instant;
 use afd_core::{Action, Loc, Stamped};
 use afd_obs::Observer;
 
-use crate::config::{CommitPipeline, StopPredicate, StreamPredicate};
+use crate::config::{StopPredicate, StreamPredicate};
 
 /// Why the run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,9 +160,6 @@ pub struct SinkOptions {
     pub stop_stream: Option<StreamPredicate>,
     /// Observer notified of every accepted commit, in schedule order.
     pub observer: Option<Arc<dyn Observer>>,
-    /// Which commit pipeline to run (streamed drain vs the
-    /// locked-reference baseline).
-    pub pipeline: CommitPipeline,
 }
 
 impl Default for SinkOptions {
@@ -177,7 +170,18 @@ impl Default for SinkOptions {
             stop_when: None,
             stop_stream: None,
             observer: None,
-            pipeline: CommitPipeline::Streamed,
+        }
+    }
+}
+
+/// Stops the run with [`StopReason::Panicked`] when dropped by an
+/// unwinding drain callback.
+struct StopIfUnwinding<'a>(&'a EventSink);
+
+impl Drop for StopIfUnwinding<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop(StopReason::Panicked);
         }
     }
 }
@@ -206,10 +210,6 @@ pub struct EventSink {
     /// Anything for the drain to do? False for pure logging runs,
     /// which then skip the drain machinery entirely.
     needs_drain: bool,
-    /// A stream predicate exists (lets the legacy path skip the drain
-    /// lock when there is none to evaluate).
-    has_stream_pred: bool,
-    legacy: bool,
     watch: LenWatch,
 }
 
@@ -248,10 +248,8 @@ impl EventSink {
     /// A sink with the full option surface.
     #[must_use]
     pub fn with_options(opts: SinkOptions) -> Self {
-        let legacy = opts.pipeline == CommitPipeline::LockedReference;
-        let needs_drain = !legacy
-            && (opts.observer.is_some() || opts.stop_when.is_some() || opts.stop_stream.is_some());
-        let has_stream_pred = opts.stop_stream.is_some();
+        let needs_drain =
+            opts.observer.is_some() || opts.stop_when.is_some() || opts.stop_stream.is_some();
         EventSink {
             inner: Mutex::new(Inner {
                 log: Vec::with_capacity(opts.max_events.min(1 << 16)),
@@ -275,8 +273,6 @@ impl EventSink {
             stop_when: opts.stop_when,
             observer: opts.observer,
             needs_drain,
-            has_stream_pred,
-            legacy,
             watch: LenWatch {
                 threshold: AtomicUsize::new(usize::MAX),
                 lock: Mutex::new(()),
@@ -303,9 +299,6 @@ impl EventSink {
 
     /// Attempt to append `a` to the log.
     pub fn try_commit(&self, a: Action) -> Commit {
-        if self.legacy {
-            return self.try_commit_locked_reference(a);
-        }
         let (accepted, status) = self.try_commit_batch(std::slice::from_ref(&a));
         if accepted == 1 {
             Commit::Accepted
@@ -329,15 +322,6 @@ impl EventSink {
     /// lock), so suppression always rejects from the batch's first
     /// action of the crashed location onward.
     pub fn try_commit_batch(&self, actions: &[Action]) -> (usize, Commit) {
-        if self.legacy {
-            for (n, &a) in actions.iter().enumerate() {
-                match self.try_commit_locked_reference(a) {
-                    Commit::Accepted => {}
-                    status => return (n, status),
-                }
-            }
-            return (actions.len(), Commit::Accepted);
-        }
         let mut accepted = 0usize;
         let mut status = Commit::Accepted;
         {
@@ -417,71 +401,6 @@ impl EventSink {
         (accepted, status)
     }
 
-    /// The pre-pipeline commit path, kept as an executable baseline:
-    /// observer dispatch and predicate evaluation under the log lock.
-    fn try_commit_locked_reference(&self, a: Action) -> Commit {
-        let mut g = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if g.stop.is_some() {
-            return Commit::Stopped;
-        }
-        if self.is_suppressed(&a) {
-            return Commit::Suppressed;
-        }
-        match a {
-            Action::Crash(l) => {
-                let w = &self.crashed[usize::from(l.0) >> 6];
-                let bits = w.load(Ordering::Relaxed);
-                w.store(bits | 1 << (l.0 & 63), Ordering::Relaxed);
-            }
-            Action::Recover(l) => {
-                let w = &self.crashed[usize::from(l.0) >> 6];
-                let bits = w.load(Ordering::Relaxed);
-                w.store(bits & !(1 << (l.0 & 63)), Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        g.log.push(a);
-        let k = g.log.len();
-        self.len.store(k, Ordering::Release);
-        self.notify_len_watch();
-        let now_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.last_commit_ns.store(now_ns, Ordering::Relaxed);
-        if let Some(obs) = &self.observer {
-            afd_obs::dispatch(obs.as_ref(), Stamped::walled(k as u64 - 1, now_ns, a));
-        }
-        if k >= self.max_events {
-            g.stop = Some(StopReason::MaxEvents);
-            self.stopped.store(true, Ordering::Release);
-        } else {
-            let mut fire = false;
-            if self.has_stream_pred {
-                // Taking the drain lock while holding the log lock is
-                // safe here: in legacy mode the drain path (which locks
-                // in the opposite order) never runs.
-                let mut d = self
-                    .drain
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(p) = d.stream_pred.as_mut() {
-                    fire = p(&a);
-                }
-            }
-            if !fire {
-                if let Some(pred) = &self.stop_when {
-                    fire = k.is_multiple_of(self.stop_check_interval) && pred(&g.log);
-                }
-            }
-            if fire {
-                g.stop = Some(StopReason::Predicate);
-                self.stopped.store(true, Ordering::Release);
-            }
-        }
-        Commit::Accepted
-    }
-
     /// Try to become the drainer and replay the undispatched suffix.
     /// Losing the `try_lock` race is fine: the current drainer
     /// re-checks for new commits after finishing, and `into_log`
@@ -517,6 +436,10 @@ impl EventSink {
             }
             d.drained += d.scratch.len();
             let scratch = std::mem::take(&mut d.scratch);
+            // An observer or predicate that panics takes the run down
+            // as `Panicked` whichever committer happened to be
+            // draining — the callback is not that component's code.
+            let _unwinding = StopIfUnwinding(self);
             let dispatch_span = afd_prof::span(afd_prof::Stage::ObserverDispatch);
             for (i, (a, ns)) in scratch.iter().enumerate() {
                 if let Some(obs) = &self.observer {
@@ -787,36 +710,26 @@ mod tests {
 
     #[test]
     fn recover_clears_the_crash_bit_and_reopens_commits() {
-        for legacy in [false, true] {
-            let sink = EventSink::with_options(SinkOptions {
-                max_events: 100,
-                pipeline: if legacy {
-                    crate::CommitPipeline::LockedReference
-                } else {
-                    crate::CommitPipeline::Streamed
-                },
-                ..SinkOptions::default()
-            });
-            assert_eq!(sink.try_commit(Action::Crash(Loc(0))), Commit::Accepted);
-            assert_eq!(sink.try_commit(send01()), Commit::Suppressed);
-            // Recover is exempt from suppression and clears the bit.
-            assert_eq!(sink.try_commit(Action::Recover(Loc(0))), Commit::Accepted);
-            assert!(!sink.is_crashed(Loc(0)));
-            assert_eq!(sink.try_commit(send01()), Commit::Accepted);
-            // A second incarnation can crash again.
-            assert_eq!(sink.try_commit(Action::Crash(Loc(0))), Commit::Accepted);
-            assert_eq!(sink.try_commit(send01()), Commit::Suppressed);
-            let (log, _) = sink.into_log();
-            assert_eq!(
-                log,
-                vec![
-                    Action::Crash(Loc(0)),
-                    Action::Recover(Loc(0)),
-                    send01(),
-                    Action::Crash(Loc(0)),
-                ]
-            );
-        }
+        let sink = EventSink::new(100, 16, None);
+        assert_eq!(sink.try_commit(Action::Crash(Loc(0))), Commit::Accepted);
+        assert_eq!(sink.try_commit(send01()), Commit::Suppressed);
+        // Recover is exempt from suppression and clears the bit.
+        assert_eq!(sink.try_commit(Action::Recover(Loc(0))), Commit::Accepted);
+        assert!(!sink.is_crashed(Loc(0)));
+        assert_eq!(sink.try_commit(send01()), Commit::Accepted);
+        // A second incarnation can crash again.
+        assert_eq!(sink.try_commit(Action::Crash(Loc(0))), Commit::Accepted);
+        assert_eq!(sink.try_commit(send01()), Commit::Suppressed);
+        let (log, _) = sink.into_log();
+        assert_eq!(
+            log,
+            vec![
+                Action::Crash(Loc(0)),
+                Action::Recover(Loc(0)),
+                send01(),
+                Action::Crash(Loc(0)),
+            ]
+        );
     }
 
     #[test]
@@ -995,20 +908,16 @@ mod tests {
     }
 
     #[test]
-    fn locked_reference_pipeline_matches_streamed_semantics() {
+    fn budget_filling_batch_lands_whole_and_is_observed() {
         let rec = Arc::new(afd_obs::TraceRecorder::new());
         let sink = EventSink::with_options(SinkOptions {
             max_events: 3,
             stop_check_interval: 1,
             observer: Some(rec.clone()),
-            pipeline: CommitPipeline::LockedReference,
             ..SinkOptions::default()
         });
         assert_eq!(sink.try_commit(Action::Crash(Loc(64))), Commit::Accepted);
-        assert!(
-            sink.is_crashed(Loc(64)),
-            "bitset fix applies to both pipelines"
-        );
+        assert!(sink.is_crashed(Loc(64)));
         assert_eq!(
             sink.try_commit(Action::Fd {
                 at: Loc(64),
@@ -1024,6 +933,7 @@ mod tests {
         );
         assert!(sink.is_stopped());
         assert_eq!(sink.try_commit(send01()), Commit::Stopped);
+        sink.flush();
         let trace = rec.snapshot();
         assert_eq!(trace.len(), 3);
         let (log, stop) = sink.into_log();

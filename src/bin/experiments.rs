@@ -870,27 +870,20 @@ fn table_runtime() -> Vec<Table> {
     vec![t, tp]
 }
 
-/// Table T: commit-path throughput of the threaded runtime, and the
-/// streamed-vs-locked speedup check. Also emits `BENCH_runtime.json`
-/// (machine-readable copy of both, consumed by CI).
+/// Table T: commit-path throughput of the threaded runtime. Also
+/// emits `BENCH_runtime.json` (machine-readable copy, consumed by CI).
 ///
-/// Two measurements:
-/// * end-to-end: the threaded A_self(Ω) system with `fd_pacing = 0`
-///   run to a fixed event budget, swept over n ∈ {3, 8, 16} ×
-///   observer on/off × incremental stop predicate on/off (the
-///   predicate cannot fire — nobody decides — so the rows isolate its
-///   *cost*);
-/// * commit path in isolation: 8 producer threads hammering one
-///   `EventSink` with observer + stop predicate enabled, streamed
-///   pipeline (incremental predicate, checked every event) vs the
-///   pre-pipeline `LockedReference` baseline (slice predicate at the
-///   default interval, dispatch under the lock). The speedup must be
-///   ≥ 2× or the table records a failure.
+/// End-to-end: the threaded A_self(Ω) system with `fd_pacing = 0` run
+/// to a fixed event budget, swept over n ∈ {3, 8, 16, 32, 64, 128} ×
+/// observer on/off × incremental stop predicate on/off (the predicate
+/// cannot fire — nobody decides — so the rows isolate its *cost*),
+/// with the n=16-vs-n=8 cliff gate on per-event cost. (The
+/// streamed-vs-locked sink comparison that used to ride along went
+/// with the locked sink; its last measurement is in the committed
+/// `BENCH_runtime.json` history.)
 fn table_t_throughput() -> Table {
     use afd_algorithms::consensus::all_live_decided_stream;
-    use afd_runtime::{
-        run_threaded, Commit, CommitPipeline, EventSink, RuntimeConfig, SinkOptions,
-    };
+    use afd_runtime::{run_threaded, RuntimeConfig};
     use std::time::Duration;
 
     let smoke = std::env::var("SMOKE").is_ok();
@@ -1020,79 +1013,6 @@ fn table_t_throughput() -> Table {
          ratio {cliff_verdict}"
     ));
 
-    // Commit path in isolation: 8 producers, observer + stop predicate
-    // on, streamed (incremental predicate) vs the pre-pipeline locked
-    // baseline (slice predicate at the default interval). Best of 3
-    // reps each to damp scheduler noise.
-    let bench_n = 8usize;
-    let bench_events = 40_000usize;
-    let reps = 3;
-    let pi = Pi::new(bench_n);
-    let measure = |pipeline: CommitPipeline| -> f64 {
-        let mut best = 0.0f64;
-        for _ in 0..reps {
-            let metrics = Arc::new(Metrics::new());
-            let sink = EventSink::with_options(SinkOptions {
-                max_events: bench_events,
-                stop_check_interval: RuntimeConfig::default().stop_check_interval,
-                stop_when: match pipeline {
-                    CommitPipeline::LockedReference => {
-                        Some(Arc::new(move |s: &[Action]| all_live_decided(pi, s)))
-                    }
-                    CommitPipeline::Streamed => None,
-                },
-                stop_stream: match pipeline {
-                    CommitPipeline::Streamed => Some(all_live_decided_stream(pi)),
-                    CommitPipeline::LockedReference => None,
-                },
-                observer: Some(Arc::new(MetricsObserver::new(metrics.clone()))),
-                pipeline,
-            });
-            let t0 = std::time::Instant::now();
-            std::thread::scope(|s| {
-                for i in 0..bench_n {
-                    let sink = &sink;
-                    s.spawn(move || {
-                        let mut k = 0u64;
-                        loop {
-                            let a = Action::Send {
-                                from: Loc(i as u8),
-                                to: Loc(((i + 1) % bench_n) as u8),
-                                msg: afd_core::Msg::Token(k),
-                            };
-                            match sink.try_commit(a) {
-                                Commit::Stopped => return,
-                                _ => k += 1,
-                            }
-                        }
-                    });
-                }
-            });
-            let (log, _) = sink.into_log(); // includes the final flush
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(log.len(), bench_events);
-            best = best.max(log.len() as f64 / dt);
-        }
-        best
-    };
-    let locked = measure(CommitPipeline::LockedReference);
-    let streamed = measure(CommitPipeline::Streamed);
-    let speedup = streamed / locked;
-    let required = 2.0;
-    let verdict = t.check(
-        speedup >= required,
-        &format!("{speedup:.1}× ✓ (≥ {required}×)"),
-        format!(
-            "t: streamed commit path only {speedup:.2}× over the locked baseline \
-             ({streamed:.0} vs {locked:.0} ev/s, need ≥ {required}×)"
-        ),
-    );
-    t.note(format!(
-        "commit path in isolation ({bench_n} producers, observer + stop predicate on, \
-         {bench_events} events, best of {reps}): locked reference {locked:.0} ev/s, \
-         streamed {streamed:.0} ev/s — speedup {verdict}"
-    ));
-
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("runtime-commit-path".into())),
         (
@@ -1109,19 +1029,6 @@ fn table_t_throughput() -> Table {
                 ("ratio".into(), Json::Num(cliff_ratio)),
                 ("required_max_ratio".into(), Json::Num(cliff_max)),
                 ("pass".into(), Json::Bool(cliff_pass)),
-            ]),
-        ),
-        (
-            "commit_path".into(),
-            Json::Obj(vec![
-                ("producers".into(), Json::Num(bench_n as f64)),
-                ("events".into(), Json::Num(bench_events as f64)),
-                ("reps".into(), Json::Num(reps as f64)),
-                ("locked_reference_events_per_sec".into(), Json::Num(locked)),
-                ("streamed_events_per_sec".into(), Json::Num(streamed)),
-                ("speedup".into(), Json::Num(speedup)),
-                ("required_min_speedup".into(), Json::Num(required)),
-                ("pass".into(), Json::Bool(speedup >= required)),
             ]),
         ),
     ]);
@@ -2239,7 +2146,7 @@ fn table_w_prof() -> Table {
                 mean_us(afd_prof::Stage::NetSocket),
                 mean_us(afd_prof::Stage::CommitWait),
                 mean_us(afd_prof::Stage::LockHold),
-                mean_us(afd_prof::Stage::SinkCommit),
+                mean_us(afd_prof::Stage::Route),
                 mean_us(afd_prof::Stage::CoordQueue),
                 mean_us(afd_prof::Stage::NetAckWait),
             ));

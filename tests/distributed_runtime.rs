@@ -236,3 +236,35 @@ fn bad_configs_are_rejected() {
     };
     assert!(run_distributed(&short_vals, &NetConfig::new(node_cmd(), 3)).is_err());
 }
+
+/// The TCP data plane honours `LinkProfile::{delay, jitter}` like the
+/// threaded engine: a channel's deliveries are serialized by its one
+/// activation, each preceded by its sleep, so the run cannot be
+/// shorter than the busiest channel's `Receive` count times the
+/// configured delay (sleeps only ever run long).
+#[test]
+fn tcp_links_honour_configured_delay() {
+    let delay = Duration::from_millis(2);
+    let spec = DeploymentSpec::BoundedEvP { n: 3 };
+    // Heartbeat senders are unpaced, so the budget is mostly `Send`s
+    // and the run lasts long enough for a few dozen paced deliveries.
+    let cfg = base_cfg(3)
+        .with_max_events(4_000)
+        .with_seed(31)
+        .with_links(LinkFaults::uniform(LinkProfile::delay(delay)));
+    let report = run_distributed(&spec, &cfg).expect("run");
+    assert_eq!(report.stop, Some(StopReason::MaxEvents));
+    let mut receives = std::collections::BTreeMap::<(Loc, Loc), u32>::new();
+    for a in &report.schedule {
+        if let Action::Receive { from, to, .. } = a {
+            *receives.entry((*from, *to)).or_default() += 1;
+        }
+    }
+    let busiest = receives.values().copied().max().unwrap_or(0);
+    assert!(busiest >= 5, "heartbeats flowed: {receives:?}");
+    assert!(
+        report.elapsed >= delay * busiest,
+        "{busiest} deliveries on one channel at {delay:?} each took only {:?}",
+        report.elapsed
+    );
+}

@@ -141,26 +141,40 @@ impl From<WireLinkProfile> for LinkProfile {
 /// The coordinator ↔ node control protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
-    /// Node → coordinator, first message after connecting.
+    /// Node → coordinator, first message after connecting: incarnation
+    /// `epoch` of node `node` is up. A first start is epoch 0; every
+    /// respawn bumps it (monotone per node).
     Hello {
         /// The node id given at spawn time (`AFD_NET_NODE_ID`).
         node: u32,
+        /// Incarnation epoch (`AFD_NET_EPOCH`).
+        epoch: u32,
+        /// Loopback UDP port the node receives datagrams on when the
+        /// deployment runs its data channels over UDP
+        /// (`AFD_NET_TRANSPORT=udp`); 0 = no datagram socket.
+        udp_port: u16,
     },
-    /// Coordinator → node: the deployment, this node's locations, and
-    /// the run parameters. Doubles as the start signal.
+    /// Coordinator → node: the deployment, this node's locations, the
+    /// run parameters, and the length of the committed schedule prefix
+    /// the coordinator streams as replay [`WireMsg::Deliver`] frames
+    /// before any live traffic (0 for a first start, which attaches at
+    /// schedule position 0). Doubles as the start signal.
     Assign {
         /// Echo of the node id.
         node: u32,
+        /// Echo of the incarnation epoch.
+        epoch: u32,
         /// What system to build (both sides build it identically).
         spec: DeploymentSpec,
         /// The locations this node hosts.
         locations: Vec<Loc>,
-        /// The run seed (not used by nodes today; carried so future
-        /// node-local randomness replays deterministically).
+        /// The run seed (drives the UDP shapers' chaos streams).
         seed: u64,
         /// Microseconds a worker sleeps before committing a `WireSend`
         /// (throttles stubborn retransmission; 0 = no pacing).
         wire_pacing_us: u64,
+        /// Committed schedule prefix length to be replayed.
+        replay_len: u64,
     },
     /// Node → coordinator: please linearize this action.
     CommitReq {
@@ -202,46 +216,6 @@ pub enum WireMsg {
         lanes: Vec<(u32, String)>,
         /// The profiler records, in the node's flush order.
         recs: Vec<afd_prof::Rec>,
-    },
-    /// Node → coordinator, first message of a *respawned* node: the
-    /// crash-recovery variant of [`WireMsg::Hello`], carrying the new
-    /// incarnation epoch (1 for the first respawn, monotone per node).
-    Rejoin {
-        /// The node id given at spawn time (`AFD_NET_NODE_ID`).
-        node: u32,
-        /// Incarnation epoch (`AFD_NET_EPOCH`).
-        epoch: u32,
-    },
-    /// Coordinator → node: the crash-recovery variant of
-    /// [`WireMsg::Assign`]. Carries everything a fresh assignment does
-    /// plus the length of the committed schedule prefix the coordinator
-    /// will stream as replay [`WireMsg::Deliver`] frames before any
-    /// live traffic.
-    RejoinAck {
-        /// Echo of the node id.
-        node: u32,
-        /// Echo of the incarnation epoch.
-        epoch: u32,
-        /// What system to build (both sides build it identically).
-        spec: DeploymentSpec,
-        /// The locations this node hosts.
-        locations: Vec<Loc>,
-        /// The run seed.
-        seed: u64,
-        /// Microseconds a worker sleeps before committing a `WireSend`.
-        wire_pacing_us: u64,
-        /// Committed schedule prefix length to be replayed.
-        replay_len: u64,
-    },
-    /// Node → coordinator, first message after connecting when the
-    /// deployment runs its data channels over UDP
-    /// (`AFD_NET_TRANSPORT=udp`): like [`WireMsg::Hello`] but also
-    /// reports the port of the node's bound datagram socket.
-    HelloUdp {
-        /// The node id given at spawn time (`AFD_NET_NODE_ID`).
-        node: u32,
-        /// Loopback UDP port the node receives datagrams on.
-        udp_port: u16,
     },
     /// Coordinator → node, UDP deployments only, sent right after
     /// [`WireMsg::Assign`]: the datagram-plane wiring. Carries every
@@ -639,19 +613,28 @@ fn put_chan_dgram_stats(buf: &mut Vec<u8>, s: &ChannelDgramStats) {
 pub fn encode_msg(m: &WireMsg) -> Vec<u8> {
     let mut buf = Vec::with_capacity(32);
     match m {
-        WireMsg::Hello { node } => {
+        WireMsg::Hello {
+            node,
+            epoch,
+            udp_port,
+        } => {
             put_u8(&mut buf, 0);
             put_u32(&mut buf, *node);
+            put_u32(&mut buf, *epoch);
+            put_u16(&mut buf, *udp_port);
         }
         WireMsg::Assign {
             node,
+            epoch,
             spec,
             locations,
             seed,
             wire_pacing_us,
+            replay_len,
         } => {
             put_u8(&mut buf, 1);
             put_u32(&mut buf, *node);
+            put_u32(&mut buf, *epoch);
             put_spec(&mut buf, spec);
             put_u32(&mut buf, locations.len() as u32);
             for l in locations {
@@ -659,6 +642,7 @@ pub fn encode_msg(m: &WireMsg) -> Vec<u8> {
             }
             put_u64(&mut buf, *seed);
             put_u64(&mut buf, *wire_pacing_us);
+            put_u64(&mut buf, *replay_len);
         }
         WireMsg::CommitReq { comp, action } => {
             put_u8(&mut buf, 2);
@@ -702,37 +686,6 @@ pub fn encode_msg(m: &WireMsg) -> Vec<u8> {
                 put_u64(&mut buf, r.t_ns);
                 put_u64(&mut buf, r.v);
             }
-        }
-        WireMsg::Rejoin { node, epoch } => {
-            put_u8(&mut buf, 7);
-            put_u32(&mut buf, *node);
-            put_u32(&mut buf, *epoch);
-        }
-        WireMsg::RejoinAck {
-            node,
-            epoch,
-            spec,
-            locations,
-            seed,
-            wire_pacing_us,
-            replay_len,
-        } => {
-            put_u8(&mut buf, 8);
-            put_u32(&mut buf, *node);
-            put_u32(&mut buf, *epoch);
-            put_spec(&mut buf, spec);
-            put_u32(&mut buf, locations.len() as u32);
-            for l in locations {
-                put_loc(&mut buf, *l);
-            }
-            put_u64(&mut buf, *seed);
-            put_u64(&mut buf, *wire_pacing_us);
-            put_u64(&mut buf, *replay_len);
-        }
-        WireMsg::HelloUdp { node, udp_port } => {
-            put_u8(&mut buf, 9);
-            put_u32(&mut buf, *node);
-            put_u16(&mut buf, *udp_port);
         }
         WireMsg::UdpSetup {
             node,
@@ -1149,9 +1102,12 @@ impl<'a> Dec<'a> {
         match self.u8("WireMsg")? {
             0 => Ok(WireMsg::Hello {
                 node: self.u32("WireMsg.node")?,
+                epoch: self.u32("Hello.epoch")?,
+                udp_port: self.u16("Hello.udp_port")?,
             }),
             1 => {
                 let node = self.u32("WireMsg.node")?;
+                let epoch = self.u32("Assign.epoch")?;
                 let spec = self.spec()?;
                 let len = self.seq_len("Assign.locations")?;
                 let mut locations = Vec::with_capacity(len.min(256));
@@ -1160,10 +1116,12 @@ impl<'a> Dec<'a> {
                 }
                 Ok(WireMsg::Assign {
                     node,
+                    epoch,
                     spec,
                     locations,
                     seed: self.u64("Assign.seed")?,
                     wire_pacing_us: self.u64("Assign.wire_pacing_us")?,
+                    replay_len: self.u64("Assign.replay_len")?,
                 })
             }
             2 => Ok(WireMsg::CommitReq {
@@ -1211,33 +1169,9 @@ impl<'a> Dec<'a> {
                 }
                 Ok(WireMsg::Telemetry { node, lanes, recs })
             }
-            7 => Ok(WireMsg::Rejoin {
-                node: self.u32("WireMsg.node")?,
-                epoch: self.u32("Rejoin.epoch")?,
-            }),
-            8 => {
-                let node = self.u32("WireMsg.node")?;
-                let epoch = self.u32("RejoinAck.epoch")?;
-                let spec = self.spec()?;
-                let len = self.seq_len("RejoinAck.locations")?;
-                let mut locations = Vec::with_capacity(len.min(256));
-                for _ in 0..len {
-                    locations.push(self.loc()?);
-                }
-                Ok(WireMsg::RejoinAck {
-                    node,
-                    epoch,
-                    spec,
-                    locations,
-                    seed: self.u64("RejoinAck.seed")?,
-                    wire_pacing_us: self.u64("RejoinAck.wire_pacing_us")?,
-                    replay_len: self.u64("RejoinAck.replay_len")?,
-                })
-            }
-            9 => Ok(WireMsg::HelloUdp {
-                node: self.u32("WireMsg.node")?,
-                udp_port: self.u16("HelloUdp.udp_port")?,
-            }),
+            // Tags 7, 8 and 9 carried the retired Rejoin / RejoinAck /
+            // HelloUdp frames; they stay unassigned so a peer built
+            // before the merge is refused, not misread.
             10 => {
                 let node = self.u32("WireMsg.node")?;
                 let n_peers = self.seq_len("UdpSetup.peers")?;
@@ -1427,9 +1361,11 @@ mod tests {
                 n: 3,
                 values: vec![10, 11, 1_000_003],
             },
+            epoch: 0,
             locations: vec![Loc(1)],
             seed: 7,
             wire_pacing_us: 0,
+            replay_len: 0,
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &m).unwrap();
@@ -1466,33 +1402,10 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_handshake_roundtrips_through_frames() {
-        let mut buf = Vec::new();
-        let rejoin = WireMsg::Rejoin { node: 2, epoch: 3 };
-        let ack = WireMsg::RejoinAck {
-            node: 2,
-            epoch: 3,
-            spec: DeploymentSpec::Paxos {
-                n: 5,
-                values: vec![10, 20],
-            },
-            locations: vec![Loc(2), Loc(7)],
-            seed: 0xDEAD_BEEF,
-            wire_pacing_us: 50,
-            replay_len: 1234,
-        };
-        write_frame(&mut buf, &rejoin).unwrap();
-        write_frame(&mut buf, &ack).unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap(), Some(rejoin));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(ack));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-    }
-
-    #[test]
     fn udp_handshake_roundtrips_through_frames() {
-        let hello = WireMsg::HelloUdp {
+        let hello = WireMsg::Hello {
             node: 4,
+            epoch: 0,
             udp_port: 54_321,
         };
         let profile = afd_runtime::LinkProfile::lossy(0.30)
@@ -1563,9 +1476,11 @@ mod tests {
         let m = WireMsg::Assign {
             node: 0,
             spec: DeploymentSpec::BoundedEvP { n: 5 },
+            epoch: 0,
             locations: vec![Loc(0), Loc(3)],
             seed: 23,
             wire_pacing_us: 10,
+            replay_len: 0,
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &m).unwrap();
@@ -1583,28 +1498,6 @@ mod tests {
                 Loc(1),
                 WireLinkProfile::from(afd_runtime::LinkProfile::lossy(0.5)),
             )],
-        });
-        for cut in 0..bytes.len() {
-            assert!(matches!(
-                decode_msg(&bytes[..cut]),
-                Err(DecodeError::Truncated { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn rejoin_ack_truncation_is_typed() {
-        let bytes = encode_msg(&WireMsg::RejoinAck {
-            node: 0,
-            epoch: 1,
-            spec: DeploymentSpec::SelfImpl {
-                n: 3,
-                fd: FdKindSpec::Omega,
-            },
-            locations: vec![Loc(0)],
-            seed: 9,
-            wire_pacing_us: 0,
-            replay_len: 77,
         });
         for cut in 0..bytes.len() {
             assert!(matches!(

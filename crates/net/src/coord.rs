@@ -26,9 +26,9 @@
 
 use std::io::Read as _;
 use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -47,7 +47,7 @@ use crate::codec::{read_frame, write_frame, CommitStatus, WireLinkProfile, WireM
 use crate::deploy::{
     online_checks, post_checks, visit_system, DeploymentSpec, DynCheck, SystemVisitor,
 };
-use crate::NetError;
+use crate::{lock, unpoisoned, NetError};
 
 /// Watchdog sampling period.
 const MONITOR_TICK: Duration = Duration::from_millis(5);
@@ -57,6 +57,14 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// How long shutdown waits for a node child to exit gracefully before
 /// killing it.
 const GRACE: Duration = Duration::from_millis(1500);
+/// How long the first incarnations get to connect and say Hello. A node
+/// that *exits* instead fails the run at once (see `accept_hello`);
+/// this only bounds one that hangs.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
+/// How often a pending accept (and the idle respawner) looks again.
+const ACCEPT_TICK: Duration = Duration::from_millis(2);
+/// Arrivals per channel exported in the up-front chaos plan.
+const PLAN_ARRIVALS: usize = 32;
 
 /// How a scripted fault takes a location down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,10 +229,6 @@ pub struct NetConfig {
     pub stall_deadline: Duration,
     /// Wall-clock safety net.
     pub wall_timeout: Duration,
-    /// How long to wait for every node to connect and say Hello.
-    pub handshake_timeout: Duration,
-    /// Arrivals per channel exported in the up-front chaos plan.
-    pub plan_arrivals: usize,
     /// Profile the run with `afd-prof`: the coordinator enables its own
     /// profiler, sets [`crate::node::PROF_ENV`] on every spawned node,
     /// collects the nodes' Telemetry streams, and attaches the merged
@@ -257,8 +261,6 @@ impl NetConfig {
             wire_pacing: Duration::from_micros(200),
             stall_deadline: Duration::from_secs(5),
             wall_timeout: Duration::from_secs(60),
-            handshake_timeout: Duration::from_secs(20),
-            plan_arrivals: 32,
             profiling: false,
             recovery: None,
             transport: Transport::Tcp,
@@ -543,74 +545,343 @@ pub fn run_distributed(spec: &DeploymentSpec, cfg: &NetConfig) -> Result<NetRepo
     )
 }
 
-/// The coordinator's commit port: every commit in the run lands in
-/// its sink, and accepted actions bound for a node-hosted component
-/// leave through it as `Deliver` frames.
+/// "No incarnation attached" in [`NodeSlot::attached`].
+const DETACHED: i64 = -1;
+
+/// Everything the coordinator keeps per node, across all of the node's
+/// incarnations. There is one lifecycle: incarnation `epoch` attaches
+/// at some schedule position — a first start is epoch 0 at position
+/// 0 — and stays attached until exactly one thread claims its death.
+struct NodeSlot {
+    /// Locations the node hosts.
+    locs: Vec<Loc>,
+    /// [`DETACHED`], or the epoch of the attached incarnation. Epoch 0
+    /// is routed to inline on the commit path; later epochs by the
+    /// drain-ordered forwarder (see [`CommitPort::forward`]).
+    attached: AtomicI64,
+    /// Write half of the attached incarnation's socket (`None` once a
+    /// write failed or the death was claimed).
+    writer: Mutex<Option<TcpStream>>,
+    /// Set once any incarnation was SIGKILLed or contained.
+    killed: AtomicBool,
+    /// Commits accepted from this node's workers (all incarnations).
+    commits: AtomicU64,
+    /// Respawn attempts consumed; written by the death claimant only.
+    respawns: AtomicU32,
+    /// Accumulated profiler telemetry (lane directory + records),
+    /// appended by the node's reader thread only.
+    telemetry: Mutex<afd_prof::Report>,
+    /// Datagram-plane accounting shipped at shutdown, appended by the
+    /// node's reader thread only.
+    dgram: Mutex<DgramStats>,
+    /// The latest incarnation's process. Dropping the slot kills and
+    /// reaps it, so no return path out of a run — early `?` included —
+    /// leaves a node process behind.
+    child: Mutex<Option<Child>>,
+}
+
+impl NodeSlot {
+    fn new(locs: Vec<Loc>) -> Self {
+        NodeSlot {
+            locs,
+            attached: AtomicI64::new(DETACHED),
+            writer: Mutex::new(None),
+            killed: AtomicBool::new(false),
+            commits: AtomicU64::new(0),
+            respawns: AtomicU32::new(0),
+            telemetry: Mutex::new(afd_prof::Report::default()),
+            dgram: Mutex::new(DgramStats::default()),
+            child: Mutex::new(None),
+        }
+    }
+
+    fn attached_epoch(&self) -> Option<u32> {
+        u32::try_from(self.attached.load(Ordering::SeqCst)).ok()
+    }
+
+    /// Incarnation `epoch` is live on `writer`; re-arms the death claim.
+    fn attach(&self, epoch: u32, writer: TcpStream) {
+        *lock(&self.writer) = Some(writer);
+        self.attached.store(i64::from(epoch), Ordering::SeqCst);
+    }
+
+    /// Claim the attached incarnation's death: `true` exactly once per
+    /// live period, whichever threads race to report it.
+    fn claim_death(&self) -> bool {
+        self.attached.swap(DETACHED, Ordering::SeqCst) != DETACHED
+    }
+
+    /// Write one frame to the attached incarnation, tolerating a dead
+    /// pipe: a failed write drops the write half and nothing else. The
+    /// death is the reader thread's to claim — containment commits, and
+    /// this runs on the commit path.
+    fn send(&self, msg: &WireMsg) -> bool {
+        let mut w = lock(&self.writer);
+        let ok = w.as_mut().is_some_and(|w| write_frame(w, msg).is_ok());
+        if !ok {
+            *w = None;
+        }
+        ok
+    }
+
+    /// The child's exit status, if it has one yet.
+    fn exit_status(&self) -> Option<ExitStatus> {
+        lock(&self.child).as_mut()?.try_wait().ok()?
+    }
+
+    fn sigkill(&self) {
+        if let Some(c) = lock(&self.child).as_mut() {
+            let _ = c.kill();
+        }
+    }
+
+    /// Run `child` as the node's process, killing and reaping whatever
+    /// ran before.
+    fn replace_child(&self, child: Option<Child>) {
+        if let Some(mut old) = std::mem::replace(&mut *lock(&self.child), child) {
+            let _ = old.kill();
+            let _ = old.wait();
+        }
+    }
+}
+
+impl Drop for NodeSlot {
+    fn drop(&mut self) {
+        self.replace_child(None);
+    }
+}
+
+/// An incarnation that connected and said `Hello`, not yet attached.
+struct Arrival {
+    node: usize,
+    epoch: u32,
+    /// Its datagram socket's port (0 = none).
+    udp_port: u16,
+    stream: TcpStream,
+}
+
+/// How an incarnation of a node comes up, first start and respawn
+/// alike: spawn the process, accept its `Hello`, send its `Assign` and
+/// the committed prefix, mark the slot attached.
+struct Launch<'a> {
+    cfg: &'a NetConfig,
+    spec: &'a DeploymentSpec,
+    pi: Pi,
+    listener: TcpListener,
+    addr: String,
+    slots: Vec<NodeSlot>,
+}
+
+/// A non-blocking accept or a timed read that simply has nothing yet.
+fn would_block(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Round-robin placement: location `i` lives on node `i % nodes`.
+fn node_of(l: Loc, nodes: usize) -> usize {
+    usize::from(l.0) % nodes
+}
+
+impl Launch<'_> {
+    fn udp(&self) -> bool {
+        self.cfg.transport == Transport::Udp
+    }
+
+    fn spawn_node(&self, nid: usize, epoch: u32) -> Result<(), NetError> {
+        let command = &self.cfg.node_command;
+        let mut cmd = Command::new(&command[0]);
+        cmd.args(&command[1..])
+            .env(crate::node::ADDR_ENV, &self.addr)
+            .env(crate::node::NODE_ID_ENV, nid.to_string())
+            .env(crate::node::EPOCH_ENV, epoch.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::null());
+        if self.cfg.profiling {
+            cmd.env(crate::node::PROF_ENV, "1");
+        }
+        if self.udp() {
+            cmd.env(crate::node::TRANSPORT_ENV, "udp");
+        }
+        let child = cmd
+            .spawn()
+            .map_err(|e| NetError::Spawn(format!("node {nid} ({}): {e}", command[0])))?;
+        self.slots[nid].replace_child(Some(child));
+        Ok(())
+    }
+
+    /// Accept the next connection, which must open with the `Hello` of
+    /// one of the `want`ed `(node, epoch)` incarnations. Fails at once
+    /// when a wanted node's process has exited instead of connecting,
+    /// and when `deadline` passes or `stopped()` turns true first.
+    fn accept_hello(
+        &self,
+        deadline: Instant,
+        want: &[(usize, u32)],
+        stopped: impl Fn() -> bool,
+    ) -> Result<Arrival, NetError> {
+        loop {
+            match self.listener.accept() {
+                Ok((mut stream, _)) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(left.max(ACCEPT_TICK)))?;
+                    let hello = read_frame(&mut stream)?
+                        .ok_or_else(|| NetError::Protocol("EOF before Hello".into()))?;
+                    return match hello {
+                        WireMsg::Hello {
+                            node,
+                            epoch,
+                            udp_port,
+                        } if want.contains(&(node as usize, epoch))
+                            && (udp_port != 0) == self.udp() =>
+                        {
+                            Ok(Arrival {
+                                node: node as usize,
+                                epoch,
+                                udp_port,
+                                stream,
+                            })
+                        }
+                        m => Err(NetError::Protocol(format!(
+                            "expected Hello from (node, epoch) in {want:?}, got {m:?}"
+                        ))),
+                    };
+                }
+                Err(e) if would_block(&e) => {
+                    for &(nid, _) in want {
+                        if let Some(status) = self.slots[nid].exit_status() {
+                            return Err(NetError::Spawn(format!(
+                                "node {nid} exited before Hello: {status}"
+                            )));
+                        }
+                    }
+                    if stopped() || Instant::now() > deadline {
+                        return Err(NetError::Protocol(format!(
+                            "handshake timeout: no Hello from (node, epoch) in {want:?}"
+                        )));
+                    }
+                    thread::sleep(ACCEPT_TICK);
+                }
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+    }
+
+    fn assign_frame(&self, nid: usize, epoch: u32, replay_len: usize) -> WireMsg {
+        WireMsg::Assign {
+            node: nid as u32,
+            epoch,
+            spec: self.spec.clone(),
+            locations: self.slots[nid].locs.clone(),
+            seed: self.cfg.seed,
+            wire_pacing_us: u64::try_from(self.cfg.wire_pacing.as_micros()).unwrap_or(u64::MAX),
+            replay_len: replay_len as u64,
+        }
+    }
+
+    /// The datagram-plane wiring for node `nid`, given every node's
+    /// bound UDP port.
+    fn udp_setup_frame(&self, nid: usize, ports: &[u16]) -> WireMsg {
+        let nodes = self.slots.len();
+        WireMsg::UdpSetup {
+            node: nid as u32,
+            peers: (0u32..).zip(ports.iter().copied()).collect(),
+            hosts: self
+                .pi
+                .iter()
+                .map(|l| (l, node_of(l, nodes) as u32))
+                .collect(),
+            profiles: afd_dgram::mesh(self.pi)
+                .into_iter()
+                .map(|(from, to)| {
+                    let profile = self.cfg.links.profile(from, to);
+                    (from, to, WireLinkProfile::from(profile))
+                })
+                .collect(),
+        }
+    }
+
+    /// Attach an arrived incarnation at schedule position
+    /// `replay.len()`: send its `Assign` (and datagram wiring), stream
+    /// the committed prefix `replay` as replay frames, and mark the slot
+    /// attached — every commit from that position on reaches the node
+    /// as a live `Deliver`. Returns the read half for its reader thread.
+    fn attach(
+        &self,
+        arrival: Arrival,
+        udp_setup: Option<&WireMsg>,
+        replay: &[Action],
+    ) -> std::io::Result<TcpStream> {
+        let Arrival {
+            node: nid,
+            epoch,
+            mut stream,
+            ..
+        } = arrival;
+        write_frame(&mut stream, &self.assign_frame(nid, epoch, replay.len()))?;
+        if let Some(setup) = udp_setup {
+            write_frame(&mut stream, setup)?;
+        }
+        for a in replay {
+            let frame = WireMsg::Deliver {
+                comp: crate::node::REPLAY_COMP,
+                action: *a,
+            };
+            write_frame(&mut stream, &frame)?;
+        }
+        stream.set_read_timeout(Some(READ_TICK))?;
+        let reader = stream.try_clone()?;
+        self.slots[nid].attach(epoch, stream);
+        Ok(reader)
+    }
+
+    /// Bring up epoch 0 of every node — a rejoin at position 0 with
+    /// nothing to replay — and return each node's read half.
+    fn first_attach(&self) -> Result<Vec<TcpStream>, NetError> {
+        let nodes = self.slots.len();
+        for nid in 0..nodes {
+            self.spawn_node(nid, 0)?;
+        }
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        let mut want: Vec<(usize, u32)> = (0..nodes).map(|nid| (nid, 0)).collect();
+        let mut arrivals = Vec::with_capacity(nodes);
+        while !want.is_empty() {
+            let arrival = self.accept_hello(deadline, &want, || false)?;
+            want.retain(|&(nid, _)| nid != arrival.node);
+            arrivals.push(arrival);
+        }
+        // Each node said Hello exactly once, so sorted position = id.
+        arrivals.sort_by_key(|a| a.node);
+        let ports: Vec<u16> = arrivals.iter().map(|a| a.udp_port).collect();
+        arrivals
+            .into_iter()
+            .map(|arrival| {
+                let setup = self
+                    .udp()
+                    .then(|| self.udp_setup_frame(arrival.node, &ports));
+                Ok(self.attach(arrival, setup.as_ref(), &[])?)
+            })
+            .collect()
+    }
+}
+
+/// The coordinator's commit port and shared run state: every commit in
+/// the run lands in its sink, and accepted actions bound for a
+/// node-hosted component leave through it as `Deliver` frames.
 struct Fabric<'a> {
     /// The node hosting each component (`None`: the coordinator's own
     /// engine does, or — the crash automaton — nobody).
     owner: Vec<Option<u32>>,
-    sink: &'a EventSink,
-    /// Per-node write half (`None` once the node is dead).
-    writers: Vec<Mutex<Option<TcpStream>>>,
-    alive: Vec<AtomicBool>,
-    /// Commits accepted per node.
-    node_commits: Vec<AtomicU64>,
-    /// Per-node accumulated profiler telemetry (lane directory +
-    /// records), appended by that node's reader thread only.
-    node_telemetry: Vec<Mutex<afd_prof::Report>>,
     /// Channel components whose `Send` inputs travel the datagram
     /// plane instead of a `Deliver` frame (UDP transport only).
     dgram_skip: Vec<bool>,
-    /// Per-node datagram-plane accounting shipped at shutdown,
-    /// appended by that node's reader thread only.
-    node_dgram: Vec<Mutex<DgramStats>>,
-}
-
-impl Fabric<'_> {
-    fn deliver_to_node(&self, nid: u32, idx: usize, a: Action) {
-        let nid = nid as usize;
-        if !self.alive[nid].load(Ordering::SeqCst) {
-            return;
-        }
-        let mut guard = self.writers[nid]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let died = match guard.as_mut() {
-            Some(w) => write_frame(
-                w,
-                &WireMsg::Deliver {
-                    comp: idx as u32,
-                    action: a,
-                },
-            )
-            .is_err(),
-            None => false,
-        };
-        if died {
-            // Containment happens in the node's reader thread; here we
-            // just stop writing into a dead pipe.
-            *guard = None;
-            self.alive[nid].store(false, Ordering::SeqCst);
-        }
-    }
-
-    /// Send a control frame to a node, tolerating a dead pipe.
-    fn send_ctrl(&self, nid: usize, msg: &WireMsg) -> bool {
-        let mut guard = self.writers[nid]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match guard.as_mut() {
-            Some(w) => {
-                let ok = write_frame(w, msg).is_ok();
-                if !ok {
-                    *guard = None;
-                }
-                ok
-            }
-            None => false,
-        }
-    }
+    sink: &'a EventSink,
+    slots: &'a [NodeSlot],
+    /// The crash-recovery plane (present iff [`NetConfig::recovery`]).
+    plane: Option<&'a RecoveryPlane>,
 }
 
 impl CommitPort for Fabric<'_> {
@@ -625,8 +896,20 @@ impl CommitPort for Fabric<'_> {
         if self.dgram_skip[target] && matches!(a, Action::Send { .. } | Action::WireSend { .. }) {
             return;
         }
-        if let Some(nid) = self.owner[target] {
-            self.deliver_to_node(nid, target, a);
+        let Some(nid) = self.owner[target] else {
+            return;
+        };
+        // Inline routing serves first incarnations only. A respawned
+        // one attached at an exact position of the sink's drain and is
+        // fed by the forwarder from there; a frame from this thread —
+        // which may run ahead of the drain — would duplicate or
+        // reorder against its replay.
+        let slot = &self.slots[nid as usize];
+        if slot.attached_epoch() == Some(0) {
+            slot.send(&WireMsg::Deliver {
+                comp: target as u32,
+                action: a,
+            });
         }
     }
 
@@ -665,19 +948,11 @@ struct OnlineChecks {
 
 impl Observer for OnlineChecks {
     fn on_commit(&self, ev: Stamped) {
-        let mut g = self
-            .checks
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (_, c) in g.iter_mut() {
+        for (_, c) in lock(&self.checks).iter_mut() {
             c.push(&ev.action);
         }
-        drop(g);
         if let Some(tx) = &self.forward {
-            let _ = tx
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .send(ev);
+            let _ = lock(tx).send(ev);
         }
     }
 }
@@ -689,28 +964,16 @@ struct RespawnJob {
     due: Instant,
 }
 
-/// A rejoined connection waiting for the forwarder to attach it at an
-/// exact schedule boundary.
-struct AttachReq {
-    node: usize,
-    epoch: u32,
-    stream: TcpStream,
-}
-
-/// Shared state of the recovery plane. Respawner, forwarder, injector
-/// and reader threads coordinate through this one mutex; the forwarder
-/// is the only writer of `live[nid] = true`, and `take_down` is the
-/// single point that claims a recovered incarnation's death (so
-/// containment runs exactly once per death, whoever observes it).
+/// Shared state of the recovery plane: the respawner, the forwarder
+/// and whichever thread claims a death coordinate through this one
+/// mutex.
+#[derive(Default)]
 struct PlaneState {
-    /// Recovered-and-attached nodes (routing goes via the forwarder).
-    live: Vec<bool>,
-    /// Respawn attempts consumed per node.
-    respawns: Vec<u32>,
     /// Pending respawns, unordered (the respawner picks the earliest).
     jobs: Vec<RespawnJob>,
-    /// Rejoined connections awaiting attach.
-    attach: Vec<AttachReq>,
+    /// Respawned incarnations waiting for the forwarder to attach them
+    /// at an exact schedule boundary.
+    attach: Vec<Arrival>,
     /// QoS timeline, one record per respawn attempt.
     qos: Vec<Incarnation>,
 }
@@ -722,10 +985,9 @@ struct RecoveryPlane {
     seed: u64,
     /// Run epoch zero: all QoS offsets are relative to this.
     t0: Instant,
-    node_locs: Vec<Vec<Loc>>,
     inner: Mutex<PlaneState>,
     /// In-flight recoveries, in units of *locations owing a `Recover`*:
-    /// raised by `node_locs[n].len()` when node `n`'s respawn is
+    /// raised by the node's location count when its respawn is
     /// scheduled, lowered by the stop-predicate wrapper as it judges
     /// each `Recover` in stream order (or in bulk when a rejoin is
     /// abandoned). The stop predicate is gated on this reaching zero,
@@ -737,54 +999,42 @@ struct RecoveryPlane {
 }
 
 impl RecoveryPlane {
-    fn new(policy: RecoveryPolicy, seed: u64, t0: Instant, node_locs: Vec<Vec<Loc>>) -> Self {
-        let nodes = node_locs.len();
+    fn new(policy: RecoveryPolicy, seed: u64, t0: Instant) -> Self {
         RecoveryPlane {
             policy,
             seed,
             t0,
-            node_locs,
-            inner: Mutex::new(PlaneState {
-                live: vec![false; nodes],
-                respawns: vec![0; nodes],
-                jobs: Vec::new(),
-                attach: Vec::new(),
-                qos: Vec::new(),
-            }),
+            inner: Mutex::default(),
             pending: Arc::new(AtomicUsize::new(0)),
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PlaneState> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.inner)
     }
 
-    /// Schedule the next respawn of `node` after a death observed
-    /// `now`, unless the budget is exhausted. Returns `true` if a
-    /// respawn was scheduled.
-    fn schedule_respawn(&self, node: usize, now: Instant) -> bool {
-        let mut g = self.lock();
-        let attempt = g.respawns[node];
+    /// Schedule the next respawn of `node` after its death, observed
+    /// `now` and claimed by the caller, unless the budget is exhausted.
+    fn schedule_respawn(&self, node: usize, slot: &NodeSlot, now: Instant) {
+        let attempt = slot.respawns.load(Ordering::SeqCst);
         if attempt >= self.policy.max_respawns {
-            return false;
+            return;
         }
-        g.respawns[node] = attempt + 1;
         let epoch = attempt + 1;
+        slot.respawns.store(epoch, Ordering::SeqCst);
+        let mut g = self.lock();
         let delay = self.policy.delay_for(self.seed, node as u32, attempt);
         g.jobs.push(RespawnJob {
             node,
             epoch,
             due: now + delay,
         });
-        self.pending
-            .fetch_add(self.node_locs[node].len(), Ordering::SeqCst);
+        self.pending.fetch_add(slot.locs.len(), Ordering::SeqCst);
         g.qos.push(Incarnation {
             node: node as u32,
             epoch,
-            locations: self.node_locs[node].clone(),
-            killed_at: now.saturating_duration_since(self.t0),
+            locations: slot.locs.clone(),
+            killed_at: self.offset(now),
             respawned_at: None,
             rejoined_at: None,
             replay_len: 0,
@@ -792,19 +1042,6 @@ impl RecoveryPlane {
             reelect_events: None,
             rejoin_ok: false,
         });
-        true
-    }
-
-    /// Claim the death of a recovered incarnation: returns `true`
-    /// exactly once per live period, so containment and the next
-    /// respawn run once whichever thread observes the death first.
-    fn take_down(&self, node: usize) -> bool {
-        let mut g = self.lock();
-        std::mem::replace(&mut g.live[node], false)
-    }
-
-    fn is_live(&self, node: usize) -> bool {
-        self.lock().live[node]
     }
 
     /// Pop the earliest due-or-overdue respawn job.
@@ -839,10 +1076,7 @@ impl RecoveryPlane {
     /// Consume the plane into its QoS timeline (run over, all threads
     /// joined).
     fn into_qos(self) -> Vec<Incarnation> {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .qos
+        unpoisoned(self.inner.into_inner()).qos
     }
 }
 
@@ -864,6 +1098,60 @@ impl Drop for PendingShortfall<'_> {
     }
 }
 
+/// The spec's stop predicate `inner`, additionally gated on "no
+/// recovery in flight" (`pending == 0`) and "leadership settled": a
+/// respawned-but-not-yet-rejoined node will shortly re-enter the
+/// must-decide set via its `Recover`, so firing the predicate early
+/// would cut the schedule out from under it. Recovery-free runs get the
+/// spec's predicate untouched.
+fn recovery_gated(
+    mut inner: afd_runtime::StreamPredicate,
+    pending: Arc<AtomicUsize>,
+    pi: Pi,
+) -> afd_runtime::StreamPredicate {
+    let mut last_leader: Vec<Option<Loc>> = vec![None; pi.len()];
+    let mut down = LocSet::empty();
+    Box::new(move |a: &Action| {
+        // The wrapper is judged in stream order by the sink's drain, so
+        // draining the gate here — at the `Recover` itself — keeps it
+        // consistent with the inner predicate's (equally lagging) view
+        // of the schedule. A wall-clock release would let the drain
+        // judge pre-`Recover` events with the gate already open and
+        // stop the run mid-rejoin.
+        if a.is_recover() {
+            pending.fetch_sub(1, Ordering::SeqCst);
+        }
+        if let Some(l) = a.crash_loc() {
+            down.insert(l);
+        } else if let Some(l) = a.recover_loc() {
+            down.remove(l);
+        } else if let Some((i, FdOutput::Leader(l))) = a.fd_output() {
+            last_leader[i.index()] = Some(l);
+        }
+        // Leadership settled: every live location's latest Ω output
+        // names one common *live* leader. A rejoin churns leadership
+        // (survivors elected an interim leader; the Ω conformance
+        // verdict judges the schedule as a complete run), so the run
+        // must not stop mid-reconvergence. Crash-stop-only churn is
+        // already covered by Ω's monotone down-set.
+        let mut leader = None;
+        let settled =
+            pi.iter()
+                .filter(|l| !down.contains(*l))
+                .all(|i| match last_leader[i.index()] {
+                    Some(l) if !down.contains(l) => match leader {
+                        None => {
+                            leader = Some(l);
+                            true
+                        }
+                        Some(prev) => prev == l,
+                    },
+                    _ => false,
+                });
+        inner(a) && settled && pending.load(Ordering::SeqCst) == 0
+    })
+}
+
 struct CoordLoop {
     spec: DeploymentSpec,
     cfg: NetConfig,
@@ -873,7 +1161,6 @@ struct CoordLoop {
 impl SystemVisitor for CoordLoop {
     type Out = Result<NetReport, NetError>;
 
-    #[allow(clippy::too_many_lines)]
     fn visit<P>(self, sys: &afd_system::System<P>) -> Result<NetReport, NetError>
     where
         P: Automaton<Action = Action> + Sync,
@@ -883,27 +1170,20 @@ impl SystemVisitor for CoordLoop {
         let comps = sys.composition.components();
         let kinds = sys.component_kinds();
         let nodes = cfg.nodes as usize;
-
-        // Round-robin location assignment.
-        let mut node_locs: Vec<Vec<Loc>> = vec![Vec::new(); nodes];
-        for (i, l) in pi.iter().enumerate() {
-            node_locs[i % nodes].push(l);
-        }
-        let node_of = |l: Loc| usize::from(l.0) % nodes;
+        let udp = cfg.transport == Transport::Udp;
 
         // Component ownership map. Under UDP, a channel lives on the
         // node hosting its destination (where its datagrams land);
         // under TCP it lives on the coordinator's engine, with the FD
         // and environment automata.
-        let udp = cfg.transport == Transport::Udp;
         let mut owner = Vec::with_capacity(kinds.len());
         let mut dgram_skip = vec![false; kinds.len()];
         for (idx, k) in kinds.iter().enumerate() {
             owner.push(match k {
-                ComponentKind::Process(l) => u32::try_from(node_of(*l)).ok(),
+                ComponentKind::Process(l) => Some(node_of(*l, nodes) as u32),
                 ComponentKind::Channel(_, to) if udp => {
                     dgram_skip[idx] = true;
-                    u32::try_from(node_of(*to)).ok()
+                    Some(node_of(*to, nodes) as u32)
                 }
                 _ => None,
             });
@@ -913,166 +1193,28 @@ impl SystemVisitor for CoordLoop {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
         listener.set_nonblocking(true)?;
-
         if cfg.profiling {
             afd_prof::enable();
         }
-        let mut children: Vec<Option<Child>> = Vec::with_capacity(nodes);
-        for id in 0..nodes {
-            let mut cmd = Command::new(&cfg.node_command[0]);
-            cmd.args(&cfg.node_command[1..])
-                .env(crate::node::ADDR_ENV, &addr)
-                .env(crate::node::NODE_ID_ENV, id.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null());
-            if cfg.profiling {
-                cmd.env(crate::node::PROF_ENV, "1");
-            }
-            if udp {
-                cmd.env(crate::node::TRANSPORT_ENV, "udp");
-            }
-            let child = cmd.spawn().map_err(|e| {
-                NetError::Spawn(format!("node {id} ({}): {e}", cfg.node_command[0]))
-            })?;
-            children.push(Some(child));
+        let mut node_locs: Vec<Vec<Loc>> = vec![Vec::new(); nodes];
+        for l in pi.iter() {
+            node_locs[node_of(l, nodes)].push(l);
         }
-        let kill_all = |children: &mut Vec<Option<Child>>| {
-            for c in children.iter_mut().flatten() {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
+        let launch = Launch {
+            cfg: &cfg,
+            spec: &spec,
+            pi,
+            listener,
+            addr,
+            slots: node_locs.into_iter().map(NodeSlot::new).collect(),
         };
-
-        let mut conns: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
-        let mut udp_ports: Vec<u16> = vec![0; nodes];
-        let deadline = Instant::now() + cfg.handshake_timeout;
-        while conns.iter().any(Option::is_none) {
-            match listener.accept() {
-                Ok((mut s, _)) => {
-                    let hello = (|| -> Result<WireMsg, NetError> {
-                        s.set_nodelay(true)?;
-                        s.set_read_timeout(Some(cfg.handshake_timeout))?;
-                        read_frame(&mut s)?
-                            .ok_or_else(|| NetError::Protocol("EOF before Hello".into()))
-                    })();
-                    match hello {
-                        Ok(WireMsg::Hello { node }) if !udp && (node as usize) < nodes => {
-                            if conns[node as usize].is_some() {
-                                kill_all(&mut children);
-                                return Err(NetError::Protocol(format!(
-                                    "duplicate Hello from node {node}"
-                                )));
-                            }
-                            conns[node as usize] = Some(s);
-                        }
-                        Ok(WireMsg::HelloUdp { node, udp_port })
-                            if udp && (node as usize) < nodes =>
-                        {
-                            if conns[node as usize].is_some() {
-                                kill_all(&mut children);
-                                return Err(NetError::Protocol(format!(
-                                    "duplicate Hello from node {node}"
-                                )));
-                            }
-                            udp_ports[node as usize] = udp_port;
-                            conns[node as usize] = Some(s);
-                        }
-                        Ok(m) => {
-                            kill_all(&mut children);
-                            return Err(NetError::Protocol(format!("expected Hello, got {m:?}")));
-                        }
-                        Err(e) => {
-                            kill_all(&mut children);
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if Instant::now() > deadline {
-                        kill_all(&mut children);
-                        return Err(NetError::Protocol(format!(
-                            "handshake timeout: {} of {nodes} nodes connected",
-                            conns.iter().filter(|c| c.is_some()).count()
-                        )));
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(NetError::Io(e));
-                }
-            }
-        }
-
-        // Assign, and split each connection into reader + writer halves.
-        let mut readers: Vec<TcpStream> = Vec::with_capacity(nodes);
-        let mut writers: Vec<Mutex<Option<TcpStream>>> = Vec::with_capacity(nodes);
-        for (id, conn) in conns.into_iter().enumerate() {
-            // The handshake loop above only exits once every slot is
-            // filled; an empty slot here is a protocol-state bug, not
-            // a panic.
-            let Some(mut s) = conn else {
-                kill_all(&mut children);
-                return Err(NetError::Protocol(format!(
-                    "node {id} never completed its handshake"
-                )));
-            };
-            let assign = WireMsg::Assign {
-                node: id as u32,
-                spec: spec.clone(),
-                locations: node_locs[id].clone(),
-                seed: cfg.seed,
-                wire_pacing_us: u64::try_from(cfg.wire_pacing.as_micros()).unwrap_or(u64::MAX),
-            };
-            if let Err(e) = write_frame(&mut s, &assign) {
-                kill_all(&mut children);
-                return Err(NetError::Io(e));
-            }
-            if udp {
-                let setup = WireMsg::UdpSetup {
-                    node: id as u32,
-                    peers: udp_ports
-                        .iter()
-                        .enumerate()
-                        .map(|(n, &p)| (n as u32, p))
-                        .collect(),
-                    hosts: pi
-                        .iter()
-                        .map(|l| (l, u32::try_from(node_of(l)).unwrap_or(0)))
-                        .collect(),
-                    profiles: afd_dgram::mesh(pi)
-                        .into_iter()
-                        .map(|(from, to)| {
-                            (from, to, WireLinkProfile::from(cfg.links.profile(from, to)))
-                        })
-                        .collect(),
-                };
-                if let Err(e) = write_frame(&mut s, &setup) {
-                    kill_all(&mut children);
-                    return Err(NetError::Io(e));
-                }
-            }
-            s.set_read_timeout(Some(READ_TICK))?;
-            let reader = match s.try_clone() {
-                Ok(r) => r,
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(NetError::Io(e));
-                }
-            };
-            readers.push(reader);
-            writers.push(Mutex::new(Some(s)));
-        }
+        let readers = launch.first_attach()?;
 
         // --- Sink, observer, fabric ----------------------------------
-        let t0 = Instant::now();
         let plane = cfg
             .recovery
             .clone()
-            .map(|policy| RecoveryPlane::new(policy, cfg.seed, t0, node_locs.clone()));
+            .map(|policy| RecoveryPlane::new(policy, cfg.seed, Instant::now()));
         let (forward_tx, forward_rx) = if plane.is_some() {
             let (tx, rx) = std::sync::mpsc::channel::<Stamped>();
             (Some(Mutex::new(tx)), Some(rx))
@@ -1083,59 +1225,8 @@ impl SystemVisitor for CoordLoop {
             checks: Mutex::new(online_checks(&spec)),
             forward: forward_tx,
         });
-        // With a recovery plane the stop predicate is additionally
-        // gated on "no recovery in flight": a respawned-but-not-yet-
-        // rejoined node will shortly re-enter the must-decide set via
-        // its `Recover`, so firing the predicate early would cut the
-        // schedule out from under it. Recovery-free runs get the
-        // spec's predicate untouched.
         let stop_stream = match (plane.as_ref(), spec.default_stop_stream()) {
-            (Some(p), Some(mut inner)) => {
-                let pending = Arc::clone(&p.pending);
-                let mut last_leader: Vec<Option<Loc>> = vec![None; pi.len()];
-                let mut down = LocSet::empty();
-                Some(Box::new(move |a: &Action| {
-                    // The wrapper is judged in stream order by the
-                    // sink's drain, so draining the gate here — at the
-                    // `Recover` itself — keeps it consistent with the
-                    // inner predicate's (equally lagging) view of the
-                    // schedule. A wall-clock release would let the
-                    // drain judge pre-`Recover` events with the gate
-                    // already open and stop the run mid-rejoin.
-                    if a.is_recover() {
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    if let Some(l) = a.crash_loc() {
-                        down.insert(l);
-                    } else if let Some(l) = a.recover_loc() {
-                        down.remove(l);
-                    } else if let Some((i, FdOutput::Leader(l))) = a.fd_output() {
-                        last_leader[i.index()] = Some(l);
-                    }
-                    // Leadership settled: every live location's latest
-                    // Ω output names one common *live* leader. A rejoin
-                    // churns leadership (survivors elected an interim
-                    // leader; the Ω conformance verdict judges the
-                    // schedule as a complete run), so the run must not
-                    // stop mid-reconvergence. Crash-stop-only churn is
-                    // already covered by Ω's monotone down-set.
-                    let mut leader = None;
-                    let settled =
-                        pi.iter().filter(|l| !down.contains(*l)).all(|i| {
-                            match last_leader[i.index()] {
-                                Some(l) if !down.contains(l) => match leader {
-                                    None => {
-                                        leader = Some(l);
-                                        true
-                                    }
-                                    Some(prev) => prev == l,
-                                },
-                                _ => false,
-                            }
-                        });
-                    inner(a) && settled && pending.load(Ordering::SeqCst) == 0
-                }) as afd_runtime::StreamPredicate)
-            }
+            (Some(p), Some(inner)) => Some(recovery_gated(inner, Arc::clone(&p.pending), pi)),
             (_, inner) => inner,
         };
         let sink = EventSink::with_options(SinkOptions {
@@ -1145,20 +1236,12 @@ impl SystemVisitor for CoordLoop {
             stop_stream,
             observer: Some(observer.clone() as Arc<dyn Observer>),
         });
-
         let fabric = Fabric {
             owner,
-            sink: &sink,
-            writers,
-            alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
-            node_commits: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            node_telemetry: (0..nodes)
-                .map(|_| Mutex::new(afd_prof::Report::default()))
-                .collect(),
             dgram_skip,
-            node_dgram: (0..nodes)
-                .map(|_| Mutex::new(DgramStats::default()))
-                .collect(),
+            sink: &sink,
+            slots: &launch.slots,
+            plane: plane.as_ref(),
         };
 
         // The engine hosts everything no node does, bar the crash
@@ -1183,303 +1266,41 @@ impl SystemVisitor for CoordLoop {
         );
         eng.start();
 
-        let children = Mutex::new(children);
-        let killed: Vec<AtomicBool> = (0..nodes).map(|_| AtomicBool::new(false)).collect();
-
         // --- Run -----------------------------------------------------
-        let plane_ref = plane.as_ref();
         thread::scope(|s| {
+            let (eng, launch, cfg) = (&eng, &launch, &cfg);
             for (nid, stream) in readers.into_iter().enumerate() {
-                let eng = &eng;
-                let killed = &killed;
-                let node_locs = &node_locs;
-                s.spawn(move || {
-                    node_reader(eng, nid, stream, &node_locs[nid], &killed[nid], plane_ref);
-                    // Flush before the scope sees this thread complete:
-                    // scoped-thread TLS destructors run after the scope's
-                    // completion signal, so a Drop-based flush could race
-                    // the post-scope telemetry merge.
-                    afd_prof::flush_local();
-                });
+                spawn_reader(s, eng, nid, stream);
             }
             for k in 0..eng.workers() {
-                let eng = &eng;
                 s.spawn(move || eng.run_worker(k));
             }
-            {
-                let eng = &eng;
-                let cfg = &cfg;
-                let children = &children;
-                let killed = &killed;
-                let node_locs = &node_locs;
-                s.spawn(move || {
-                    injector(eng, cfg, children, killed, node_locs, node_of, plane_ref);
-                    afd_prof::flush_local();
-                });
+            s.spawn(move || injector(eng, &cfg.faults));
+            if let (Some(plane), Some(rx)) = (fabric.plane, forward_rx) {
+                s.spawn(move || respawner(launch, eng.port().sink, plane));
+                s.spawn(move || forwarder(s, eng, launch, plane, rx));
             }
-            if let Some(plane) = plane_ref {
-                // Respawner: picks due respawn jobs, spawns the next
-                // incarnation with its epoch in the environment, and
-                // waits for its Rejoin on the still-listening
-                // handshake socket.
-                let fabric = &fabric;
-                let cfg = &cfg;
-                let children = &children;
-                let listener = &listener;
-                let addr = &addr;
-                s.spawn(move || {
-                    afd_prof::set_lane("respawner");
-                    while !fabric.sink.is_stopped() {
-                        let Some(job) = plane.pop_due_job(Instant::now()) else {
-                            thread::sleep(Duration::from_millis(2));
-                            continue;
-                        };
-                        let nid = job.node;
-                        let mut cmd = Command::new(&cfg.node_command[0]);
-                        cmd.args(&cfg.node_command[1..])
-                            .env(crate::node::ADDR_ENV, addr.as_str())
-                            .env(crate::node::NODE_ID_ENV, nid.to_string())
-                            .env(crate::node::EPOCH_ENV, job.epoch.to_string())
-                            .stdin(Stdio::null())
-                            .stdout(Stdio::null());
-                        if cfg.profiling {
-                            cmd.env(crate::node::PROF_ENV, "1");
-                        }
-                        let spawned_at = Instant::now();
-                        let Ok(child) = cmd.spawn() else {
-                            // rejoin_ok stays false in the QoS record;
-                            // release the stop gate for this attempt.
-                            plane
-                                .pending
-                                .fetch_sub(plane.node_locs[nid].len(), Ordering::SeqCst);
-                            continue;
-                        };
-                        {
-                            let mut cs = children
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            if let Some(mut old) = cs[nid].replace(child) {
-                                let _ = old.kill();
-                                let _ = old.wait();
-                            }
-                        }
-                        plane.update_qos(nid, job.epoch, |q| {
-                            q.respawned_at = Some(plane.offset(spawned_at));
-                        });
-                        // Wait for this incarnation's Rejoin, within budget.
-                        let deadline = spawned_at + plane.policy.rejoin_budget;
-                        let mut attached = false;
-                        loop {
-                            if fabric.sink.is_stopped() || Instant::now() > deadline {
-                                break;
-                            }
-                            match listener.accept() {
-                                Ok((mut conn, _)) => {
-                                    let rejoin = (|| -> std::io::Result<Option<WireMsg>> {
-                                        conn.set_nodelay(true)?;
-                                        conn.set_read_timeout(Some(Duration::from_secs(2)))?;
-                                        read_frame(&mut conn)
-                                    })();
-                                    match rejoin {
-                                        Ok(Some(WireMsg::Rejoin { node, epoch }))
-                                            if node as usize == nid && epoch == job.epoch =>
-                                        {
-                                            let _ = conn.set_read_timeout(Some(READ_TICK));
-                                            plane.lock().attach.push(AttachReq {
-                                                node: nid,
-                                                epoch,
-                                                stream: conn,
-                                            });
-                                            attached = true;
-                                            break;
-                                        }
-                                        _ => {} // stale or foreign connection: drop it
-                                    }
-                                }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                    thread::sleep(Duration::from_millis(2));
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        if !attached {
-                            // Budget blown (or run over): the attempt is
-                            // abandoned — stop gating the run on it.
-                            plane
-                                .pending
-                                .fetch_sub(plane.node_locs[nid].len(), Ordering::SeqCst);
-                        }
-                    }
-                    afd_prof::flush_local();
-                });
-            }
-            if let (Some(plane), Some(rx)) = (plane_ref, forward_rx) {
-                // Forwarder: the recovery plane's ordering authority.
-                // It consumes the sink drain's dense, exactly-once
-                // event stream; an attach at position `pos` replays
-                // exactly events [0, pos) and everything from `pos`
-                // on arrives through this loop — no gaps, no
-                // duplicates, whatever the commit threads are doing.
-                let (eng, fabric) = (&eng, &fabric);
-                let cfg = &cfg;
-                let spec = &spec;
-                let node_locs = &node_locs;
-                let killed = &killed;
-                s.spawn(move || {
-                    afd_prof::set_lane("recovery-forwarder");
-                    let mut pos: usize = 0;
-                    loop {
-                        let pending: Vec<AttachReq> = std::mem::take(&mut plane.lock().attach);
-                        for req in pending {
-                            attach_rejoined(
-                                s,
-                                plane,
-                                eng,
-                                spec,
-                                cfg.seed,
-                                cfg.wire_pacing,
-                                node_locs,
-                                killed,
-                                req,
-                                pos,
-                            );
-                        }
-                        match rx.recv_timeout(Duration::from_millis(2)) {
-                            Ok(ev) => {
-                                debug_assert_eq!(ev.seq as usize, pos);
-                                for &idx in eng.targets(&ev.action).iter() {
-                                    let Some(nid) = fabric.owner[idx as usize] else {
-                                        continue;
-                                    };
-                                    if plane.is_live(nid as usize) {
-                                        // A dead pipe is claimed by the
-                                        // incarnation's reader thread.
-                                        let _ = fabric.send_ctrl(
-                                            nid as usize,
-                                            &WireMsg::Deliver {
-                                                comp: idx,
-                                                action: ev.action,
-                                            },
-                                        );
-                                    }
-                                }
-                                pos += 1;
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                if fabric.sink.is_stopped() {
-                                    break;
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    afd_prof::flush_local();
-                });
-            }
-            {
-                let (sink, eng) = (&sink, &eng);
-                let cfg = &cfg;
-                s.spawn(move || {
-                    while !sink.is_stopped() {
-                        // Safety net for a partition heal crossed
-                        // concurrently with its registration.
-                        eng.drain_deferred();
-                        if sink.elapsed() >= cfg.wall_timeout {
-                            sink.stop(StopReason::WallClock);
-                            break;
-                        }
-                        let stall =
-                            u64::try_from(cfg.stall_deadline.as_nanos()).unwrap_or(u64::MAX);
-                        if sink.ns_since_last_commit() >= stall {
-                            sink.stop(StopReason::Watchdog);
-                            break;
-                        }
-                        thread::sleep(MONITOR_TICK);
-                    }
-                });
-            }
-
-            // Shutdown sequencing: once the sink stops, tell every
-            // surviving node, then give children a grace period.
-            while !sink.is_stopped() {
-                thread::sleep(MONITOR_TICK);
-            }
-            eng.shutdown();
-            for nid in 0..nodes {
-                if fabric.alive[nid].load(Ordering::SeqCst)
-                    || plane_ref.is_some_and(|p| p.is_live(nid))
-                {
-                    fabric.send_ctrl(
-                        nid,
-                        &WireMsg::Stop {
-                            reason: "run complete".into(),
-                        },
-                    );
-                }
-            }
-            let grace_deadline = Instant::now() + GRACE;
-            loop {
-                let mut all_done = true;
-                {
-                    let mut cs = children
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for c in cs.iter_mut().flatten() {
-                        match c.try_wait() {
-                            Ok(Some(_)) => {}
-                            _ => all_done = false,
-                        }
-                    }
-                }
-                if all_done || Instant::now() > grace_deadline {
-                    break;
-                }
-                thread::sleep(Duration::from_millis(20));
-            }
-            {
-                let mut cs = children
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                kill_all(&mut cs);
-            }
-            // Close the write halves so node-side readers see EOF and
-            // our reader threads (on dead sockets) unblock.
-            for w in &fabric.writers {
-                *w.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-            }
+            s.spawn(move || monitor(eng, cfg));
+            shutdown(eng);
         });
-        // The respawner may have registered a child after the in-scope
-        // kill_all ran; with every thread joined, reap stragglers.
-        {
-            let mut cs = children
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            kill_all(&mut cs);
-        }
 
         // --- Report --------------------------------------------------
         sink.flush();
         let elapsed = sink.elapsed();
-        let respawns: Vec<u32> = plane
-            .as_ref()
-            .map_or_else(|| vec![0; nodes], |p| p.lock().respawns.clone());
-        let node_summaries: Vec<NodeSummary> = (0..nodes)
-            .map(|nid| NodeSummary {
-                id: nid as u32,
-                locations: node_locs[nid].clone(),
-                killed: killed[nid].load(Ordering::SeqCst),
-                commits: fabric.node_commits[nid].load(Ordering::SeqCst),
-                respawns: respawns[nid],
+        let node_summaries: Vec<NodeSummary> = (0u32..)
+            .zip(&launch.slots)
+            .map(|(id, slot)| NodeSummary {
+                id,
+                locations: slot.locs.clone(),
+                killed: slot.killed.load(Ordering::SeqCst),
+                commits: slot.commits.load(Ordering::SeqCst),
+                respawns: slot.respawns.load(Ordering::SeqCst),
             })
             .collect();
         let dgram = udp.then(|| {
             let mut all = DgramStats::default();
-            for slot in &fabric.node_dgram {
-                all.merge(
-                    &slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
+            for slot in &launch.slots {
+                all.merge(&lock(&slot.dgram));
             }
             all
         });
@@ -1488,25 +1309,19 @@ impl SystemVisitor for CoordLoop {
         let chaos = dgram
             .as_ref()
             .map_or_else(|| eng.chaos_report(), DgramStats::to_chaos_report);
-        let telemetry = if cfg.profiling {
+        let telemetry = cfg.profiling.then(|| {
             // Coordinator threads flushed on scope exit; grab whatever
             // the main thread still buffers, then merge with each
             // node's streamed reports. Coordinator is pid 0, node i is
             // pid i + 1.
             afd_prof::flush_local();
             let mut parts = vec![(0u32, "coord".to_string(), afd_prof::take())];
-            for (nid, slot) in fabric.node_telemetry.iter().enumerate() {
-                let report = std::mem::take(
-                    &mut *slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                );
+            for (nid, slot) in launch.slots.iter().enumerate() {
+                let report = std::mem::take(&mut *lock(&slot.telemetry));
                 parts.push((nid as u32 + 1, format!("node{nid}"), report));
             }
-            Some(afd_prof::merge(parts))
-        } else {
-            None
-        };
+            afd_prof::merge(parts)
+        });
         drop(eng);
         drop(fabric);
         let (schedule, stop) = sink.into_log();
@@ -1521,10 +1336,7 @@ impl SystemVisitor for CoordLoop {
             }
             rep
         });
-        let mut checks: Vec<NetCheck> = observer
-            .checks
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        let mut checks: Vec<NetCheck> = lock(&observer.checks)
             .drain(..)
             .map(|(name, chk)| NetCheck {
                 name,
@@ -1539,7 +1351,7 @@ impl SystemVisitor for CoordLoop {
                 verdict,
             });
         }
-        let chaos_plan = chaos_plan_jsonl(&rcfg, pi, cfg.plan_arrivals);
+        let chaos_plan = chaos_plan_jsonl(&rcfg, pi, PLAN_ARRIVALS);
         Ok(NetReport {
             events: schedule.len(),
             schedule,
@@ -1554,25 +1366,6 @@ impl SystemVisitor for CoordLoop {
             dgram,
         })
     }
-}
-
-/// Fold one node's shipped per-channel datagram counters into its
-/// accumulation slot (sender and receiver halves of a channel arrive
-/// from different nodes; the report-time merge sums them).
-fn merge_dgram(
-    fabric: &Fabric<'_>,
-    nid: usize,
-    per_channel: Vec<(Loc, Loc, afd_dgram::ChannelDgramStats)>,
-) {
-    let mut incoming = DgramStats::default();
-    for (from, to, s) in per_channel {
-        let e = incoming.per_channel.entry((from, to)).or_default();
-        *e = e.merged(s);
-    }
-    fabric.node_dgram[nid]
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .merge(&incoming);
 }
 
 /// Logical post-recovery leader re-election latency: events from
@@ -1601,65 +1394,122 @@ fn post_recovery_reelect(schedule: &[Action], from: usize) -> Option<usize> {
     None
 }
 
-/// Attach a rejoined incarnation at the forwarder's exact position
-/// `pos`: stream `RejoinAck` plus the committed prefix `[0, pos)` as
-/// replay frames, restore the node's write half, mark it live, spawn
-/// its reader, and commit `Recover` for its crashed locations.
-#[allow(clippy::too_many_arguments)]
+/// The respawner: picks due respawn jobs, spawns the next incarnation
+/// with its epoch in the environment, and waits for its `Hello` on the
+/// still-listening handshake socket.
+fn respawner(launch: &Launch<'_>, sink: &EventSink, plane: &RecoveryPlane) {
+    afd_prof::set_lane("respawner");
+    while !sink.is_stopped() {
+        let Some(job) = plane.pop_due_job(Instant::now()) else {
+            thread::sleep(ACCEPT_TICK);
+            continue;
+        };
+        let spawned_at = Instant::now();
+        let hello = launch.spawn_node(job.node, job.epoch).and_then(|()| {
+            plane.update_qos(job.node, job.epoch, |q| {
+                q.respawned_at = Some(plane.offset(spawned_at));
+            });
+            launch.accept_hello(
+                spawned_at + plane.policy.rejoin_budget,
+                &[(job.node, job.epoch)],
+                || sink.is_stopped(),
+            )
+        });
+        match hello {
+            Ok(arrival) => plane.lock().attach.push(arrival),
+            // Spawn failure, exit before Hello, budget blown or run
+            // over: the attempt is abandoned (`rejoin_ok` stays false
+            // in its QoS record) — stop gating the run on it.
+            Err(_) => {
+                let owed = launch.slots[job.node].locs.len();
+                plane.pending.fetch_sub(owed, Ordering::SeqCst);
+            }
+        }
+    }
+    afd_prof::flush_local();
+}
+
+/// The forwarder: the recovery plane's ordering authority. It consumes
+/// the sink drain's dense, exactly-once event stream; an attach at
+/// position `pos` replays exactly events `[0, pos)` and everything
+/// from `pos` on arrives through this loop — no gaps, no duplicates,
+/// whatever the commit threads are doing.
+fn forwarder<'scope, 'env, P>(
+    s: &'scope thread::Scope<'scope, 'env>,
+    eng: &'scope CoordEngine<'env, P>,
+    launch: &'scope Launch<'_>,
+    plane: &'scope RecoveryPlane,
+    rx: Receiver<Stamped>,
+) where
+    P: Automaton<Action = Action> + Sync,
+    P::State: Send,
+{
+    let fabric = eng.port();
+    afd_prof::set_lane("recovery-forwarder");
+    let mut pos: usize = 0;
+    loop {
+        let arrived = std::mem::take(&mut plane.lock().attach);
+        for arrival in arrived {
+            attach_rejoined(s, eng, launch, plane, arrival, pos);
+        }
+        match rx.recv_timeout(ACCEPT_TICK) {
+            Ok(ev) => {
+                debug_assert_eq!(ev.seq as usize, pos);
+                for &idx in eng.targets(&ev.action).iter() {
+                    let Some(nid) = fabric.owner[idx as usize] else {
+                        continue;
+                    };
+                    let slot = &fabric.slots[nid as usize];
+                    if slot.attached_epoch().is_some_and(|epoch| epoch > 0) {
+                        // A dead pipe is claimed by the incarnation's
+                        // reader thread.
+                        slot.send(&WireMsg::Deliver {
+                            comp: idx,
+                            action: ev.action,
+                        });
+                    }
+                }
+                pos += 1;
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                if fabric.sink.is_stopped() {
+                    break;
+                }
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    afd_prof::flush_local();
+}
+
+/// Attach a respawned incarnation at the forwarder's exact position
+/// `pos` (replaying the committed prefix `[0, pos)`), start its reader,
+/// and commit `Recover` for its crashed locations.
 fn attach_rejoined<'scope, 'env, P>(
     s: &'scope thread::Scope<'scope, 'env>,
-    plane: &'scope RecoveryPlane,
     eng: &'scope CoordEngine<'env, P>,
-    spec: &'scope DeploymentSpec,
-    seed: u64,
-    wire_pacing: Duration,
-    node_locs: &'scope [Vec<Loc>],
-    killed: &'scope [AtomicBool],
-    req: AttachReq,
+    launch: &Launch<'_>,
+    plane: &RecoveryPlane,
+    arrival: Arrival,
     pos: usize,
 ) where
     P: Automaton<Action = Action> + Sync,
     P::State: Send,
 {
     let fabric = eng.port();
-    let nid = req.node;
-    let epoch = req.epoch;
+    let (nid, epoch) = (arrival.node, arrival.epoch);
+    let locs = &fabric.slots[nid].locs;
     // Every hosted location owes a `Recover` unit on the stop gate;
     // each unit is drained in stream order as its `Recover` is judged,
     // and whatever this attach fails to commit is released on drop.
     let mut gate = PendingShortfall {
         pending: &plane.pending,
-        remaining: node_locs[nid].len(),
+        remaining: locs.len(),
     };
     let replay = fabric.sink.log_prefix(pos);
-    let Ok(mut write_half) = req.stream.try_clone() else {
+    let Ok(reader) = launch.attach(arrival, None, &replay) else {
         return;
     };
-    let ack = WireMsg::RejoinAck {
-        node: nid as u32,
-        epoch,
-        spec: spec.clone(),
-        locations: node_locs[nid].clone(),
-        seed,
-        wire_pacing_us: u64::try_from(wire_pacing.as_micros()).unwrap_or(u64::MAX),
-        replay_len: replay.len() as u64,
-    };
-    if write_frame(&mut write_half, &ack).is_err() {
-        return;
-    }
-    for a in &replay {
-        let frame = WireMsg::Deliver {
-            comp: crate::node::REPLAY_COMP,
-            action: *a,
-        };
-        if write_frame(&mut write_half, &frame).is_err() {
-            return;
-        }
-    }
-    *fabric.writers[nid]
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(write_half);
-    plane.lock().live[nid] = true;
     let rejoined_at = plane.offset(Instant::now());
     let recover_seq = fabric.sink.len();
     plane.update_qos(nid, epoch, |q| {
@@ -1668,32 +1518,12 @@ fn attach_rejoined<'scope, 'env, P>(
         q.recover_seq = Some(recover_seq);
         q.rejoin_ok = true;
     });
-    // Reader for the new incarnation. On death, claim it through the
-    // plane so containment and the next respawn run exactly once,
-    // whichever thread (reader, injector) observes the death first.
-    let read_half = req.stream;
-    let locs = &node_locs[nid];
-    let killed_flag = &killed[nid];
-    s.spawn(move || {
-        node_reader(eng, nid, read_half, locs, killed_flag, Some(plane));
-        if !fabric.sink.is_stopped() && plane.take_down(nid) {
-            *fabric.writers[nid]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-            // Schedule (raising the stop gate) *before* committing the
-            // containment crashes: otherwise the stop predicate could
-            // fire on a Crash commit in the gap and end the run before
-            // the respawn is even on the books.
-            plane.schedule_respawn(nid, Instant::now());
-            contain_dead_node(eng, locs);
-        }
-        afd_prof::flush_local();
-    });
+    spawn_reader(s, eng, nid, reader);
     // Close the down interval: `Recover` clears the crash bits, so
     // suppressed workers resume and the checkers re-arm liveness.
     // Until these commit, the rejoined node's requests are suppressed
     // (its workers absorb and retry), never illegally interleaved.
-    for &l in &node_locs[nid] {
+    for &l in locs {
         if fabric.sink.is_crashed(l)
             && eng.commit(usize::MAX, Action::Recover(l)) == Commit::Accepted
         {
@@ -1704,31 +1534,100 @@ fn attach_rejoined<'scope, 'env, P>(
     }
 }
 
-/// Crash every not-yet-crashed location a dead node hosted.
-fn contain_dead_node<P>(eng: &CoordEngine<'_, P>, locs: &[Loc])
+/// Start the reader thread of the incarnation just attached to node
+/// `nid`; a reader that ends on a dead connection reports the death.
+fn spawn_reader<'scope, 'env, P>(
+    s: &'scope thread::Scope<'scope, 'env>,
+    eng: &'scope CoordEngine<'env, P>,
+    nid: usize,
+    stream: TcpStream,
+) where
+    P: Automaton<Action = Action> + Sync,
+    P::State: Send,
+{
+    s.spawn(move || {
+        if node_reader(eng, nid, stream) {
+            node_down(eng, nid, false);
+        }
+        // Flush before the scope sees this thread complete:
+        // scoped-thread TLS destructors run after the scope's
+        // completion signal, so a Drop-based flush could race the
+        // post-scope telemetry merge.
+        afd_prof::flush_local();
+    });
+}
+
+/// The one place a node's death is handled, whoever observes it first:
+/// the reader of the attached incarnation (EOF, dead pipe, protocol
+/// violation) or the injector's Kill arm (`sigkill`). Exactly one
+/// caller per live period wins the claim; it closes the write half,
+/// books the respawn (when a recovery plane exists) and crashes every
+/// not-yet-crashed location the node hosted. Returns whether this call
+/// won the claim.
+fn node_down<P>(eng: &CoordEngine<'_, P>, nid: usize, sigkill: bool) -> bool
 where
     P: Automaton<Action = Action>,
 {
-    for &l in locs {
-        if !eng.port().sink.is_crashed(l) {
+    let fabric = eng.port();
+    let slot = &fabric.slots[nid];
+    if fabric.sink.is_stopped() || !slot.claim_death() {
+        return false;
+    }
+    slot.killed.store(true, Ordering::SeqCst);
+    if sigkill {
+        slot.sigkill();
+    }
+    *lock(&slot.writer) = None;
+    // Book the respawn (raising the stop gate) *before* the
+    // containment crashes commit: otherwise the stop predicate could
+    // fire on a `Crash` in the gap and end the run before the respawn
+    // is on the books.
+    if let Some(plane) = fabric.plane {
+        plane.schedule_respawn(nid, slot, Instant::now());
+    }
+    for &l in &slot.locs {
+        if !fabric.sink.is_crashed(l) {
             let _ = eng.commit(usize::MAX, Action::Crash(l));
         }
     }
+    true
 }
 
-/// Per-node reader: handles `CommitReq` frames inline (commit, route,
-/// reply) and contains the node if its socket dies.
-fn node_reader<P>(
-    eng: &CoordEngine<'_, P>,
-    nid: usize,
-    mut stream: TcpStream,
-    locs: &[Loc],
-    killed: &AtomicBool,
-    plane: Option<&RecoveryPlane>,
-) where
+/// Fold a node's accounting frame (`Telemetry`, `DgramStats`) into its
+/// slot; any other frame is handed back.
+fn harvest(slot: &NodeSlot, msg: WireMsg) -> Option<WireMsg> {
+    match msg {
+        WireMsg::Telemetry { lanes, recs, .. } => {
+            let mut t = lock(&slot.telemetry);
+            t.lanes.extend(lanes);
+            t.recs.extend(recs);
+            None
+        }
+        // Sender and receiver halves of a channel arrive from different
+        // nodes; the report-time merge sums them.
+        WireMsg::DgramStats { per_channel, .. } => {
+            let mut incoming = DgramStats::default();
+            for (from, to, s) in per_channel {
+                let e = incoming.per_channel.entry((from, to)).or_default();
+                *e = e.merged(s);
+            }
+            lock(&slot.dgram).merge(&incoming);
+            None
+        }
+        other => Some(other),
+    }
+}
+
+/// Per-incarnation reader: handles `CommitReq` frames inline (commit,
+/// route, reply) until the run stops or the connection dies. Returns
+/// `true` if it died (EOF, socket error, protocol violation) while the
+/// run was still going.
+fn node_reader<P>(eng: &CoordEngine<'_, P>, nid: usize, mut stream: TcpStream) -> bool
+where
     P: Automaton<Action = Action>,
 {
     let fabric = eng.port();
+    let slot = &fabric.slots[nid];
     afd_prof::set_lane(&format!("reader:node{nid}"));
     let died = loop {
         if fabric.sink.is_stopped() {
@@ -1745,7 +1644,7 @@ fn node_reader<P>(
                 }
                 let status = match eng.commit(idx, action) {
                     Commit::Accepted => {
-                        fabric.node_commits[nid].fetch_add(1, Ordering::SeqCst);
+                        slot.commits.fetch_add(1, Ordering::SeqCst);
                         CommitStatus::Accepted
                     }
                     Commit::Suppressed => CommitStatus::Suppressed,
@@ -1754,45 +1653,22 @@ fn node_reader<P>(
                 // The response leg: queueing behind this node's writer
                 // lock (shared with Deliver routing) plus the write.
                 let resp = afd_prof::span(afd_prof::Stage::CoordQueue);
-                let ok = fabric.send_ctrl(nid, &WireMsg::CommitResp { comp, status });
+                let ok = slot.send(&WireMsg::CommitResp { comp, status });
                 resp.done();
                 if !ok {
                     break true;
                 }
             }
-            Ok(Some(WireMsg::Telemetry { lanes, recs, .. })) => {
-                let mut t = fabric.node_telemetry[nid]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                t.lanes.extend(lanes);
-                t.recs.extend(recs);
+            Ok(Some(other)) => {
+                if harvest(slot, other).is_some() {
+                    break true; // protocol violation
+                }
             }
-            Ok(Some(WireMsg::DgramStats { per_channel, .. })) => {
-                merge_dgram(fabric, nid, per_channel);
-            }
-            Ok(Some(_)) => break true, // protocol violation
-            Ok(None) => break true,    // EOF
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Ok(None) => break true, // EOF
+            Err(e) if would_block(&e) => {}
             Err(_) => break true,
         }
     };
-    // A benign exit (sink stopped) leaves `alive` set so shutdown still
-    // sends this node its Stop frame; only a dead pipe marks it down.
-    if died {
-        let was_alive = fabric.alive[nid].swap(false, Ordering::SeqCst);
-        if was_alive && !killed.load(Ordering::SeqCst) && !fabric.sink.is_stopped() {
-            // Unexpected death: contain it as if Kill'd.
-            killed.store(true, Ordering::SeqCst);
-            // Raise the stop gate before the containment crashes
-            // commit, so the predicate can't end the run in the gap.
-            if let Some(p) = plane {
-                p.schedule_respawn(nid, Instant::now());
-            }
-            contain_dead_node(eng, locs);
-        }
-    }
     if !died {
         // The node ships its final Telemetry frames *after* it receives
         // Stop, which is after the sink stopped and this loop ended.
@@ -1802,21 +1678,11 @@ fn node_reader<P>(
         let deadline = Instant::now() + GRACE + Duration::from_millis(500);
         while Instant::now() < deadline {
             match read_frame(&mut stream) {
-                Ok(Some(WireMsg::Telemetry { lanes, recs, .. })) => {
-                    let mut t = fabric.node_telemetry[nid]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    t.lanes.extend(lanes);
-                    t.recs.extend(recs);
-                }
-                Ok(Some(WireMsg::DgramStats { per_channel, .. })) => {
-                    merge_dgram(fabric, nid, per_channel);
-                }
-                Ok(Some(_)) => {} // in-flight request racing the stop: drop it
+                // Anything else is an in-flight request racing the
+                // stop: dropped.
+                Ok(Some(msg)) => drop(harvest(slot, msg)),
                 Ok(None) => break,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Err(e) if would_block(&e) => {}
                 Err(_) => break,
             }
         }
@@ -1825,27 +1691,20 @@ fn node_reader<P>(
     let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
     let mut buf = [0u8; 1024];
     while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
+    died
 }
 
 /// The crash injector: fires the fault script against the global event
 /// clock. Halt faults commit `Crash` into the schedule; Kill faults
-/// SIGKILL the hosting node process first, then crash everything it
-/// hosted.
-#[allow(clippy::too_many_arguments)]
-fn injector<P>(
-    eng: &CoordEngine<'_, P>,
-    cfg: &NetConfig,
-    children: &Mutex<Vec<Option<Child>>>,
-    killed: &[AtomicBool],
-    node_locs: &[Vec<Loc>],
-    node_of: impl Fn(Loc) -> usize,
-    plane: Option<&RecoveryPlane>,
-) where
+/// SIGKILL the hosting node process and contain it like any other
+/// death.
+fn injector<P>(eng: &CoordEngine<'_, P>, faults: &[NetFault])
+where
     P: Automaton<Action = Action>,
 {
     let fabric = eng.port();
     afd_prof::set_lane("injector");
-    let mut pending = cfg.faults.clone();
+    let mut pending = faults.to_vec();
     pending.sort_by_key(|f| f.at_event);
     for f in pending {
         // Blocks on the sink's length watch (signalled by the commit
@@ -1854,43 +1713,79 @@ fn injector<P>(
         fabric.sink.wait_len_at_least(f.at_event);
         wait.done();
         if fabric.sink.is_stopped() {
-            return;
+            break;
         }
         match f.mode {
             NetCrashMode::Halt => {
                 if eng.commit(usize::MAX, Action::Crash(f.loc)) == Commit::Stopped {
-                    return;
+                    break;
                 }
             }
             NetCrashMode::Kill => {
-                let nid = node_of(f.loc);
-                // First incarnation, or (via the plane) a recovered
-                // one: either way, exactly one claimant kills,
-                // contains, and schedules the respawn.
-                let claim = fabric.alive[nid].swap(false, Ordering::SeqCst)
-                    || plane.is_some_and(|p| p.take_down(nid));
-                if claim {
-                    killed[nid].store(true, Ordering::SeqCst);
-                    {
-                        let mut cs = children
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if let Some(c) = cs[nid].as_mut() {
-                            let _ = c.kill();
-                        }
-                    }
-                    *fabric.writers[nid]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-                    // Raise the stop gate before the containment
-                    // crashes commit, so the predicate can't end the
-                    // run in the gap before the respawn is booked.
-                    if let Some(p) = plane {
-                        p.schedule_respawn(nid, Instant::now());
-                    }
-                    contain_dead_node(eng, &node_locs[nid]);
-                }
+                node_down(eng, node_of(f.loc, fabric.slots.len()), true);
             }
         }
     }
+    afd_prof::flush_local();
 }
+
+/// The watchdog: bounds stalls and wall time.
+fn monitor<P>(eng: &CoordEngine<'_, P>, cfg: &NetConfig)
+where
+    P: Automaton<Action = Action>,
+{
+    let sink = eng.port().sink;
+    while !sink.is_stopped() {
+        // Safety net for a partition heal crossed concurrently with its
+        // registration.
+        eng.drain_deferred();
+        if sink.elapsed() >= cfg.wall_timeout {
+            sink.stop(StopReason::WallClock);
+            break;
+        }
+        let stall = u64::try_from(cfg.stall_deadline.as_nanos()).unwrap_or(u64::MAX);
+        if sink.ns_since_last_commit() >= stall {
+            sink.stop(StopReason::Watchdog);
+            break;
+        }
+        thread::sleep(MONITOR_TICK);
+    }
+}
+
+/// Shutdown sequencing: once the sink stops, tell every attached node,
+/// give the children a grace period to exit by themselves, then kill
+/// and reap whatever is left.
+fn shutdown<P>(eng: &CoordEngine<'_, P>)
+where
+    P: Automaton<Action = Action>,
+{
+    let fabric = eng.port();
+    while !fabric.sink.is_stopped() {
+        thread::sleep(MONITOR_TICK);
+    }
+    eng.shutdown();
+    let stop = WireMsg::Stop {
+        reason: "run complete".into(),
+    };
+    for slot in fabric.slots {
+        if slot.attached_epoch().is_some() {
+            slot.send(&stop);
+        }
+    }
+    let grace_deadline = Instant::now() + GRACE;
+    while Instant::now() <= grace_deadline && fabric.slots.iter().any(|s| s.exit_status().is_none())
+    {
+        thread::sleep(Duration::from_millis(20));
+    }
+    for slot in fabric.slots {
+        // A child the respawner registers after this point is reaped
+        // when the slots drop.
+        slot.replace_child(None);
+        // Close the write half so the node-side reader sees EOF and our
+        // reader thread (on a dead socket) unblocks.
+        *lock(&slot.writer) = None;
+    }
+}
+
+#[cfg(test)]
+mod tests;

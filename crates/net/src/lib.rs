@@ -65,6 +65,22 @@ pub use coord::{
 pub use deploy::{DeploymentSpec, FdKindSpec};
 pub use node::{maybe_serve_from_env, serve, ADDR_ENV, EPOCH_ENV, NODE_ID_ENV, REPLAY_COMP};
 
+/// Lock `m` whether or not a panicking holder poisoned it. Everything
+/// behind this crate's mutexes (frame writers, telemetry and stats
+/// accumulators, response slots, the recovery plane's queues) is
+/// updated one whole value at a time, so a holder that panicked left
+/// nothing half-written — and a contained panic must not take the
+/// run's bookkeeping down with it.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    unpoisoned(m.lock())
+}
+
+/// [`lock`]'s poison recovery for the other `LockResult`s (a condvar
+/// wait hands the guard back through one).
+pub(crate) fn unpoisoned<G>(r: std::sync::LockResult<G>) -> G {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Errors surfaced by the distributed runtime.
 #[derive(Debug)]
 pub enum NetError {

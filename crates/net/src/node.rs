@@ -39,7 +39,7 @@ use crate::codec::{
     WireMsg,
 };
 use crate::deploy::{visit_system, SystemVisitor};
-use crate::NetError;
+use crate::{lock, unpoisoned, NetError};
 
 /// Environment variable carrying the coordinator's `host:port`.
 pub const ADDR_ENV: &str = "AFD_NET_ADDR";
@@ -49,22 +49,20 @@ pub const NODE_ID_ENV: &str = "AFD_NET_NODE_ID";
 /// value other than `0`). The coordinator sets it when its own config
 /// enables profiling so every process in the run samples spans.
 pub const PROF_ENV: &str = "AFD_PROF";
-/// Environment variable carrying this node's incarnation epoch. Unset
-/// or `0` means first incarnation (ordinary `Hello` handshake); a
-/// respawned node gets `1, 2, ...` and rejoins with [`WireMsg::Rejoin`]
-/// instead, then replays the committed schedule prefix before going
-/// live.
+/// Environment variable carrying this node's incarnation epoch, which
+/// it reports in [`WireMsg::Hello`]. Unset or `0` means the first
+/// incarnation; a respawned node gets `1, 2, ...`.
 pub const EPOCH_ENV: &str = "AFD_NET_EPOCH";
 /// Environment variable selecting the data-channel transport. The
 /// coordinator sets it to `udp` when [`crate::Transport::Udp`] is
 /// configured; anything else (or unset) keeps the TCP router plane.
 /// A UDP node binds a loopback datagram socket before handshaking and
-/// reports its port in [`WireMsg::HelloUdp`].
+/// reports its port in [`WireMsg::Hello`].
 pub const TRANSPORT_ENV: &str = "AFD_NET_TRANSPORT";
 
-/// Component tag on replay [`WireMsg::Deliver`] frames streamed during
-/// a rejoin: not a real component index — the node applies the action
-/// to *every* hosted component by signature.
+/// Component tag on the replay [`WireMsg::Deliver`] frames that follow
+/// an [`WireMsg::Assign`]: not a real component index — the node
+/// applies the action to *every* hosted component by signature.
 pub const REPLAY_COMP: u32 = u32::MAX;
 
 /// How often an activation blocked on a commit response re-checks the
@@ -126,16 +124,16 @@ fn connect_with_retry(addr: &str) -> Result<TcpStream, NetError> {
     }
 }
 
-/// Connect to the coordinator at `addr`, handshake as node `id`, and
-/// host the assigned locations until the coordinator stops the run or
-/// the connection dies.
+/// Connect to the coordinator at `addr`, handshake as incarnation
+/// [`EPOCH_ENV`] of node `id`, and host the assigned locations until
+/// the coordinator stops the run or the connection dies.
 ///
-/// First incarnations handshake with `Hello`/`Assign`. A respawned
-/// node (nonzero [`EPOCH_ENV`]) handshakes with `Rejoin`/`RejoinAck`
-/// instead and then replays the committed schedule prefix the
-/// coordinator streams before any live traffic, so its component
-/// states resume exactly where the previous incarnation's committed
-/// history left them.
+/// Every incarnation handshakes the same way: `Hello`, then `Assign`,
+/// then the `replay_len` committed schedule events the coordinator
+/// streams before any live traffic — none for a first start, the whole
+/// committed prefix for a respawn, so its component states resume
+/// exactly where the previous incarnation's committed history left
+/// them.
 ///
 /// # Errors
 /// [`NetError`] on connection failure or protocol violation.
@@ -159,57 +157,36 @@ pub fn serve(addr: &str, id: u32) -> Result<(), NetError> {
     };
     let mut stream = connect_with_retry(addr)?;
     stream.set_nodelay(true)?;
-    let (node, spec, locations, seed, wire_pacing_us, replay_len) = if epoch == 0 {
-        match &dgram_sock {
-            Some(sock) => {
-                let udp_port = sock.local_addr().map_err(NetError::Io)?.port();
-                write_frame(&mut stream, &WireMsg::HelloUdp { node: id, udp_port })?;
-            }
-            None => write_frame(&mut stream, &WireMsg::Hello { node: id })?,
-        }
-        let assign = read_frame(&mut stream)?
-            .ok_or_else(|| NetError::Protocol("coordinator closed before Assign".into()))?;
-        let WireMsg::Assign {
-            node,
-            spec,
-            locations,
-            seed,
-            wire_pacing_us,
-        } = assign
-        else {
-            return Err(NetError::Protocol(format!(
-                "expected Assign, got {assign:?}"
-            )));
-        };
-        (node, spec, locations, seed, wire_pacing_us, 0)
-    } else {
-        write_frame(&mut stream, &WireMsg::Rejoin { node: id, epoch })?;
-        let ack = read_frame(&mut stream)?
-            .ok_or_else(|| NetError::Protocol("coordinator closed before RejoinAck".into()))?;
-        let WireMsg::RejoinAck {
-            node,
-            epoch: ack_epoch,
-            spec,
-            locations,
-            seed,
-            wire_pacing_us,
-            replay_len,
-        } = ack
-        else {
-            return Err(NetError::Protocol(format!(
-                "expected RejoinAck, got {ack:?}"
-            )));
-        };
-        if ack_epoch != epoch {
-            return Err(NetError::Protocol(format!(
-                "RejoinAck for epoch {ack_epoch}, I am epoch {epoch}"
-            )));
-        }
-        (node, spec, locations, seed, wire_pacing_us, replay_len)
+    let udp_port = match &dgram_sock {
+        Some(sock) => sock.local_addr().map_err(NetError::Io)?.port(),
+        None => 0,
     };
-    if node != id {
+    let hello = WireMsg::Hello {
+        node: id,
+        epoch,
+        udp_port,
+    };
+    write_frame(&mut stream, &hello)?;
+    let assign = read_frame(&mut stream)?
+        .ok_or_else(|| NetError::Protocol("coordinator closed before Assign".into()))?;
+    let WireMsg::Assign {
+        node,
+        epoch: assigned_epoch,
+        spec,
+        locations: hosted,
+        seed,
+        wire_pacing_us,
+        replay_len,
+    } = assign
+    else {
         return Err(NetError::Protocol(format!(
-            "assignment addressed to node {node}, I am {id}"
+            "expected Assign, got {assign:?}"
+        )));
+    };
+    if (node, assigned_epoch) != (id, epoch) {
+        return Err(NetError::Protocol(format!(
+            "assignment addressed to node {node} epoch {assigned_epoch}, \
+             I am node {id} epoch {epoch}"
         )));
     }
     // UDP deployments: the datagram-plane wiring follows the Assign.
@@ -237,7 +214,6 @@ pub fn serve(addr: &str, id: u32) -> Result<(), NetError> {
         }
         None => None,
     };
-    let hosted: Vec<afd_core::Loc> = locations;
     visit_system(
         &spec,
         NodeLoop {
@@ -470,7 +446,7 @@ struct NodeLoop {
     hosted: Vec<afd_core::Loc>,
     wire_pacing: Duration,
     node: u32,
-    /// Committed-prefix replay length promised by `RejoinAck` (0 on a
+    /// Committed-prefix replay length promised by `Assign` (0 on a
     /// first incarnation).
     replay_len: u64,
     /// Datagram-plane wiring (UDP transport only).
@@ -499,9 +475,7 @@ fn send_report(node: u32, report: afd_prof::Report, writer: &Mutex<TcpStream>) {
             recs,
         };
         {
-            let mut w = writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut w = lock(writer);
             if write_frame(&mut *w, &msg).and_then(|()| w.flush()).is_err() {
                 return;
             }
@@ -577,7 +551,7 @@ impl SystemVisitor for NodeLoop {
         };
         let eng = Engine::new(comps, &kinds, hosts, &port, &cfg);
 
-        // Rejoin replay: apply the committed schedule prefix to every
+        // Replay: apply the committed schedule prefix to every
         // hosted component by signature before going live. Crashes of
         // our own locations are skipped — the point of recovery is
         // that this incarnation resumes from the durably committed
@@ -675,10 +649,6 @@ impl SystemVisitor for NodeLoop {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// A node's commit port: the blocking `CommitReq`/`CommitResp` round
 /// trip to the coordinator, which linearizes the action and does all
 /// the routing (inputs for our components come back as `Deliver`
@@ -733,11 +703,7 @@ impl CommitPort for NodePort<'_> {
                 if self.stopped() {
                     return Commit::Stopped;
                 }
-                slots = self
-                    .resp_cv
-                    .wait_timeout(slots, RESP_WAIT)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0;
+                slots = unpoisoned(self.resp_cv.wait_timeout(slots, RESP_WAIT)).0;
             }
         };
         ack.done();

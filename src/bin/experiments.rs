@@ -1370,7 +1370,7 @@ fn table_x_recovery() -> Table {
          RecoveryPolicy (deterministic seeded backoff) respawns it, the node rejoins \
          with incarnation epoch 1 and replays the committed prefix, and the run decides \
          with the consensus and Ω-conformance checkers still green. respawn→rejoin is \
-         the wall-clock gap from the respawn to the accepted Rejoin; re-elect is the \
+         the wall-clock gap from the respawn to the accepted Hello of the new epoch; re-elect is the \
          schedule-event latency from the `Recover` action to the first Ω leader output \
          naming a then-live leader (only meaningful when the killed node hosted the \
          leader). A rejoin past the policy budget fails the table.",

@@ -8,7 +8,10 @@
 //! * the Ω/P/◇P self-implementation deployments stay conformant and
 //!   pass the post-hoc Theorem 13 check;
 //! * same-seed netchaos runs export byte-identical chaos plans;
-//! * a chaos-free run keeps per-channel FIFO.
+//! * a chaos-free run keeps per-channel FIFO;
+//! * a deployment that cannot come up — bad command, a node that exits
+//!   before `Hello`, a partial handshake — ends in a typed error at
+//!   once and leaves no node process behind, running or zombie.
 //!
 //! Every run here spawns the real `afd-node` binary (via
 //! `CARGO_BIN_EXE_afd-node`) as its node processes.
@@ -267,4 +270,120 @@ fn tcp_links_honour_configured_delay() {
         "{busiest} deliveries on one channel at {delay:?} each took only {:?}",
         report.elapsed
     );
+}
+
+/// Deployment failure modes: whatever goes wrong while the nodes come
+/// up, `run_distributed` returns a typed error promptly and every node
+/// process it spawned is dead *and reaped*. Each test's node processes
+/// carry a unique marker in their argv, so the `/proc` scan sees only
+/// its own even with the rest of the suite spawning nodes in parallel.
+#[cfg(target_os = "linux")]
+mod failure_modes {
+    use std::time::Instant;
+
+    use afd_net::NetError;
+
+    use super::*;
+
+    fn spec() -> DeploymentSpec {
+        DeploymentSpec::SelfImpl {
+            n: 3,
+            fd: FdKindSpec::Omega,
+        }
+    }
+
+    fn marker(test: &str) -> String {
+        format!("afd-failure-mode-{}-{test}", std::process::id())
+    }
+
+    /// Pids of live processes with `marker` among their arguments.
+    fn marked(marker: &str) -> Vec<u32> {
+        let dir = std::fs::read_dir("/proc").expect("/proc");
+        dir.filter_map(|e| {
+            let pid: u32 = e.ok()?.file_name().to_str()?.parse().ok()?;
+            let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).ok()?;
+            let mut args = cmdline.split(|&b| b == 0);
+            args.any(|arg| arg == marker.as_bytes()).then_some(pid)
+        })
+        .collect()
+    }
+
+    /// Is `pid` still a child of this process, in any state? A killed
+    /// but unreaped child (a zombie) is; a reaped one has no entry.
+    fn is_our_child(pid: u32) -> bool {
+        let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+            return false;
+        };
+        // "pid (comm) state ppid …"; comm may contain ')' and spaces.
+        let ppid = stat
+            .rsplit_once(')')
+            .and_then(|(_, rest)| rest.split_whitespace().nth(1)?.parse::<u32>().ok());
+        ppid == Some(std::process::id())
+    }
+
+    #[test]
+    fn nonexistent_command_is_a_spawn_error() {
+        let cmd = vec!["/nonexistent/afd-node".to_string()];
+        let err = run_distributed(&spec(), &NetConfig::new(cmd, 3)).err();
+        assert!(matches!(err, Some(NetError::Spawn(_))), "got {err:?}");
+    }
+
+    /// Every node exits without connecting: `Child::try_wait` knows, so
+    /// the run must not sit out the handshake timeout.
+    #[test]
+    fn exit_before_hello_fails_fast() {
+        let marker = marker("exit");
+        let cmd = ["sh", "-c", "exit 3", &marker].map(String::from).to_vec();
+        let started = Instant::now();
+        let err = run_distributed(&spec(), &NetConfig::new(cmd, 3)).err();
+        assert!(matches!(err, Some(NetError::Spawn(_))), "got {err:?}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "took {:?} to notice three dead children",
+            started.elapsed()
+        );
+        assert_eq!(marked(&marker), Vec::<u32>::new());
+    }
+
+    /// Nodes 0 and 1 connect and say `Hello`; node 2 exits instead. The
+    /// run fails typed, and the two connected nodes are killed and
+    /// reaped on the way out — no straggler, no zombie.
+    #[test]
+    fn partial_handshake_reaps_connected_nodes() {
+        let marker = marker("partial");
+        let dir = std::env::temp_dir().join(&marker);
+        std::fs::create_dir_all(&dir).expect("pid dir");
+        // $0 = afd-node, $1 = pid dir, $2 = marker (kept in the real
+        // node's argv, where afd-node ignores it).
+        let script = r#"echo $$ > "$1/$AFD_NET_NODE_ID.pid"
+            if [ "$AFD_NET_NODE_ID" = 2 ]; then sleep 0.3; exit 3; fi
+            exec "$0" "$2""#;
+        let node = env!("CARGO_BIN_EXE_afd-node");
+        let cmd = [
+            "sh",
+            "-c",
+            script,
+            node,
+            dir.to_str().expect("utf-8"),
+            &marker,
+        ]
+        .map(String::from)
+        .to_vec();
+        let started = Instant::now();
+        let err = run_distributed(&spec(), &NetConfig::new(cmd, 3)).err();
+        let took = started.elapsed();
+        match &err {
+            Some(NetError::Spawn(m)) => assert!(m.contains("node 2 exited"), "{m}"),
+            other => panic!("expected a Spawn error naming node 2, got {other:?}"),
+        }
+        assert!(took < Duration::from_secs(5), "took {took:?}");
+        assert_eq!(marked(&marker), Vec::<u32>::new());
+        for id in 0..3 {
+            let pid = std::fs::read_to_string(dir.join(format!("{id}.pid")))
+                .expect("every wrapper recorded its pid before the run failed");
+            let pid: u32 = pid.trim().parse().expect("pid");
+            assert!(!is_our_child(pid), "node {id} (pid {pid}) was not reaped");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

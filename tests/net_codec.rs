@@ -1,8 +1,8 @@
 //! Wire-codec properties: every `Action` round-trips byte-for-byte
 //! through the hand-rolled length-prefixed codec — including the
 //! `WireSend`/`WireRecv` frame variants, the crash-recovery alphabet
-//! (`Recover`, `Rejoin`, `RejoinAck`), and boundary locations at and
-//! past `Loc(64)` — and malformed input (truncations, bad tags,
+//! (`Recover`, the epoch-carrying `Hello`/`Assign` handshake), and
+//! boundary locations at and past `Loc(64)` — and malformed input (truncations, bad tags,
 //! trailing bytes, garbage) always comes back as a typed
 //! [`DecodeError`], never a panic.
 //!
@@ -190,6 +190,56 @@ fn rtelemetry(rng: &mut StdRng) -> WireMsg {
 }
 
 /// One random action from the full 20-variant alphabet.
+/// The handshake pair of one incarnation: any epoch, with or without
+/// a datagram port, any replay length.
+fn rhandshake(rng: &mut StdRng) -> [WireMsg; 2] {
+    let node = rng.gen_range(0u32..16);
+    let epoch = rng.gen_range(0u32..4) * rng.gen_range(0u32..u32::MAX / 4);
+    [
+        WireMsg::Hello {
+            node,
+            epoch,
+            udp_port: rng.gen_range(0u32..3) as u16 * 0x7FFF,
+        },
+        WireMsg::Assign {
+            node,
+            epoch,
+            spec: DeploymentSpec::SelfImpl {
+                n: 5,
+                fd: FdKindSpec::EvPerfectNoisy {
+                    lie_set: rset(rng),
+                    lie_count: 7,
+                },
+            },
+            locations: vec![rloc(rng), rloc(rng)],
+            seed: rval(rng),
+            wire_pacing_us: rval(rng),
+            replay_len: rval(rng),
+        },
+    ]
+}
+
+/// `m` round-trips byte-for-byte, and every strict prefix of its
+/// encoding decodes to a typed error — never a panic, never a silent
+/// partial message.
+fn assert_roundtrip_and_typed_prefixes(m: &WireMsg) {
+    let bytes = encode_msg(m);
+    let back = decode_msg(&bytes).expect("decode own encoding");
+    assert_eq!(format!("{back:?}"), format!("{m:?}"));
+    assert_eq!(encode_msg(&back), bytes);
+    for cut in 0..bytes.len() {
+        match decode_msg(&bytes[..cut]) {
+            Err(
+                DecodeError::Truncated { .. }
+                | DecodeError::BadTag { .. }
+                | DecodeError::Trailing { .. },
+            ) => {}
+            Err(e) => panic!("unexpected decode error on prefix: {e}"),
+            Ok(other) => panic!("prefix of {m:?} decoded as {other:?}"),
+        }
+    }
+}
+
 fn raction(rng: &mut StdRng) -> Action {
     let at = rloc(rng);
     let other = rloc(rng);
@@ -305,23 +355,10 @@ proptest! {
     #[test]
     fn wire_msgs_roundtrip_through_frames(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let [hello, assign] = rhandshake(&mut rng);
         let msgs = vec![
-            WireMsg::Hello {
-                node: rng.gen_range(0u32..u32::MAX),
-            },
-            WireMsg::Assign {
-                node: rng.gen_range(0u32..16),
-                spec: DeploymentSpec::SelfImpl {
-                    n: 5,
-                    fd: FdKindSpec::EvPerfectNoisy {
-                        lie_set: rset(&mut rng),
-                        lie_count: 7,
-                    },
-                },
-                locations: vec![rloc(&mut rng), rloc(&mut rng)],
-                seed: rval(&mut rng),
-                wire_pacing_us: rval(&mut rng),
-            },
+            hello,
+            assign,
             WireMsg::CommitReq {
                 comp: rng.gen_range(0u32..64),
                 action: raction(&mut rng),
@@ -340,22 +377,6 @@ proptest! {
             },
             WireMsg::Stop {
                 reason: "stop reason with unicode: Π ◇P".into(),
-            },
-            WireMsg::Rejoin {
-                node: rng.gen_range(0u32..u32::MAX),
-                epoch: rng.gen_range(0u32..u32::MAX),
-            },
-            WireMsg::RejoinAck {
-                node: rng.gen_range(0u32..16),
-                epoch: rng.gen_range(1u32..u32::MAX),
-                spec: DeploymentSpec::Paxos {
-                    n: 5,
-                    values: vec![rval(&mut rng), rval(&mut rng)],
-                },
-                locations: vec![rloc(&mut rng), rloc(&mut rng)],
-                seed: rval(&mut rng),
-                wire_pacing_us: rval(&mut rng),
-                replay_len: rval(&mut rng),
             },
             rtelemetry(&mut rng),
         ];
@@ -378,22 +399,17 @@ proptest! {
     fn telemetry_roundtrip_and_truncation(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
-            let m = rtelemetry(&mut rng);
-            let bytes = encode_msg(&m);
-            let back = decode_msg(&bytes).expect("decode own encoding");
-            prop_assert_eq!(format!("{back:?}"), format!("{m:?}"));
-            prop_assert_eq!(encode_msg(&back), bytes.clone());
-            for cut in 0..bytes.len() {
-                match decode_msg(&bytes[..cut]) {
-                    Err(
-                        DecodeError::Truncated { .. }
-                        | DecodeError::BadTag { .. }
-                        | DecodeError::Trailing { .. },
-                    ) => {}
-                    Err(e) => panic!("unexpected decode error on prefix: {e}"),
-                    Ok(other) => panic!("prefix of {m:?} decoded as {other:?}"),
-                }
-            }
+            assert_roundtrip_and_typed_prefixes(&rtelemetry(&mut rng));
+        }
+    }
+
+    /// So does the one handshake every incarnation speaks — first
+    /// start (epoch 0, nothing to replay) and respawn alike.
+    #[test]
+    fn handshake_roundtrip_and_truncation(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for m in &rhandshake(&mut rng) {
+            assert_roundtrip_and_typed_prefixes(m);
         }
     }
 }
@@ -538,6 +554,29 @@ fn unknown_tag_is_bad_tag() {
             assert!(!what.is_empty());
         }
         other => panic!("expected BadTag, got {other:?}"),
+    }
+}
+
+/// Tags 7, 8 and 9 carried `Rejoin`, `RejoinAck` and `HelloUdp` until
+/// the handshake became one `Hello`/`Assign` pair. They stay dead:
+/// whatever follows the tag — nothing, a frame in the old layout,
+/// noise — decodes to `BadTag`, never to some newer message.
+#[test]
+fn retired_handshake_tags_are_bad_tags() {
+    let mut rng = StdRng::seed_from_u64(789);
+    for retired in [7u8, 8, 9] {
+        let old_rejoin = [&[retired][..], &2u32.to_le_bytes(), &1u32.to_le_bytes()].concat();
+        let noise: Vec<u8> = std::iter::once(retired)
+            .chain((0..64).map(|_| rng.gen_range(0u64..256) as u8))
+            .collect();
+        for bytes in [vec![retired], old_rejoin, noise] {
+            match decode_msg(&bytes) {
+                Err(DecodeError::BadTag { what, tag }) => {
+                    assert_eq!((what, tag), ("WireMsg", retired));
+                }
+                other => panic!("retired tag {retired} decoded as {other:?}"),
+            }
+        }
     }
 }
 

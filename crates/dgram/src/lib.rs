@@ -36,6 +36,7 @@
 //! completing twice), and reports never-completed transmissions as
 //! typed [`DgramError::MissingFragments`] when pruned.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use afd_core::{Loc, Pi};
@@ -360,8 +361,8 @@ impl DgramStats {
     }
 
     /// Delivered transmissions over logical sends — the end-to-end
-    /// rate Table Y compares against `(1 − drop) · (1 + dup)` of the
-    /// configured profile. `None` when nothing was sent.
+    /// rate: `(1 − drop) · (1 + dup)` of the configured profile, less
+    /// whatever the host's socket lost. `None` when nothing was sent.
     #[must_use]
     pub fn delivery_rate(&self) -> Option<f64> {
         let sends = self.sends();
@@ -614,11 +615,12 @@ pub struct Reassembly {
     pub stats: ChannelDgramStats,
 }
 
+/// Fragments received so far, by index: memory follows what arrived,
+/// never the count a header merely claims.
 #[derive(Debug)]
 struct Partial {
     cnt: u16,
-    have: u16,
-    got: Vec<Option<Vec<u8>>>,
+    got: BTreeMap<u16, Vec<u8>>,
 }
 
 /// How many completed seqs the duplicate-mask remembers before
@@ -673,8 +675,7 @@ impl Reassembly {
         let chunk = self.mtu - HDR_LEN;
         let entry = self.pending.entry(h.seq).or_insert_with(|| Partial {
             cnt: h.frag_cnt,
-            have: 0,
-            got: vec![None; usize::from(h.frag_cnt)],
+            got: BTreeMap::new(),
         });
         if entry.cnt != h.frag_cnt {
             self.stats.decode_errors += 1;
@@ -690,20 +691,20 @@ impl Reassembly {
                 field: "payload_len",
             });
         }
-        let slot = &mut entry.got[usize::from(h.frag_idx)];
-        if slot.is_some() {
-            self.stats.dup_frags += 1;
-            return Ok(None);
-        }
-        *slot = Some(payload.to_vec());
-        entry.have += 1;
-        if entry.have < entry.cnt {
+        match entry.got.entry(h.frag_idx) {
+            Entry::Occupied(_) => {
+                self.stats.dup_frags += 1;
+                return Ok(None);
+            }
+            Entry::Vacant(slot) => slot.insert(payload.to_vec()),
+        };
+        if entry.got.len() < usize::from(entry.cnt) {
             return Ok(None);
         }
         let entry = self.pending.remove(&h.seq).expect("entry just completed");
         let mut full = Vec::with_capacity(usize::from(entry.cnt) * chunk);
-        for piece in entry.got {
-            full.extend_from_slice(&piece.expect("all fragments present"));
+        for piece in entry.got.values() {
+            full.extend_from_slice(piece);
         }
         self.stats.datagrams_rx += 1;
         self.done.insert(h.seq);
@@ -732,7 +733,7 @@ impl Reassembly {
                 self.stats.decode_errors += 1;
                 DgramError::MissingFragments {
                     seq,
-                    have: p.have,
+                    have: p.got.len() as u16,
                     cnt: p.cnt,
                 }
             })

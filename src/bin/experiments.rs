@@ -2,32 +2,32 @@
 //!
 //! Usage: `cargo run --release --bin experiments [--json] [table...]`
 //! where `table` ∈ {a1, t13, t18, t21, t44, flp, t59, perf, runtime,
-//! t, u, v, w, x, y, q, s, misc}; with no table arguments, all tables
-//! are produced.
+//! t, w, x, y, q, s, misc}; with no table arguments, all tables are
+//! produced.
 //!
-//! Table `t` additionally writes `BENCH_runtime.json` at the working
-//! directory root: the commit-path throughput grid plus the
-//! streamed-vs-locked speedup check (set `SMOKE=1` for a short run).
-//! Table `u` writes `BENCH_net.json`: distributed (multi-process, real
-//! loopback TCP) vs threaded Paxos commit throughput and Ω detection
-//! latency. Table `v` writes `BENCH_rsm.json`: the replicated-log
-//! service (afd-rsm) under the open-loop generator (afd-load) —
-//! client-op throughput and p50/p99/max latency per engine and fault
-//! scenario, failing on any applied-prefix divergence or apply-order
-//! conformance violation. Table `w` writes `BENCH_prof.json`: the
-//! afd-prof stage-attribution grid (threaded vs distributed,
-//! n ∈ {3, 8, 16}) naming where the wall time goes, plus merged
-//! chrome://tracing timelines under `target/obs/`. Table `x` writes
-//! `BENCH_recovery.json`: the crash-recovery plane — a SIGKILLed node
-//! is respawned under the `RecoveryPolicy`, rejoins with a bumped
-//! incarnation epoch, and the table reports respawn-to-rejoin
-//! latency, replay length, and post-recovery re-election latency,
-//! failing (nonzero exit) if any rejoin blows the policy budget.
-//! Table `y` writes `BENCH_dgram.json`: the UDP datagram plane —
-//! configured drop ∈ {0, 10, 30, 50}% over real sockets, measured
-//! delivery rate gated within ±5pp of the profile's expectation,
-//! bounded-message ◇P conformance and detection latency per point,
-//! and ReliablePaxos deciding at 30% drop. For tables `u`, `v`, `w`,
+//! The binary has one output path and one verdict: every table fills a
+//! [`Table`], printed as markdown or (`--json`) as JSON, and every
+//! check a table makes is a recorded failure that turns the exit code
+//! to 1. Nothing here times anything for the record — that is
+//! `bench/`'s job (`bench/README.md`); the timing columns of tables
+//! `t`, `w`, `x` and `y` are indicative single-host numbers, and what
+//! those tables *gate* is structural (budgets met, grids complete,
+//! checkers green, ratios within bounds). `SMOKE=1` shrinks their
+//! budgets for CI.
+//!
+//! Table `t` is the threaded commit-path grid with the n=16-vs-n=8
+//! cliff gate. Table `w` is the afd-prof stage-attribution grid
+//! (threaded vs distributed, n ∈ {3, 8, 16}) naming where the wall
+//! time goes, plus merged chrome://tracing timelines under
+//! `target/obs/`. Table `x` is the crash-recovery plane — a SIGKILLed
+//! node is respawned under the `RecoveryPolicy`, rejoins with a bumped
+//! incarnation epoch, and the table reports respawn-to-rejoin latency,
+//! replay length, and post-recovery re-election latency, failing if
+//! any rejoin blows the policy budget. Table `y` is the UDP datagram
+//! plane — configured drop ∈ {0, 10, 30, 50}% over real sockets, the
+//! shaper's transmission rate gated within ±5pp of the profile's
+//! expectation, bounded-message ◇P conformance and detection latency
+//! per point, and ReliablePaxos deciding at 30% drop. For tables `w`,
 //! `x` and `y` this binary doubles as its own node executable: the
 //! coordinator respawns `current_exe()` and
 //! `afd_net::maybe_serve_from_env` diverts those children into node
@@ -35,12 +35,13 @@
 //!
 //! - Default output is the markdown used in EXPERIMENTS.md.
 //! - `--json` emits the same tables as one machine-readable JSON
-//!   document (schema: `{"tables": [{"id", "title", "columns",
+//!   document (schema: `{"tables": [{"id", "title", "meta", "columns",
 //!   "rows", "notes", "failures"}], "failure_count"}`).
 //! - Unrecognized table names abort with exit code 2.
 //! - If any table's internal check fails, the failure is recorded in
 //!   that table's `failures` list and the process exits with code 1.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -61,9 +62,9 @@ use afd_tree::{
 };
 
 /// Every table this binary can produce, in print order.
-const TABLES: [&str; 18] = [
-    "a1", "t13", "t18", "t21", "t44", "flp", "t59", "perf", "runtime", "t", "u", "v", "w", "x",
-    "y", "q", "s", "misc",
+const TABLES: [&str; 16] = [
+    "a1", "t13", "t18", "t21", "t44", "flp", "t59", "perf", "runtime", "t", "w", "x", "y", "q",
+    "s", "misc",
 ];
 
 /// One experiment table: a grid of rendered cells plus free-form notes
@@ -76,9 +77,8 @@ struct Table {
     notes: Vec<String>,
     failures: Vec<String>,
     /// Self-describing metadata emitted as the `meta` block of the
-    /// `--json` output (and therefore of every BENCH artifact):
-    /// at minimum the transport the table's runs rode and the
-    /// chaos-plan seed they were keyed by.
+    /// `--json` output: at minimum the transport the table's runs
+    /// rode and the chaos-plan seed they were keyed by.
     meta: Vec<(String, Json)>,
 }
 
@@ -177,7 +177,7 @@ impl Table {
 }
 
 fn main() {
-    // Tables `u` and `v` respawn this very binary as their node
+    // Tables `w`, `x` and `y` respawn this very binary as their node
     // processes; if the coordinator's environment says we are one of
     // them, serve and exit.
     if afd_net::maybe_serve_from_env() {
@@ -218,10 +218,8 @@ fn main() {
             "flp" => tables.push(table_flp_valence()),
             "t59" => tables.push(table_t59_hooks()),
             "perf" => tables.push(table_perf_consensus()),
-            "runtime" => tables.extend(table_runtime()),
+            "runtime" => tables.push(table_runtime()),
             "t" => tables.push(table_t_throughput()),
-            "u" => tables.push(table_u_distributed()),
-            "v" => tables.push(table_v_rsm()),
             "w" => tables.push(table_w_prof()),
             "x" => tables.push(table_x_recovery()),
             "y" => tables.push(table_y_dgram()),
@@ -730,9 +728,8 @@ fn table_perf_consensus() -> Table {
 
 /// Extension E2: the threaded runtime (afd-runtime) — consensus under
 /// injected crashes and link faults on real OS threads, checked by the
-/// same trace machinery, plus a throughput comparison against the
-/// simulator on an identical system.
-fn table_runtime() -> Vec<Table> {
+/// same trace machinery.
+fn table_runtime() -> Table {
     use afd_runtime::{
         check_fd_trace, fifo_violation, run_threaded, LinkFaults, LinkProfile, RuntimeConfig,
     };
@@ -835,52 +832,18 @@ fn table_runtime() -> Vec<Table> {
             verdict,
         ]);
     }
-    // Throughput: same A_self(Ω) system, simulator vs threads.
-    let mut tp = Table::new("runtime.throughput", "Table R2 — engine throughput");
-    tp.meta_run("threaded", Some(7));
-    tp.columns(&["engine", "system", "events", "events/sec"]);
-    let pi = Pi::new(4);
-    let budget = 20_000usize;
-    {
-        let sys = self_impl_system(pi, FdGen::omega(pi), vec![]);
-        let t0 = std::time::Instant::now();
-        let out = run_random(&sys, 7, SimConfig::default().with_max_steps(budget));
-        let dt = t0.elapsed().as_secs_f64();
-        tp.row(vec![
-            "simulator (run_random)".into(),
-            "A_self(Ω) n=4".into(),
-            out.steps.to_string(),
-            format!("{:.0}", out.steps as f64 / dt),
-        ]);
-    }
-    {
-        let sys = self_impl_system(pi, FdGen::omega(pi), vec![]);
-        let cfg = RuntimeConfig::default()
-            .with_max_events(budget)
-            .with_fd_pacing(Duration::ZERO)
-            .with_seed(7);
-        let out = run_threaded(&sys, &cfg);
-        tp.row(vec![
-            "threaded (fd_pacing=0)".into(),
-            "A_self(Ω) n=4".into(),
-            out.events().to_string(),
-            format!("{:.0}", out.events_per_sec()),
-        ]);
-    }
-    vec![t, tp]
+    t
 }
 
-/// Table T: commit-path throughput of the threaded runtime. Also
-/// emits `BENCH_runtime.json` (machine-readable copy, consumed by CI).
+/// Table T: commit-path throughput of the threaded runtime.
 ///
 /// End-to-end: the threaded A_self(Ω) system with `fd_pacing = 0` run
 /// to a fixed event budget, swept over n ∈ {3, 8, 16, 32, 64, 128} ×
 /// observer on/off × incremental stop predicate on/off (the predicate
 /// cannot fire — nobody decides — so the rows isolate its *cost*),
-/// with the n=16-vs-n=8 cliff gate on per-event cost. (The
-/// streamed-vs-locked sink comparison that used to ride along went
-/// with the locked sink; its last measurement is in the committed
-/// `BENCH_runtime.json` history.)
+/// with the n=16-vs-n=8 cliff gate on per-event cost. The events/sec
+/// column is indicative; `bench/`'s `heartbeat-threaded` workload and
+/// `runtime.*` rungs are the recorded numbers.
 fn table_t_throughput() -> Table {
     use afd_algorithms::consensus::all_live_decided_stream;
     use afd_runtime::{run_threaded, RuntimeConfig};
@@ -909,7 +872,6 @@ fn table_t_throughput() -> Table {
     // measured runs: a single sample per cell made the grid jitter by
     // double-digit percentages across invocations.
     let reps = if smoke { 1usize } else { 5 };
-    let mut grid_json: Vec<Json> = Vec::new();
     // Median per-event cost (ns) of the plain (observer off, predicate
     // off) cells, keyed for the n=16-vs-n=8 cliff gate below.
     let mut plain_cost_ns: Vec<(usize, f64)> = Vec::new();
@@ -965,21 +927,12 @@ fn table_t_throughput() -> Table {
                 format!("{ms:.1}"),
                 format!("{eps:.0}"),
             ]);
-            grid_json.push(Json::Obj(vec![
-                ("n".into(), Json::Num(n as f64)),
-                ("observer".into(), Json::Bool(obs_on)),
-                ("predicate".into(), Json::Bool(pred_on)),
-                ("events".into(), Json::Num(budget as f64)),
-                ("reps".into(), Json::Num(reps as f64)),
-                ("elapsed_ms".into(), Json::Num(ms)),
-                ("events_per_sec".into(), Json::Num(eps)),
-            ]));
         }
     }
     t.note(
         "The incremental predicate (`all_live_decided_stream`) is checked at every commit \
          but cannot fire on this system (nothing decides), so predicate-on rows isolate \
-         its cost. Criterion benches over the same path: `cargo bench -p afd-bench`.",
+         its cost.",
     );
     t.note(format!(
         "Each grid cell is the median of {reps} measured run(s) after one discarded \
@@ -999,9 +952,8 @@ fn table_t_throughput() -> Table {
     let (c8, c16) = (cost(8), cost(16));
     let cliff_ratio = c16 / c8;
     let cliff_max = 4.0;
-    let cliff_pass = cliff_ratio.is_finite() && cliff_ratio <= cliff_max;
     let cliff_verdict = t.check(
-        cliff_pass,
+        cliff_ratio.is_finite() && cliff_ratio <= cliff_max,
         &format!("{cliff_ratio:.2}× ✓ (≤ {cliff_max}×)"),
         format!(
             "t: n=16 per-event cost {c16:.0} ns is {cliff_ratio:.2}× the n=8 cost {c8:.0} ns \
@@ -1012,195 +964,6 @@ fn table_t_throughput() -> Table {
         "cliff gate (plain cells, per-event cost): n=8 {c8:.0} ns/ev, n=16 {c16:.0} ns/ev — \
          ratio {cliff_verdict}"
     ));
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("runtime-commit-path".into())),
-        (
-            "generated_by".into(),
-            Json::Str("experiments t (afd-repro)".into()),
-        ),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("throughput".into(), Json::Arr(grid_json)),
-        (
-            "cliff_gate".into(),
-            Json::Obj(vec![
-                ("n8_ns_per_event".into(), Json::Num(c8)),
-                ("n16_ns_per_event".into(), Json::Num(c16)),
-                ("ratio".into(), Json::Num(cliff_ratio)),
-                ("required_max_ratio".into(), Json::Num(cliff_max)),
-                ("pass".into(), Json::Bool(cliff_pass)),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_runtime.json", doc.render() + "\n") {
-        t.fail(format!("t: writing BENCH_runtime.json failed: {e}"));
-    }
-    t
-}
-
-/// Table Q: detector quality of service, measured through the observer
-/// layer — post-crash leader-detection latency for Ω on the threaded
-/// runtime (with trace exports), and false-suspicion QoS for honest P
-/// vs noisy ◇P on the simulator.
-/// Table U: the distributed runtime (multi-process, real loopback TCP,
-/// commit round trips through the coordinator) against the threaded
-/// runtime on the same Paxos(Ω) workload — commit throughput and Ω
-/// crash-detection latency, n ∈ {3, 8}, one Halt crash each. Emits
-/// `BENCH_net.json` (consumed by CI's bench-smoke job).
-///
-/// The point of the comparison is honesty about cost: every
-/// distributed commit is a socket round trip, so its events/sec column
-/// is expected to be one to two orders of magnitude below the threaded
-/// engine's. The checks are about *correctness* at that cost: both
-/// engines must decide, pass the consensus checker, and detect the
-/// crash.
-fn table_u_distributed() -> Table {
-    use afd_algorithms::consensus::all_live_decided_stream;
-    use afd_net::coord::{NetConfig, NetFault};
-    use afd_net::{run_distributed, DeploymentSpec};
-    use afd_obs::CrashDetection;
-    use afd_runtime::{run_threaded, RuntimeConfig};
-    use std::time::Duration;
-
-    let smoke = std::env::var("SMOKE").is_ok();
-    let mut t = Table::new(
-        "u",
-        format!(
-            "Table U — distributed vs threaded Paxos(Ω) commit throughput{}",
-            if smoke { " (SMOKE)" } else { "" }
-        ),
-    );
-    t.meta_run("tcp", Some(21));
-    t.columns(&[
-        "n",
-        "engine",
-        "events",
-        "elapsed (ms)",
-        "events/sec",
-        "Ω detection (events)",
-    ]);
-    let budget = if smoke { 2_000usize } else { 6_000 };
-    let crash_at = 15usize;
-    let fd_pacing = Duration::from_micros(200);
-    let mut rows_json: Vec<Json> = Vec::new();
-    let node_exe = std::env::current_exe()
-        .map(|p| p.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    for n in [3u8, 8] {
-        let pi = Pi::new(usize::from(n));
-        let f = (usize::from(n) - 1) / 2;
-        let values: Vec<u64> = (0..u64::from(n)).map(|i| i % 2).collect();
-        let victim = Loc(n - 1);
-
-        // Threaded baseline: same workload, same crash, same pacing.
-        let pattern = FaultPattern::at(vec![(crash_at, victim)]);
-        let sys = paxos_system(pi, &values, pattern.faulty());
-        let cfg = RuntimeConfig::default()
-            .with_max_events(budget)
-            .with_faults(pattern)
-            .with_fd_pacing(fd_pacing)
-            .with_seed(21)
-            .stop_when_stream(move || all_live_decided_stream(pi));
-        let out = run_threaded(&sys, &cfg);
-        if let Err(v) = check_consensus_run(pi, f, &out.schedule) {
-            t.fail(format!("u: threaded n={n} consensus violation: {v}"));
-        }
-        let q = detector_qos(pi, &out.schedule);
-        let lat_threaded = q.detections.first().and_then(CrashDetection::latency);
-        let eps_threaded = out.events_per_sec();
-        t.row(vec![
-            n.to_string(),
-            "threaded".into(),
-            out.events().to_string(),
-            format!("{:.1}", out.elapsed.as_secs_f64() * 1e3),
-            format!("{eps_threaded:.0}"),
-            lat_threaded.map_or("n/a".into(), |l| l.to_string()),
-        ]);
-
-        // Distributed: one node process per location, Halt crash
-        // injected by the coordinator at the same event index.
-        let spec = DeploymentSpec::Paxos {
-            n,
-            values: values.clone(),
-        };
-        let ncfg = NetConfig::new(vec![node_exe.clone()], u32::from(n))
-            .with_max_events(budget)
-            .with_seed(21)
-            .with_fault(NetFault::halt(crash_at, victim))
-            .with_deadlines(Duration::from_secs(10), Duration::from_secs(120));
-        let (events, ms, eps_dist, lat_dist) = match run_distributed(&spec, &ncfg) {
-            Ok(report) => {
-                for c in &report.checks {
-                    if let Err(e) = &c.verdict {
-                        t.fail(format!("u: distributed n={n} check {} failed: {e}", c.name));
-                    }
-                }
-                let q = detector_qos(pi, &report.schedule);
-                let lat = q.detections.first().and_then(CrashDetection::latency);
-                let secs = report.elapsed.as_secs_f64().max(1e-9);
-                (report.events, secs * 1e3, report.events as f64 / secs, lat)
-            }
-            Err(e) => {
-                t.fail(format!("u: distributed n={n} run failed: {e}"));
-                (0, 0.0, 0.0, None)
-            }
-        };
-        t.row(vec![
-            n.to_string(),
-            "distributed".into(),
-            events.to_string(),
-            format!("{ms:.1}"),
-            format!("{eps_dist:.0}"),
-            lat_dist.map_or("n/a".into(), |l| l.to_string()),
-        ]);
-        rows_json.push(Json::Obj(vec![
-            ("n".into(), Json::Num(f64::from(n))),
-            (
-                "threaded".into(),
-                Json::Obj(vec![
-                    ("events".into(), Json::Num(out.events() as f64)),
-                    ("events_per_sec".into(), Json::Num(eps_threaded)),
-                    (
-                        "omega_detection_events".into(),
-                        lat_threaded.map_or(Json::Null, |l| Json::Num(l as f64)),
-                    ),
-                ]),
-            ),
-            (
-                "distributed".into(),
-                Json::Obj(vec![
-                    ("events".into(), Json::Num(events as f64)),
-                    ("events_per_sec".into(), Json::Num(eps_dist)),
-                    (
-                        "omega_detection_events".into(),
-                        lat_dist.map_or(Json::Null, |l| Json::Num(l as f64)),
-                    ),
-                ]),
-            ),
-        ]));
-    }
-    t.note(
-        "Same Paxos(Ω) workload, same Halt crash, same fd pacing: the threaded engine \
-         commits through a shared in-memory sink, the distributed engine pays a TCP \
-         round trip per node-hosted commit (loopback, one node process per location). \
-         Detection latency is in schedule events (engine-independent units), measured \
-         by `afd_obs::detector_qos` over each merged schedule.",
-    );
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("distributed-runtime".into())),
-        (
-            "generated_by".into(),
-            Json::Str("experiments u (afd-repro)".into()),
-        ),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("budget".into(), Json::Num(budget as f64)),
-        ("crash_at".into(), Json::Num(crash_at as f64)),
-        ("rows".into(), Json::Arr(rows_json)),
-        ("pass".into(), Json::Bool(t.failures.is_empty())),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_net.json", doc.render() + "\n") {
-        t.fail(format!("u: writing BENCH_net.json failed: {e}"));
-    }
     t
 }
 
@@ -1211,10 +974,9 @@ fn table_u_distributed() -> Table {
 /// the run still decides with every online checker green. Reported
 /// QoS per scenario: respawn-to-rejoin latency, total downtime,
 /// replay length, and (for the leader-kill scenario) post-recovery
-/// re-election latency in schedule events. Emits
-/// `BENCH_recovery.json` (consumed by CI's recovery-smoke job); any
-/// rejoin that misses the policy's `rejoin_budget` is a table failure,
-/// so the process exits nonzero.
+/// re-election latency in schedule events. A rejoin that misses the
+/// policy's `rejoin_budget`, is not incarnation epoch 1, replays
+/// nothing, or (leader victim) never re-elects is a table failure.
 fn table_x_recovery() -> Table {
     use afd_net::coord::{NetConfig, NetFault, RecoveryPolicy};
     use afd_net::{run_distributed, DeploymentSpec};
@@ -1252,7 +1014,6 @@ fn table_x_recovery() -> Table {
         scenarios.push((5, 13, 25, Loc(4)));
     }
     let budget = if smoke { 6_000usize } else { 10_000 };
-    let mut rows_json: Vec<Json> = Vec::new();
     for &(n, seed, kill_at, victim) in &scenarios {
         let pi = Pi::new(usize::from(n));
         let spec = DeploymentSpec::Paxos {
@@ -1299,7 +1060,7 @@ fn table_x_recovery() -> Table {
         let agreement = decisions
             .iter()
             .map(|&(_, v)| v)
-            .collect::<std::collections::BTreeSet<_>>()
+            .collect::<BTreeSet<_>>()
             .len()
             <= 1;
         let decided = agreement
@@ -1317,6 +1078,20 @@ fn table_x_recovery() -> Table {
         };
         let rejoin = inc.respawn_to_rejoin();
         let within = inc.rejoin_ok && rejoin.is_some_and(|d| d <= policy.rejoin_budget);
+        if inc.epoch != 1 || inc.replay_len == 0 {
+            t.fail(format!(
+                "x: n={n} victim={victim}: rejoined as epoch {} replaying {} events \
+                 (want epoch 1 and a non-empty prefix)",
+                inc.epoch, inc.replay_len
+            ));
+        }
+        // Killing the lowest location kills Ω's settled leader: the
+        // survivors must be seen electing a live one after `Recover`.
+        if victim == Loc(0) && inc.reelect_events.is_none() {
+            t.fail(format!(
+                "x: n={n} victim={victim}: no re-election latency after a leader kill"
+            ));
+        }
         let ms = |d: Option<Duration>| {
             d.map_or("n/a".into(), |d| format!("{:.1}", d.as_secs_f64() * 1e3))
         };
@@ -1340,30 +1115,6 @@ fn table_x_recovery() -> Table {
             inc.reelect_events.map_or("n/a".into(), |e| e.to_string()),
             verdict,
         ]);
-        rows_json.push(Json::Obj(vec![
-            ("n".into(), Json::Num(f64::from(n))),
-            ("victim".into(), Json::Num(f64::from(victim.0))),
-            ("seed".into(), Json::Num(seed as f64)),
-            ("events".into(), Json::Num(report.events as f64)),
-            ("epoch".into(), Json::Num(inc.epoch as f64)),
-            (
-                "respawn_to_rejoin_ms".into(),
-                rejoin.map_or(Json::Null, |d| Json::Num(d.as_secs_f64() * 1e3)),
-            ),
-            (
-                "downtime_ms".into(),
-                inc.downtime()
-                    .map_or(Json::Null, |d| Json::Num(d.as_secs_f64() * 1e3)),
-            ),
-            ("replay_len".into(), Json::Num(inc.replay_len as f64)),
-            (
-                "reelect_events".into(),
-                inc.reelect_events
-                    .map_or(Json::Null, |e| Json::Num(e as f64)),
-            ),
-            ("decided".into(), Json::Bool(decided)),
-            ("rejoin_within_budget".into(), Json::Bool(within)),
-        ]));
     }
     t.note(
         "Each scenario SIGKILLs one real node process mid-run; the coordinator's \
@@ -1375,40 +1126,23 @@ fn table_x_recovery() -> Table {
          naming a then-live leader (only meaningful when the killed node hosted the \
          leader). A rejoin past the policy budget fails the table.",
     );
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("crash-recovery".into())),
-        (
-            "generated_by".into(),
-            Json::Str("experiments x (afd-repro)".into()),
-        ),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("budget".into(), Json::Num(budget as f64)),
-        (
-            "rejoin_budget_ms".into(),
-            Json::Num(policy.rejoin_budget.as_secs_f64() * 1e3),
-        ),
-        ("rows".into(), Json::Arr(rows_json)),
-        ("pass".into(), Json::Bool(t.failures.is_empty())),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_recovery.json", doc.render() + "\n") {
-        t.fail(format!("x: writing BENCH_recovery.json failed: {e}"));
-    }
     t
 }
 
 /// Table Y: the UDP datagram plane end to end. Sweeps configured drop
 /// rate ∈ {0, 10, 30, 50}% over [`afd_net::coord::Transport::Udp`] —
-/// every heartbeat
-/// a real `UdpSocket` datagram, loss injected by the sender-side ADD
-/// shaper on top of whatever the socket does — running the
-/// bounded-message ◇P of the ADD paper at each point. Gates: the ◇P
-/// streaming conformance checker passes at every drop rate; a crashed
-/// location is detected (suspected) despite the loss; and the
-/// measured delivery rate lands within ±5 percentage points of the
-/// profile's expectation `(1 − drop) · (1 + dup)`. A final
+/// every heartbeat a real `UdpSocket` datagram, loss injected by the
+/// sender-side ADD shaper on top of whatever the socket does — running
+/// the bounded-message ◇P of the ADD paper at each point. Gates: the
+/// ◇P streaming conformance checker passes at every drop rate; a
+/// crashed location is detected (suspected) despite the loss; and the
+/// shaper did what the profile says — injected drops ÷ sends within
+/// ±5 percentage points of the configured rate, and transmissions ÷
+/// sends within ±5pp of `(1 − drop) · (1 + dup)`. What the host's
+/// socket then loses is reported as organic loss, never a failure by
+/// itself (`tests/udp_transport.rs` states the same rule). A final
 /// ReliablePaxos run at 30% drop must decide — stubborn
-/// retransmission over genuinely lossy sockets. Emits
-/// `BENCH_dgram.json` (consumed by CI's dgram-smoke job).
+/// retransmission over genuinely lossy sockets.
 fn table_y_dgram() -> Table {
     use afd_dgram::expected_delivery_rate;
     use afd_net::coord::{NetConfig, NetFault, Transport};
@@ -1431,11 +1165,12 @@ fn table_y_dgram() -> Table {
     t.columns(&[
         "drop (config)",
         "sends",
-        "delivery (measured)",
-        "delivery (expected)",
+        "transmitted ÷ sends",
+        "expected",
         "within ±5pp",
         "injected drop",
         "organic lost",
+        "received ÷ sends",
         "◇P conformant",
         "detection (events)",
     ]);
@@ -1447,9 +1182,9 @@ fn table_y_dgram() -> Table {
     let node_exe = std::env::current_exe()
         .map(|p| p.to_string_lossy().into_owned())
         .unwrap_or_default();
-    let mut rows_json: Vec<Json> = Vec::new();
     for drop_pct in [0u32, 10, 30, 50] {
-        let profile = LinkProfile::lossy(f64::from(drop_pct) / 100.0);
+        let drop = f64::from(drop_pct) / 100.0;
+        let profile = LinkProfile::lossy(drop);
         let expected = expected_delivery_rate(&profile);
         let spec = DeploymentSpec::BoundedEvP { n };
         let cfg = NetConfig::new(vec![node_exe.clone()], u32::from(n))
@@ -1477,14 +1212,18 @@ fn table_y_dgram() -> Table {
             continue;
         };
         let sends = dgram.sends();
-        let measured = dgram.delivery_rate().unwrap_or(0.0);
-        let within = (measured - expected).abs() <= tolerance;
+        let (tx, rx) = (dgram.datagrams_tx(), dgram.datagrams_rx());
+        let injected = dgram.injected_drop_rate().unwrap_or(f64::NAN);
+        let transmitted = tx as f64 / sends as f64;
+        let within = sends > 0
+            && (injected - drop).abs() <= tolerance
+            && (transmitted - expected).abs() <= tolerance
+            && rx <= tx;
         if !within {
             t.fail(format!(
-                "y: drop={drop_pct}% delivery {measured:.3} not within ±5pp of {expected:.3} \
-                 (sends={sends}, rx={}, injected={}, organic={})",
-                dgram.datagrams_rx(),
-                dgram.injected_drops(),
+                "y: drop={drop_pct}%: injected {injected:.3} vs configured {drop:.3}, \
+                 transmitted {transmitted:.3} vs expected {expected:.3} (±5pp each; \
+                 sends={sends}, tx={tx}, rx={rx}, organic={})",
                 dgram.organic_lost(),
             ));
         }
@@ -1498,11 +1237,12 @@ fn table_y_dgram() -> Table {
         t.row(vec![
             format!("{drop_pct}%"),
             sends.to_string(),
-            format!("{measured:.3}"),
+            format!("{transmitted:.3}"),
             format!("{expected:.3}"),
             if within { "✓".into() } else { "✗".into() },
             dgram.injected_drops().to_string(),
             dgram.organic_lost().to_string(),
+            format!("{:.3}", dgram.delivery_rate().unwrap_or(0.0)),
             if conformant {
                 "✓".into()
             } else {
@@ -1510,26 +1250,6 @@ fn table_y_dgram() -> Table {
             },
             detection.map_or("n/a".into(), |l| l.to_string()),
         ]);
-        rows_json.push(Json::Obj(vec![
-            ("drop_pct".into(), Json::Num(f64::from(drop_pct))),
-            ("sends".into(), Json::Num(sends as f64)),
-            ("delivery_rate".into(), Json::Num(measured)),
-            ("expected_rate".into(), Json::Num(expected)),
-            ("within_tolerance".into(), Json::Bool(within)),
-            (
-                "injected_drop_rate".into(),
-                Json::Num(dgram.injected_drop_rate().unwrap_or(0.0)),
-            ),
-            (
-                "organic_lost".into(),
-                Json::Num(dgram.organic_lost() as f64),
-            ),
-            ("evp_conformant".into(), Json::Bool(conformant)),
-            (
-                "detection_events".into(),
-                detection.map_or(Json::Null, |l| Json::Num(l as f64)),
-            ),
-        ]));
     }
 
     // ReliablePaxos at the headline 30% drop: stubborn WireSend
@@ -1542,7 +1262,7 @@ fn table_y_dgram() -> Table {
         .with_seed(seed)
         .with_links(LinkFaults::uniform(LinkProfile::lossy(0.30)))
         .with_deadlines(Duration::from_secs(10), Duration::from_secs(120));
-    let paxos_json = match run_distributed(&spec, &cfg) {
+    match run_distributed(&spec, &cfg) {
         Ok(report) => {
             let decided = report.stop == Some(StopReason::Predicate);
             if !decided {
@@ -1565,339 +1285,38 @@ fn table_y_dgram() -> Table {
                     .as_ref()
                     .map_or(0, afd_dgram::DgramStats::sends),
             ));
-            Json::Obj(vec![
-                ("drop_pct".into(), Json::Num(30.0)),
-                ("decided".into(), Json::Bool(decided)),
-                ("events".into(), Json::Num(report.events as f64)),
-            ])
         }
-        Err(e) => {
-            t.fail(format!("y: ReliablePaxos at 30% drop failed: {e}"));
-            Json::Null
-        }
-    };
+        Err(e) => t.fail(format!("y: ReliablePaxos at 30% drop failed: {e}")),
+    }
 
     t.note(
         "Every heartbeat is a real `std::net::UdpSocket` datagram on loopback; drops are \
          injected by the sender-side ADD shaper (seeded SplitMix64, same stream as the TCP \
-         router) on top of whatever the socket loses organically. Delivery rate is fully \
-         reassembled datagrams over logical sends, compared against the profile's \
-         expectation (1 − drop)·(1 + dup); `organic lost` counts transmissions the real \
-         network ate (including datagrams still in flight at shutdown). Detection latency \
+         router) on top of whatever the socket loses organically. The gated column is \
+         transmissions put on the wire over logical sends, compared against the profile's \
+         expectation (1 − drop)·(1 + dup), together with injected drops over sends against \
+         the configured rate; `organic lost` counts transmissions the real network ate \
+         (including datagrams still in flight at shutdown) and `received ÷ sends` is what \
+         survived both — reported, not gated, because the host decides it. Detection latency \
          is schedule events from the Halt crash to the first suspicion, per \
          `afd_obs::detector_qos`.",
     );
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("dgram-transport".into())),
-        (
-            "generated_by".into(),
-            Json::Str("experiments y (afd-repro)".into()),
-        ),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("transport".into(), Json::Str("udp".into())),
-        ("chaos_plan_seed".into(), Json::Num(seed as f64)),
-        ("n".into(), Json::Num(f64::from(n))),
-        ("budget".into(), Json::Num(budget as f64)),
-        ("tolerance".into(), Json::Num(tolerance)),
-        ("rows".into(), Json::Arr(rows_json)),
-        ("paxos".into(), paxos_json),
-        ("pass".into(), Json::Bool(t.failures.is_empty())),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_dgram.json", doc.render() + "\n") {
-        t.fail(format!("y: writing BENCH_dgram.json failed: {e}"));
-    }
-    t
-}
-
-/// One Table V workload: an engine, a fault scenario, and the
-/// open-loop load offered against it.
-struct RsmScenario {
-    engine: &'static str,
-    scenario: &'static str,
-    n: usize,
-    total_ops: u64,
-    batch_ops: usize,
-    rate: u64,
-    chaos: bool,
-    kill: bool,
-    seed: u64,
-}
-
-fn table_v_rsm() -> Table {
-    use afd_load::{LoadConfig, OpenLoopGen};
-    use afd_obs::Histogram;
-    use afd_rsm::{Command, NetSlotConfig, Rsm, RsmConfig};
-    use afd_runtime::{LinkFaults, LinkProfile};
-    use std::time::{Duration, Instant};
-
-    let smoke = std::env::var("SMOKE").is_ok();
-    let mut t = Table::new(
-        "v",
-        format!(
-            "Table V — replicated-log service under open-loop load (afd-rsm + afd-load){}",
-            if smoke { " (SMOKE)" } else { "" }
-        ),
-    );
-    t.meta_run("tcp", None);
-    t.columns(&[
-        "engine", "scenario", "n", "ops", "slots", "clients", "p50 (ms)", "p99 (ms)", "max (ms)",
-        "ops/sec", "checks",
-    ]);
-    // Full-run scenario grid sums to 106k client ops; SMOKE keeps the
-    // same shape at ~1/14 scale.
-    let ops = |full: u64, small: u64| if smoke { small } else { full };
-    let scenarios = [
-        RsmScenario {
-            engine: "threaded",
-            scenario: "no faults",
-            n: 3,
-            total_ops: ops(60_000, 4_000),
-            batch_ops: 2_000,
-            rate: 1_000_000,
-            chaos: false,
-            kill: false,
-            seed: 71,
-        },
-        RsmScenario {
-            engine: "threaded",
-            scenario: "no faults",
-            n: 5,
-            total_ops: ops(20_000, 1_500),
-            batch_ops: 1_500,
-            rate: 500_000,
-            chaos: false,
-            kill: false,
-            seed: 72,
-        },
-        RsmScenario {
-            engine: "threaded",
-            scenario: "chaos 30%",
-            n: 3,
-            total_ops: ops(8_000, 600),
-            batch_ops: 750,
-            rate: 200_000,
-            chaos: true,
-            kill: false,
-            seed: 73,
-        },
-        RsmScenario {
-            engine: "threaded",
-            scenario: "chaos 30% + leader Kill",
-            n: 3,
-            total_ops: ops(8_000, 600),
-            batch_ops: 750,
-            rate: 200_000,
-            chaos: true,
-            kill: true,
-            seed: 74,
-        },
-        RsmScenario {
-            engine: "distributed",
-            scenario: "no faults",
-            n: 3,
-            total_ops: ops(6_000, 400),
-            batch_ops: if smoke { 200 } else { 2_000 },
-            rate: 20_000,
-            chaos: false,
-            kill: false,
-            seed: 75,
-        },
-        RsmScenario {
-            engine: "distributed",
-            scenario: "leader SIGKILL",
-            n: 3,
-            total_ops: ops(4_000, 300),
-            batch_ops: if smoke { 300 } else { 2_000 },
-            rate: 20_000,
-            chaos: false,
-            kill: true,
-            seed: 76,
-        },
-    ];
-    let node_exe = std::env::current_exe()
-        .map(|p| p.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let mut rows_json: Vec<Json> = Vec::new();
-    let mut completed_total = 0u64;
-    for sc in &scenarios {
-        let label = format!("{} {} n={}", sc.engine, sc.scenario, sc.n);
-        let links = if sc.chaos {
-            LinkFaults::uniform(LinkProfile::lossy(0.30).with_dup(0.10).with_reorder(4))
-        } else {
-            LinkFaults::none()
-        };
-        let cfg = RsmConfig::new(Pi::new(sc.n))
-            .with_batch_ops(sc.batch_ops)
-            .with_seed(sc.seed)
-            .with_links(links);
-        let mut rsm = match Rsm::new(cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                t.fail(format!("v: {label}: config rejected: {e}"));
-                continue;
-            }
-        };
-        let net = NetSlotConfig {
-            node_command: vec![node_exe.clone()],
-            max_events: 6_000,
-            stall: Duration::from_secs(10),
-            wall: Duration::from_secs(120),
-        };
-        let mut gen = OpenLoopGen::new(LoadConfig::new(sc.rate, sc.total_ops).with_seed(sc.seed));
-        let metrics = Metrics::new();
-        let hist = metrics.histogram("rsm.latency_ns", Histogram::latency_ns_fine);
-        // Open loop: arrivals follow the configured rate; reads are
-        // served from the applied prefix immediately, writes ride the
-        // log and complete when their slot decides.
-        let start = Instant::now();
-        let mut arrivals: Vec<u64> = Vec::with_capacity(sc.total_ops as usize);
-        let mut reads = 0u64;
-        loop {
-            let now = start.elapsed().as_nanos() as u64;
-            for r in gen.poll(now) {
-                arrivals.push(r.arrival_ns);
-                if let Command::Get { key } = r.cmd {
-                    let _ = rsm.read(key);
-                    reads += 1;
-                    hist.observe(now.saturating_sub(r.arrival_ns).max(1));
-                } else {
-                    rsm.submit(r.id, r.cmd);
-                }
-            }
-            gen.note_backpressure(rsm.backlog_ops() as u64);
-            if rsm.backlog_ops() == 0 {
-                if gen.is_done() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            }
-            // Keep arming the kill until a slot actually witnesses it.
-            let kill_at = (sc.kill && rsm.crashed().is_empty()).then_some(25);
-            let outcome = if sc.engine == "distributed" {
-                rsm.run_slot_distributed(&net, kill_at)
-            } else {
-                rsm.run_slot_threaded(kill_at)
-            };
-            match outcome {
-                Some(out) => {
-                    let done = start.elapsed().as_nanos() as u64;
-                    for (id, _) in &out.ops {
-                        hist.observe(done.saturating_sub(arrivals[*id as usize]).max(1));
-                    }
-                }
-                None => break, // failure already recorded by the driver
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let completed = reads + rsm.ops_applied();
-        completed_total += completed;
-        let throughput = completed as f64 / elapsed;
-        let p50_ms = hist.quantile(0.5).map_or(0.0, |ns| ns / 1e6);
-        let p99_ms = hist.quantile(0.99).map_or(0.0, |ns| ns / 1e6);
-        let max_ms = hist.max() as f64 / 1e6;
-        let conformance = rsm.conformance();
-        let agreement = rsm.check_agreement();
-        let mut ok = true;
-        ok &= rsm.failures().is_empty();
-        if !rsm.failures().is_empty() {
-            t.fail(format!("v: {label}: driver failures: {:?}", rsm.failures()));
-        }
-        if let Err(v) = &conformance {
-            ok = false;
-            t.fail(format!("v: {label}: apply-order conformance violated: {v}"));
-        }
-        if let Err(e) = &agreement {
-            ok = false;
-            t.fail(format!("v: {label}: applied prefixes diverge: {e}"));
-        }
-        if completed != sc.total_ops {
-            ok = false;
-            t.fail(format!(
-                "v: {label}: completed {completed}/{} client ops",
-                sc.total_ops
-            ));
-        }
-        if sc.kill && rsm.crashed().len() != 1 {
-            ok = false;
-            t.fail(format!(
-                "v: {label}: expected exactly one killed replica, saw {}",
-                rsm.crashed().len()
-            ));
-        }
-        t.row(vec![
-            sc.engine.into(),
-            sc.scenario.into(),
-            sc.n.to_string(),
-            completed.to_string(),
-            rsm.slots_decided().to_string(),
-            gen.clients().to_string(),
-            format!("{p50_ms:.2}"),
-            format!("{p99_ms:.2}"),
-            format!("{max_ms:.2}"),
-            format!("{throughput:.0}"),
-            if ok { "✓" } else { "✗" }.to_string(),
-        ]);
-        rows_json.push(Json::Obj(vec![
-            ("engine".into(), Json::Str(sc.engine.into())),
-            ("scenario".into(), Json::Str(sc.scenario.into())),
-            ("n".into(), Json::Num(sc.n as f64)),
-            ("ops".into(), Json::Num(completed as f64)),
-            ("slots".into(), Json::Num(rsm.slots_decided() as f64)),
-            ("clients".into(), Json::Num(gen.clients() as f64)),
-            ("killed".into(), Json::Num(rsm.crashed().len() as f64)),
-            ("p50_ms".into(), Json::Num(p50_ms)),
-            ("p99_ms".into(), Json::Num(p99_ms)),
-            ("max_ms".into(), Json::Num(max_ms)),
-            ("ops_per_sec".into(), Json::Num(throughput)),
-            ("pass".into(), Json::Bool(ok)),
-        ]));
-    }
-    let target = if smoke { 7_000 } else { 100_000 };
-    if completed_total < target {
-        t.fail(format!(
-            "v: {completed_total} client ops completed across all scenarios, target {target}"
-        ));
-    }
-    t.note(format!(
-        "{completed_total} client ops total. Open-loop load: arrivals are interval-paced at the \
-         offered rate regardless of completions, so the backlog (and the latency tail) grows when \
-         slots fall behind; backpressure recruits virtual clients instead of slowing the rate. \
-         Reads are served from the longest live applied prefix; puts and cas ride the log, one \
-         Paxos(Ω) instance per slot. Kill scenarios SIGKILL the current leader mid-slot and the \
-         log heals by re-proposing the losing batches under the next leader.",
-    ));
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("rsm".into())),
-        (
-            "generated_by".into(),
-            Json::Str("experiments v (afd-repro)".into()),
-        ),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("total_ops".into(), Json::Num(completed_total as f64)),
-        ("rows".into(), Json::Arr(rows_json)),
-        ("pass".into(), Json::Bool(t.failures.is_empty())),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_rsm.json", doc.render() + "\n") {
-        t.fail(format!("v: writing BENCH_rsm.json failed: {e}"));
-    }
     t
 }
 
 /// Table W: where the time goes — afd-prof stage attribution for the
 /// threaded and distributed engines on the same A_self(Ω) workload,
-/// n ∈ {3, 8, 16}. Emits `BENCH_prof.json` (consumed by CI's
-/// bench-smoke job) and merged chrome://tracing timelines under
+/// n ∈ {3, 8, 16}. Also writes merged chrome://tracing timelines under
 /// `target/obs/` — for the distributed runs, one process lane per OS
 /// process (coordinator + every node), assembled from the Telemetry
 /// frames the nodes stream back over their command sockets.
 ///
-/// Gates: at n = 16 the spans must attribute ≥ 80% of busy time
-/// (Σ span durations over Σ per-lane first-to-last windows) on both
-/// engines, the dominant stage is named in the table and JSON, and on
-/// the threaded engine the recv-wait + sched-wait span count at
-/// n = 16 must stay within 10× of n = 8 (it was 68× under
-/// thread-per-automaton).
+/// Gates: every row has spans; at n = 16 the
+/// spans must attribute ≥ 80% of busy time (Σ span durations over
+/// Σ per-lane first-to-last windows) on both engines, with the
+/// dominant stage named in the table; and on the threaded engine the
+/// recv-wait + sched-wait span count at n = 16 must stay within 10×
+/// of n = 8 (it was 68× under thread-per-automaton).
 /// The threaded engine runs its hot-path configuration (fd pacing 0,
 /// as in Table T); the distributed engine runs its defaults (200 µs
 /// fd pacing, one node process per location, commits as TCP round
@@ -1946,11 +1365,9 @@ fn table_w_prof() -> Table {
         stats
     };
 
-    let mut rows_json: Vec<Json> = Vec::new();
     // (engine, n, dominant stage, coverage %) for the n = 16 gate.
     let mut summary: Vec<(&'static str, usize, String, f64)> = Vec::new();
     let emit_row = |t: &mut Table,
-                    rows_json: &mut Vec<Json>,
                     summary: &mut Vec<(&'static str, usize, String, f64)>,
                     engine: &'static str,
                     n: usize,
@@ -1976,6 +1393,9 @@ fn table_w_prof() -> Table {
             })
             .collect::<Vec<_>>()
             .join(", ");
+        if spans == 0 {
+            t.fail(format!("w: {engine} n={n}: the profiler recorded no span"));
+        }
         t.row(vec![
             engine.into(),
             n.to_string(),
@@ -1986,34 +1406,6 @@ fn table_w_prof() -> Table {
             dominant.clone(),
             top,
         ]);
-        rows_json.push(Json::Obj(vec![
-            ("engine".into(), Json::Str(engine.into())),
-            ("n".into(), Json::Num(n as f64)),
-            ("events".into(), Json::Num(events as f64)),
-            ("elapsed_ms".into(), Json::Num(elapsed_ms)),
-            ("spans".into(), Json::Num(spans as f64)),
-            ("coverage_pct".into(), Json::Num(cov.pct())),
-            ("dominant_stage".into(), Json::Str(dominant.clone())),
-            (
-                "stages".into(),
-                Json::Arr(
-                    stats
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("stage".into(), Json::Str(s.stage.name().into())),
-                                ("count".into(), Json::Num(s.count as f64)),
-                                ("total_ns".into(), Json::Num(s.total_ns as f64)),
-                                (
-                                    "pct_of_busy".into(),
-                                    Json::Num(100.0 * s.total_ns as f64 / wall),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]));
         summary.push((engine, n, dominant, cov.pct()));
     };
 
@@ -2050,7 +1442,6 @@ fn table_w_prof() -> Table {
         ));
         emit_row(
             &mut t,
-            &mut rows_json,
             &mut summary,
             "threaded",
             n,
@@ -2112,7 +1503,6 @@ fn table_w_prof() -> Table {
         let cov = afd_prof::coverage_merged(&m);
         emit_row(
             &mut t,
-            &mut rows_json,
             &mut summary,
             "distributed",
             usize::from(n),
@@ -2158,7 +1548,6 @@ fn table_w_prof() -> Table {
     // The n = 16 gate: the profile must explain ≥ 80% of busy time
     // and name the dominant stage on both engines.
     let required = 80.0;
-    let mut n16_json: Vec<(String, Json)> = Vec::new();
     for engine in ["threaded", "distributed"] {
         match summary.iter().find(|(e, n, _, _)| *e == engine && *n == 16) {
             Some((_, _, stage, cov)) => {
@@ -2171,13 +1560,6 @@ fn table_w_prof() -> Table {
                 t.note(format!(
                     "n=16 {engine}: {cov:.1}% of busy time attributed; dominant stage \
                      **{stage}**."
-                ));
-                n16_json.push((
-                    engine.into(),
-                    Json::Obj(vec![
-                        ("dominant_stage".into(), Json::Str(stage.clone())),
-                        ("coverage_pct".into(), Json::Num(*cov)),
-                    ]),
                 ));
             }
             None => t.fail(format!("w: no n=16 row for the {engine} engine")),
@@ -2201,9 +1583,8 @@ fn table_w_prof() -> Table {
     let (w8, w16) = (waits(8), waits(16));
     let wait_ratio = w16 as f64 / (w8.max(1)) as f64;
     let wait_max = 10.0;
-    let wait_pass = wait_ratio <= wait_max;
     let wait_verdict = t.check(
-        wait_pass,
+        wait_ratio <= wait_max,
         &format!("{wait_ratio:.2}× ✓ (≤ {wait_max}×)"),
         format!(
             "w: threaded n=16 emitted {w16} recv-wait+sched-wait spans vs {w8} at n=8 \
@@ -2220,38 +1601,16 @@ fn table_w_prof() -> Table {
          windows, per OS thread, per process. Merged timelines: \
          `target/obs/prof_threaded_n8.chrome.json` and \
          `target/obs/prof_distributed_n{3,8,16}.chrome.json` — load in \
-         chrome://tracing or https://ui.perfetto.dev; one process lane per OS process. \
-         Profiler cost: `cargo bench -p afd-bench --bench prof_overhead`.",
+         chrome://tracing or https://ui.perfetto.dev; one process lane per OS process.",
     );
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("prof-stage-attribution".into())),
-        (
-            "generated_by".into(),
-            Json::Str("experiments w (afd-repro)".into()),
-        ),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("required_min_coverage_pct".into(), Json::Num(required)),
-        ("rows".into(), Json::Arr(rows_json)),
-        ("n16".into(), Json::Obj(n16_json)),
-        (
-            "wait_gate".into(),
-            Json::Obj(vec![
-                ("n8_wait_spans".into(), Json::Num(w8 as f64)),
-                ("n16_wait_spans".into(), Json::Num(w16 as f64)),
-                ("ratio".into(), Json::Num(wait_ratio)),
-                ("required_max_ratio".into(), Json::Num(wait_max)),
-                ("pass".into(), Json::Bool(wait_pass)),
-            ]),
-        ),
-        ("pass".into(), Json::Bool(t.failures.is_empty())),
-    ]);
-    if let Err(e) = std::fs::write("BENCH_prof.json", doc.render() + "\n") {
-        t.fail(format!("w: writing BENCH_prof.json failed: {e}"));
-    }
     t
 }
 
+/// Table Q: detector quality of service, measured through the observer
+/// layer — post-crash leader-detection latency for Ω on the threaded
+/// runtime (with trace exports), and false-suspicion QoS for honest P
+/// vs noisy ◇P on the simulator.
 fn table_q_qos() -> Vec<Table> {
     use afd_obs::Fanout;
     use afd_runtime::{run_threaded, RuntimeConfig};

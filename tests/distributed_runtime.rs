@@ -11,7 +11,9 @@
 //! * a chaos-free run keeps per-channel FIFO;
 //! * a deployment that cannot come up — bad command, a node that exits
 //!   before `Hello`, a partial handshake — ends in a typed error at
-//!   once and leaves no node process behind, running or zombie.
+//!   once and leaves no node process behind, running or zombie;
+//! * a node whose coordinator goes away — before or after `Assign` —
+//!   exits on its own within seconds, with a documented status.
 //!
 //! Every run here spawns the real `afd-node` binary (via
 //! `CARGO_BIN_EXE_afd-node`) as its node processes.
@@ -22,6 +24,9 @@ use afd_core::{Action, Loc, Pi};
 use afd_net::coord::{NetConfig, NetFault, NetReport};
 use afd_net::{run_distributed, DeploymentSpec, FdKindSpec};
 use afd_runtime::{fifo_violation, LinkFaults, LinkProfile, StopReason};
+
+#[cfg(target_os = "linux")]
+mod common;
 
 fn node_cmd() -> Vec<String> {
     vec![env!("CARGO_BIN_EXE_afd-node").to_string()]
@@ -274,15 +279,19 @@ fn tcp_links_honour_configured_delay() {
 
 /// Deployment failure modes: whatever goes wrong while the nodes come
 /// up, `run_distributed` returns a typed error promptly and every node
-/// process it spawned is dead *and reaped*. Each test's node processes
-/// carry a unique marker in their argv, so the `/proc` scan sees only
-/// its own even with the rest of the suite spawning nodes in parallel.
+/// process it spawned is dead *and reaped* (`common::marked` finds
+/// each test's own nodes). And the other way round: a node whose
+/// coordinator vanishes does not linger.
 #[cfg(target_os = "linux")]
 mod failure_modes {
+    use std::net::TcpListener;
+    use std::process::{Command, ExitStatus};
     use std::time::Instant;
 
-    use afd_net::NetError;
+    use afd_net::codec::{read_frame, write_frame};
+    use afd_net::{NetError, WireMsg, ADDR_ENV, EPOCH_ENV, NODE_ID_ENV};
 
+    use super::common::{marked, marker};
     use super::*;
 
     fn spec() -> DeploymentSpec {
@@ -290,22 +299,6 @@ mod failure_modes {
             n: 3,
             fd: FdKindSpec::Omega,
         }
-    }
-
-    fn marker(test: &str) -> String {
-        format!("afd-failure-mode-{}-{test}", std::process::id())
-    }
-
-    /// Pids of live processes with `marker` among their arguments.
-    fn marked(marker: &str) -> Vec<u32> {
-        let dir = std::fs::read_dir("/proc").expect("/proc");
-        dir.filter_map(|e| {
-            let pid: u32 = e.ok()?.file_name().to_str()?.parse().ok()?;
-            let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).ok()?;
-            let mut args = cmdline.split(|&b| b == 0);
-            args.any(|arg| arg == marker.as_bytes()).then_some(pid)
-        })
-        .collect()
     }
 
     /// Is `pid` still a child of this process, in any state? A killed
@@ -385,5 +378,82 @@ mod failure_modes {
             assert!(!is_our_child(pid), "node {id} (pid {pid}) was not reaped");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Play coordinator by hand for one real `afd-node` (node 0,
+    /// epoch 0): accept its connection, read its `Hello`, answer with
+    /// a valid `Assign` if `assign`, then drop the socket — the
+    /// coordinator is gone. Returns the status the orphan exits with;
+    /// panics (after killing it) if it is still alive 2 s later.
+    fn orphaned_node_exit(test: &str, assign: bool) -> ExitStatus {
+        let marker = marker(test);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_afd-node"))
+            .arg(&marker)
+            .env(ADDR_ENV, &addr)
+            .env(NODE_ID_ENV, "0")
+            .env(EPOCH_ENV, "0")
+            .spawn()
+            .expect("spawn afd-node");
+        let (mut sock, _) = listener.accept().expect("node connects");
+        let hello = read_frame(&mut sock).expect("read Hello");
+        assert!(
+            matches!(
+                hello,
+                Some(WireMsg::Hello {
+                    node: 0,
+                    epoch: 0,
+                    udp_port: 0
+                })
+            ),
+            "got {hello:?}"
+        );
+        if assign {
+            let assign = WireMsg::Assign {
+                node: 0,
+                epoch: 0,
+                spec: spec(),
+                locations: vec![Loc(0)],
+                seed: 7,
+                wire_pacing_us: 0,
+                replay_len: 0,
+            };
+            write_frame(&mut sock, &assign).expect("write Assign");
+        }
+        drop(sock);
+        drop(listener);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("afd-node outlived its coordinator by 2 s (assign={assign})");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(marked(&marker), Vec::<u32>::new());
+        status
+    }
+
+    /// EOF on a running node's command socket is a stop: the reader
+    /// halts the engine exactly as a `Stop` frame would, the workers
+    /// drain, and the process exits 0 — the run is over as far as the
+    /// node can tell, and a coordinator that died cannot read a reason.
+    #[test]
+    fn node_exits_when_coordinator_dies_after_assign() {
+        let status = orphaned_node_exit("orphan-assigned", true);
+        assert_eq!(status.code(), Some(0), "{status:?}");
+    }
+
+    /// EOF before `Assign` is a protocol error ("coordinator closed
+    /// before Assign"): the node never ran anything, and exits 1.
+    #[test]
+    fn node_exits_when_coordinator_dies_before_assign() {
+        let status = orphaned_node_exit("orphan-unassigned", false);
+        assert_eq!(status.code(), Some(1), "{status:?}");
     }
 }

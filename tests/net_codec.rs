@@ -11,13 +11,23 @@
 //! fragments and duplicate transmissions are idempotent, and truncated
 //! datagrams or mid-fragment loss surface as typed
 //! [`afd_dgram::DgramError`]s.
+//!
+//! Both planes end in one long seeded fuzz loop: random byte strings
+//! and mutated valid encodings through every decoder, none of which may
+//! panic or allocate in proportion to a length field whose bytes it has
+//! not been given.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use afd_core::{Action, Ballot, FdOutput, Frame, Loc, LocSet, Msg};
-use afd_dgram::{fragment, DgramError, Reassembly, HDR_LEN};
+use afd_dgram::{fragment, ChannelDgramStats, DgramError, Reassembly, HDR_LEN};
 use afd_net::codec::{
     decode_action, decode_msg, encode_action, encode_msg, read_frame, write_frame, DecodeError,
+    MAX_FRAME,
 };
-use afd_net::{CommitStatus, DeploymentSpec, FdKindSpec, WireMsg};
+use afd_net::{CommitStatus, DeploymentSpec, FdKindSpec, WireLinkProfile, WireMsg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -744,9 +754,281 @@ fn dgram_mid_fragment_loss_is_typed() {
 #[test]
 fn oversized_frame_is_refused() {
     let mut wire = Vec::new();
-    wire.extend_from_slice(&(afd_net::codec::MAX_FRAME + 1).to_le_bytes());
+    wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
     wire.extend_from_slice(&[0u8; 16]);
     let mut cursor = std::io::Cursor::new(wire);
     let err = read_frame(&mut cursor).expect_err("oversized frame must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+// ---------------------------------------------------------------------
+// Long-loop decode fuzzing.
+// ---------------------------------------------------------------------
+
+/// The test binary's allocator: `System`, plus a per-thread record of
+/// the largest single request, so the fuzz loop can see what one
+/// decoder call asked for without seeing the other tests' threads.
+struct PeakAlloc;
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // `try_with`: threads still free memory while their locals die.
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+// SAFETY: every method hands its arguments to `System` unchanged and
+// returns what `System` returns; `note_alloc` only writes a
+// const-initialised, destructor-free thread-local and never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        // SAFETY: the caller's contract is `System.realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is `System.dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// The largest single allocation `f` (and dropping its result) asks
+/// for on this thread.
+fn peak_alloc_of<T>(f: impl FnOnce() -> T) -> usize {
+    PEAK.with(|p| p.set(0));
+    drop(f());
+    PEAK.with(Cell::get)
+}
+
+/// What a decoder may allocate at once for `len` input bytes. A count
+/// prefix is honoured up to the bytes that follow it (`Dec::seq_len`),
+/// and the widest element it can reserve for one such byte is a
+/// 96-byte per-channel stats row; the slack covers fixed-size nodes of
+/// the reassembler's maps.
+fn alloc_budget(len: usize) -> usize {
+    128 * len + 4096
+}
+
+/// Any control message, the two vector-heavy UDP frames included.
+fn rwire(rng: &mut StdRng) -> WireMsg {
+    let comp = rng.gen_range(0u32..64);
+    match rng.gen_range(0u32..9) {
+        0 => rtelemetry(rng),
+        1 => rhandshake(rng)[0].clone(),
+        2 => rhandshake(rng)[1].clone(),
+        3 => WireMsg::CommitReq {
+            comp,
+            action: raction(rng),
+        },
+        4 => WireMsg::Deliver {
+            comp,
+            action: raction(rng),
+        },
+        5 => WireMsg::CommitResp {
+            comp,
+            status: CommitStatus::Suppressed,
+        },
+        6 => WireMsg::Stop {
+            reason: "max-events Π".into(),
+        },
+        7 => WireMsg::UdpSetup {
+            node: comp,
+            peers: (0..rng.gen_range(0u32..5)).map(|i| (i, 4000)).collect(),
+            hosts: (0..rng.gen_range(0u32..5))
+                .map(|i| (rloc(rng), i))
+                .collect(),
+            profiles: (0..rng.gen_range(0u32..7))
+                .map(|_| {
+                    let w = WireLinkProfile {
+                        delay_ns: rval(rng),
+                        jitter_ns: rval(rng),
+                        drop_bits: rval(rng),
+                        dup_bits: rval(rng),
+                        reorder: rng.gen_range(0u32..9),
+                    };
+                    (rloc(rng), rloc(rng), w)
+                })
+                .collect(),
+        },
+        _ => WireMsg::DgramStats {
+            node: comp,
+            per_channel: (0..rng.gen_range(0u32..7))
+                .map(|_| {
+                    let s = ChannelDgramStats {
+                        sends: rval(rng),
+                        datagrams_tx: rval(rng),
+                        datagrams_rx: rval(rng),
+                        ..ChannelDgramStats::default()
+                    };
+                    (rloc(rng), rloc(rng), s)
+                })
+                .collect(),
+        },
+    }
+}
+
+/// The channel the fuzz loop's reassemblers listen on.
+const FUZZ_CHAN: (Loc, Loc) = (Loc(1), Loc(2));
+
+/// One well-formed input: a control payload, a bare action, one or two
+/// length-prefixed frames, or one datagram of a fragmented action.
+fn valid_encoding(rng: &mut StdRng, mtu: usize) -> Vec<u8> {
+    match rng.gen_range(0u32..4) {
+        0 => encode_msg(&rwire(rng)),
+        1 => encode_action(&raction(rng)),
+        2 => {
+            let mut wire = Vec::new();
+            for _ in 0..rng.gen_range(1u32..3) {
+                write_frame(&mut wire, &rwire(rng)).expect("write to a Vec");
+            }
+            wire
+        }
+        _ => {
+            let payload = encode_action(&raction(rng));
+            let seq = rng.gen_range(0u32..8);
+            let mut frags =
+                fragment(FUZZ_CHAN.0, FUZZ_CHAN.1, 0, seq, &payload, mtu).expect("fragment");
+            frags.swap_remove(rng.gen_range(0usize..frags.len()))
+        }
+    }
+}
+
+/// 1–4 byte flips, truncations and splices (a run of bytes from
+/// another valid encoding, inserted or written over).
+fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>, mtu: usize) {
+    for _ in 0..rng.gen_range(1u32..5) {
+        match rng.gen_range(0u32..3) {
+            0 if !bytes.is_empty() => {
+                let i = rng.gen_range(0usize..bytes.len());
+                bytes[i] ^= 1 << rng.gen_range(0u32..8);
+            }
+            1 => bytes.truncate(rng.gen_range(0usize..bytes.len() + 1)),
+            _ => {
+                let donor = valid_encoding(rng, mtu);
+                let lo = rng.gen_range(0usize..donor.len() + 1);
+                let hi = rng.gen_range(lo..donor.len() + 1);
+                let at = rng.gen_range(0usize..bytes.len() + 1);
+                let over = rng.gen_range(0usize..2) * (hi - lo);
+                let end = (at + over).min(bytes.len());
+                bytes.splice(at..end, donor[lo..hi].iter().copied());
+            }
+        }
+    }
+}
+
+/// Every decoder, 200 000 seeded inputs — uniformly random byte
+/// strings and mutated valid encodings — under `catch_unwind`: each
+/// outcome is `Ok` or a typed error, never a panic, and no call
+/// allocates beyond [`alloc_budget`] of the bytes it was given
+/// (`read_frame`: plus the one `MAX_FRAME`-capped payload buffer it
+/// reserves on the strength of a length prefix). Reassemblers live for
+/// 32 inputs, so fragments meet pending, completed and mismatching
+/// state; what one may allocate is budgeted against everything offered
+/// to it so far, since completing a transmission copies all of it.
+#[test]
+fn decoders_never_panic_or_overallocate() {
+    const INPUTS: usize = 200_000;
+    const ROUND: usize = 32;
+    let mut rng = StdRng::seed_from_u64(0xF0_22ED);
+    for round in 0..INPUTS / ROUND {
+        let mtu = [HDR_LEN + 1, HDR_LEN + 7, 64, 1200][round % 4];
+        let mut asm = Reassembly::new(FUZZ_CHAN.0, FUZZ_CHAN.1, 0, mtu);
+        let mut offered = 0usize;
+        for _ in 0..ROUND {
+            let bytes = if rng.gen_range(0u32..4) == 0 {
+                let max = if rng.gen_bool(0.05) { 4096 } else { 96 };
+                let len = rng.gen_range(0usize..max);
+                (0..len).map(|_| rng.gen_range(0u64..256) as u8).collect()
+            } else {
+                let mut bytes = valid_encoding(&mut rng, mtu);
+                mutate(&mut rng, &mut bytes, mtu);
+                bytes
+            };
+            offered += bytes.len();
+            let budget = alloc_budget(bytes.len());
+            let peaks = catch_unwind(AssertUnwindSafe(|| {
+                [
+                    ("decode_msg", peak_alloc_of(|| decode_msg(&bytes)), budget),
+                    (
+                        "decode_action",
+                        peak_alloc_of(|| decode_action(&bytes)),
+                        budget,
+                    ),
+                    (
+                        "read_frame",
+                        peak_alloc_of(|| {
+                            let mut r = std::io::Cursor::new(&bytes);
+                            while let Ok(Some(_)) = read_frame(&mut r) {}
+                        }),
+                        MAX_FRAME as usize + budget,
+                    ),
+                    (
+                        "afd_dgram::parse",
+                        peak_alloc_of(|| afd_dgram::parse(&bytes).is_ok()),
+                        budget,
+                    ),
+                    (
+                        "Reassembly::offer",
+                        peak_alloc_of(|| asm.offer(&bytes)),
+                        alloc_budget(offered),
+                    ),
+                    (
+                        "Reassembly::prune_stale",
+                        peak_alloc_of(|| asm.prune_stale(4)),
+                        alloc_budget(offered),
+                    ),
+                ]
+            }))
+            .unwrap_or_else(|_| panic!("a decoder panicked on input {bytes:02x?}"));
+            for (decoder, peak, budget) in peaks {
+                assert!(
+                    peak <= budget,
+                    "{decoder} asked for {peak} bytes at once (budget {budget}) on the \
+                     {}-byte input {bytes:02x?}",
+                    bytes.len()
+                );
+            }
+        }
+    }
+}
+
+/// Found by the loop above: a lone 16-byte header claiming 65 535
+/// fragments made the reassembler reserve a slot per *claimed*
+/// fragment — 1.5 MiB on the word of one datagram. Memory now follows
+/// the fragments that arrive.
+#[test]
+fn dgram_claimed_fragment_count_reserves_nothing() {
+    let mut dgram = fragment(Loc(1), Loc(2), 0, 7, b"", 1200)
+        .expect("fragment")
+        .remove(0);
+    dgram[12..14].copy_from_slice(&0u16.to_le_bytes());
+    dgram[14..16].copy_from_slice(&u16::MAX.to_le_bytes());
+    let mut asm = Reassembly::new(Loc(1), Loc(2), 0, 1200);
+    let mut outcome = None;
+    let peak = peak_alloc_of(|| outcome = Some(asm.offer(&dgram)));
+    // Fragment 0 of 65 535 with an empty payload: not the last, so its
+    // payload must fill the MTU.
+    assert_eq!(
+        outcome,
+        Some(Err(DgramError::Mismatch {
+            seq: 7,
+            field: "payload_len"
+        }))
+    );
+    assert!(peak <= alloc_budget(dgram.len()), "{peak} bytes at once");
 }

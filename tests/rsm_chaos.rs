@@ -6,10 +6,17 @@
 //! every applied prefix agrees byte-for-byte across replicas, every
 //! decided slot names a batch that was actually submitted (validity),
 //! and per-replica application is dense and strictly increasing.
+//!
+//! The last case holds the distributed engine to the same
+//! post-conditions: one afd-net deployment of real `afd-node`
+//! processes per slot, the leader's process SIGKILLed mid-run.
 
 use afd_core::Pi;
-use afd_rsm::{Command, Rsm, RsmConfig};
+use afd_rsm::{Command, Rsm, RsmConfig, SlotOutcome};
 use afd_runtime::{LinkFaults, LinkProfile};
+
+#[cfg(target_os = "linux")]
+mod common;
 
 /// The chaos profile of `tests/chaos_runtime.rs`: 30% loss, 10%
 /// duplication, reordering window 4, on every link.
@@ -17,26 +24,35 @@ fn chaos_links() -> LinkFaults {
     LinkFaults::uniform(LinkProfile::lossy(0.30).with_dup(0.10).with_reorder(4))
 }
 
-/// Drain `ops` puts through a chaotic log over `n` replicas, killing
-/// the current leader mid-slot `kills` times along the way.
-fn run_chaos_rsm(n: usize, ops: u64, batch_ops: usize, kills: usize, seed: u64) -> Rsm {
-    let mut rsm = Rsm::new(
-        RsmConfig::new(Pi::new(n))
-            .with_batch_ops(batch_ops)
-            .with_seed(seed)
-            .with_links(chaos_links()),
-    )
-    .expect("config fits the runtime capacity");
+/// Drain `ops` puts through the log `cfg` describes, one `run_slot`
+/// call per slot, killing the current leader mid-slot (at event
+/// `kill_at`) `kills` times along the way.
+fn drain(
+    cfg: RsmConfig,
+    ops: u64,
+    kills: usize,
+    kill_at: usize,
+    mut run_slot: impl FnMut(&mut Rsm, Option<usize>) -> Option<SlotOutcome>,
+) -> Rsm {
+    let mut rsm = Rsm::new(cfg).expect("config fits the runtime capacity");
     for r in 0..ops {
         rsm.submit(r, Command::Put { key: r % 7, val: r });
     }
     while !rsm.is_drained() {
         // Keep arming the kill until a slot actually witnesses it.
-        let kill_at = (rsm.crashed().len() < kills).then_some(20);
-        rsm.run_slot_threaded(kill_at)
-            .unwrap_or_else(|| panic!("slot failed under chaos: {:?}", rsm.failures()));
+        let kill_at = (rsm.crashed().len() < kills).then_some(kill_at);
+        run_slot(&mut rsm, kill_at).unwrap_or_else(|| panic!("slot failed: {:?}", rsm.failures()));
     }
     rsm
+}
+
+/// [`drain`] on the threaded engine under [`chaos_links`].
+fn run_chaos_rsm(n: usize, ops: u64, batch_ops: usize, kills: usize, seed: u64) -> Rsm {
+    let cfg = RsmConfig::new(Pi::new(n))
+        .with_batch_ops(batch_ops)
+        .with_seed(seed)
+        .with_links(chaos_links());
+    drain(cfg, ops, kills, 20, Rsm::run_slot_threaded)
 }
 
 /// The shared post-conditions: no driver failures, dense apply order,
@@ -107,5 +123,43 @@ fn n5_chaos_double_leader_kill_heals() {
     let live = rsm.leader().expect("a live majority remains");
     for dead in rsm.crashed().iter() {
         assert!(rsm.replica(dead).log.len() <= rsm.replica(live).log.len());
+    }
+}
+
+/// The distributed engine, clean links. Linux-only for the `/proc`
+/// scan that shows no node process outlives its slot.
+#[cfg(target_os = "linux")]
+mod distributed {
+    use std::time::Duration;
+
+    use afd_rsm::NetSlotConfig;
+
+    use super::common::{marked, marker};
+    use super::*;
+
+    /// 300 puts in 5 slots, each slot a deployment of three real
+    /// `afd-node` processes over loopback TCP, with a SIGKILL of the
+    /// leader's process armed at event 25 until a slot witnesses it.
+    /// Nothing else in tier-1 calls `Rsm::run_slot_distributed`; the
+    /// benchmark's `kv-tcp-kill` workload is built on it.
+    #[test]
+    fn n3_leader_sigkill_heals() {
+        let marker = marker("rsm-distributed");
+        let net = NetSlotConfig {
+            node_command: vec![env!("CARGO_BIN_EXE_afd-node").to_string(), marker.clone()],
+            max_events: 6_000,
+            stall: Duration::from_secs(10),
+            wall: Duration::from_secs(120),
+        };
+        let cfg = RsmConfig::new(Pi::new(3))
+            .with_batch_ops(60)
+            .with_seed(0xD0);
+        let rsm = drain(cfg, 300, 1, 25, |rsm, kill_at| {
+            rsm.run_slot_distributed(&net, kill_at)
+        });
+        assert_log_healthy(&rsm, 300);
+        assert_eq!(rsm.slots_decided(), 5, "300 puts at batch_ops=60 → 5 slots");
+        assert_eq!(rsm.crashed().len(), 1, "exactly one replica died");
+        assert_eq!(marked(&marker), Vec::<u32>::new());
     }
 }

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use afd_core::{Action, Ballot, FdOutput, Frame, Loc, LocSet, Msg};
 use afd_dgram::ChannelDgramStats;
-use afd_runtime::LinkProfile;
+use afd_runtime::{ChannelChaosStats, LinkProfile};
 
 use crate::deploy::{DeploymentSpec, FdKindSpec};
 
@@ -98,7 +98,7 @@ pub enum CommitStatus {
 
 /// A [`LinkProfile`] as it travels on the wire: durations in
 /// nanoseconds, probabilities as raw IEEE-754 bits so the message type
-/// stays `Eq` and the round-trip is bit-exact (the shaper's seeded
+/// stays `Eq` and the round-trip is bit-exact (a channel's seeded
 /// decision stream depends on the float bits, not an approximation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireLinkProfile {
@@ -168,7 +168,8 @@ pub enum WireMsg {
         spec: DeploymentSpec,
         /// The locations this node hosts.
         locations: Vec<Loc>,
-        /// The run seed (drives the UDP shapers' chaos streams).
+        /// The run seed (seeds the chaos streams of the channels a UDP
+        /// node hosts).
         seed: u64,
         /// Microseconds a worker sleeps before committing a `WireSend`
         /// (throttles stubborn retransmission; 0 = no pacing).
@@ -220,8 +221,8 @@ pub enum WireMsg {
     /// Coordinator → node, UDP deployments only, sent right after
     /// [`WireMsg::Assign`]: the datagram-plane wiring. Carries every
     /// node's UDP endpoint, the location → node hosting map, and the
-    /// per-channel link profiles the *sender* needs to run its seeded
-    /// ADD-channel shaper.
+    /// per-channel link profiles the node's engine runs the channels it
+    /// hosts (those whose destination it hosts) under.
     UdpSetup {
         /// Echo of the node id.
         node: u32,
@@ -233,15 +234,19 @@ pub enum WireMsg {
         profiles: Vec<(Loc, Loc, WireLinkProfile)>,
     },
     /// Node → coordinator, UDP deployments only, sent once while
-    /// winding down: the node's datagram-plane loss accounting, which
-    /// the coordinator merges into the run report's
-    /// [`afd_dgram::DgramStats`].
+    /// winding down: the node's datagram-plane loss accounting and the
+    /// chaos accounting of the channels it hosted, which the
+    /// coordinator merges into the run report's
+    /// [`afd_dgram::DgramStats`] and `ChaosReport`.
     DgramStats {
         /// The sending node's id.
         node: u32,
         /// Per-channel counters for every channel this node sent on or
         /// hosted.
         per_channel: Vec<(Loc, Loc, ChannelDgramStats)>,
+        /// Per-channel chaos decisions its engine drew (chaotic hosted
+        /// channels only).
+        chaos: Vec<(Loc, Loc, ChannelChaosStats)>,
     },
 }
 
@@ -594,10 +599,6 @@ fn put_link_profile(buf: &mut Vec<u8>, p: &WireLinkProfile) {
 }
 
 fn put_chan_dgram_stats(buf: &mut Vec<u8>, s: &ChannelDgramStats) {
-    put_u64(buf, s.sends);
-    put_u64(buf, s.injected_drop);
-    put_u64(buf, s.injected_dup);
-    put_u64(buf, s.held);
     put_u64(buf, s.datagrams_tx);
     put_u64(buf, s.frags_tx);
     put_u64(buf, s.datagrams_rx);
@@ -605,6 +606,13 @@ fn put_chan_dgram_stats(buf: &mut Vec<u8>, s: &ChannelDgramStats) {
     put_u64(buf, s.dup_frags);
     put_u64(buf, s.dup_datagrams);
     put_u64(buf, s.decode_errors);
+}
+
+fn put_chan_chaos_stats(buf: &mut Vec<u8>, s: &ChannelChaosStats) {
+    put_u64(buf, s.arrivals);
+    put_u64(buf, s.dropped);
+    put_u64(buf, s.duplicated);
+    put_u64(buf, s.held);
 }
 
 /// Encode a control message to its frame payload (without the length
@@ -712,7 +720,11 @@ pub fn encode_msg(m: &WireMsg) -> Vec<u8> {
                 put_link_profile(&mut buf, p);
             }
         }
-        WireMsg::DgramStats { node, per_channel } => {
+        WireMsg::DgramStats {
+            node,
+            per_channel,
+            chaos,
+        } => {
             put_u8(&mut buf, 11);
             put_u32(&mut buf, *node);
             put_u32(&mut buf, per_channel.len() as u32);
@@ -720,6 +732,12 @@ pub fn encode_msg(m: &WireMsg) -> Vec<u8> {
                 put_loc(&mut buf, *from);
                 put_loc(&mut buf, *to);
                 put_chan_dgram_stats(&mut buf, s);
+            }
+            put_u32(&mut buf, chaos.len() as u32);
+            for (from, to, s) in chaos {
+                put_loc(&mut buf, *from);
+                put_loc(&mut buf, *to);
+                put_chan_chaos_stats(&mut buf, s);
             }
         }
     }
@@ -1084,10 +1102,6 @@ impl<'a> Dec<'a> {
 
     fn chan_dgram_stats(&mut self) -> Result<ChannelDgramStats, DecodeError> {
         Ok(ChannelDgramStats {
-            sends: self.u64("ChannelDgramStats.sends")?,
-            injected_drop: self.u64("ChannelDgramStats.injected_drop")?,
-            injected_dup: self.u64("ChannelDgramStats.injected_dup")?,
-            held: self.u64("ChannelDgramStats.held")?,
             datagrams_tx: self.u64("ChannelDgramStats.datagrams_tx")?,
             frags_tx: self.u64("ChannelDgramStats.frags_tx")?,
             datagrams_rx: self.u64("ChannelDgramStats.datagrams_rx")?,
@@ -1095,6 +1109,15 @@ impl<'a> Dec<'a> {
             dup_frags: self.u64("ChannelDgramStats.dup_frags")?,
             dup_datagrams: self.u64("ChannelDgramStats.dup_datagrams")?,
             decode_errors: self.u64("ChannelDgramStats.decode_errors")?,
+        })
+    }
+
+    fn chan_chaos_stats(&mut self) -> Result<ChannelChaosStats, DecodeError> {
+        Ok(ChannelChaosStats {
+            arrivals: self.u64("ChannelChaosStats.arrivals")?,
+            dropped: self.u64("ChannelChaosStats.dropped")?,
+            duplicated: self.u64("ChannelChaosStats.duplicated")?,
+            held: self.u64("ChannelChaosStats.held")?,
         })
     }
 
@@ -1203,7 +1226,16 @@ impl<'a> Dec<'a> {
                 for _ in 0..n_chans {
                     per_channel.push((self.loc()?, self.loc()?, self.chan_dgram_stats()?));
                 }
-                Ok(WireMsg::DgramStats { node, per_channel })
+                let n_chaos = self.seq_len("DgramStats.chaos")?;
+                let mut chaos = Vec::with_capacity(n_chaos.min(4096));
+                for _ in 0..n_chaos {
+                    chaos.push((self.loc()?, self.loc()?, self.chan_chaos_stats()?));
+                }
+                Ok(WireMsg::DgramStats {
+                    node,
+                    per_channel,
+                    chaos,
+                })
             }
             tag => Err(DecodeError::BadTag {
                 what: "WireMsg",
@@ -1430,10 +1462,6 @@ mod tests {
                 Loc(0),
                 Loc(1),
                 afd_dgram::ChannelDgramStats {
-                    sends: 100,
-                    injected_drop: 30,
-                    injected_dup: 5,
-                    held: 2,
                     datagrams_tx: 75,
                     frags_tx: 80,
                     datagrams_rx: 70,
@@ -1441,6 +1469,16 @@ mod tests {
                     dup_frags: 1,
                     dup_datagrams: 3,
                     decode_errors: 1,
+                },
+            )],
+            chaos: vec![(
+                Loc(0),
+                Loc(1),
+                ChannelChaosStats {
+                    arrivals: 100,
+                    dropped: 30,
+                    duplicated: 5,
+                    held: 2,
                 },
             )],
         };

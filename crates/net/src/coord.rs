@@ -181,13 +181,12 @@ pub enum Transport {
     #[default]
     Tcp,
     /// Channels are hosted by the node hosting their destination and
-    /// `Send`s travel as real UDP datagrams (`afd-dgram` framing),
-    /// shaped by the sender's seeded ADD-channel shaper
-    /// ([`afd_dgram::AddShaper`]) so the configured [`LinkFaults`]
-    /// drop/dup/reorder plan replays on top of whatever the real
-    /// socket does. `delay`/`jitter` are ignored — real network
-    /// latency replaces the synthetic clock. Both plain (`Send`) and
-    /// stubborn wire (`WireSend`) channels ride the datagram plane, so
+    /// `Send`s travel as real UDP datagrams (`afd-dgram` framing). Each
+    /// reassembled `Send` is one arrival at the hosting node's engine,
+    /// whose chaos activation draws its seeded drop/dup/reorder fate
+    /// exactly as the coordinator's engine does under TCP, on top of
+    /// whatever the real socket does. Both plain (`Send`) and stubborn
+    /// wire (`WireSend`) channels ride the datagram plane, so
     /// `ReliablePaxos` retransmits over genuinely lossy sockets.
     /// Scripted partitions and crash recovery need the router data
     /// plane and are rejected at config validation.
@@ -211,12 +210,10 @@ pub struct NetConfig {
     pub seed: u64,
     /// Scripted crashes.
     pub faults: Vec<NetFault>,
-    /// Per-channel link profiles. Drop/dup/reorder replay the seeded
-    /// chaos plan on either transport. `delay`/`jitter` are honoured
-    /// by [`Transport::Tcp`] exactly as by the threaded engine (the
-    /// channel's activation sleeps before each delivery commits) and
-    /// ignored by [`Transport::Udp`], where real socket latency takes
-    /// their place.
+    /// Per-channel link profiles, run by the channel's activation on
+    /// either transport exactly as by the threaded engine: drop/dup/
+    /// reorder replay the seeded chaos plan, and `delay`/`jitter` sleep
+    /// before each delivery commits.
     pub links: LinkFaults,
     /// Scripted network partitions over the event clock.
     pub partitions: Vec<Partition>,
@@ -434,7 +431,9 @@ pub struct NetReport {
     pub events: usize,
     /// Online + post-hoc check verdicts.
     pub checks: Vec<NetCheck>,
-    /// Realized per-channel chaos accounting.
+    /// Realized per-channel chaos accounting, merged from the engines
+    /// that hosted the channels (the coordinator's under TCP, the
+    /// destination nodes' under UDP).
     pub chaos: ChaosReport,
     /// The up-front seeded chaos plan (JSONL), a pure function of
     /// `(seed, links, pi)` — byte-identical across same-seed runs.
@@ -449,10 +448,9 @@ pub struct NetReport {
     /// Recovery QoS, present when [`NetConfig::recovery`] was set.
     pub recovery: Option<RecoveryReport>,
     /// Datagram-plane accounting (sender + receiver halves merged per
-    /// channel), present when the run used [`Transport::Udp`]. The
-    /// [`NetReport::chaos`] report is synthesized from the shaper half
-    /// of these counters so same-seed UDP and TCP runs expose the same
-    /// injected-chaos surface.
+    /// channel), present when the run used [`Transport::Udp`]: organic
+    /// socket loss, apart from the injected faults in
+    /// [`NetReport::chaos`].
     pub dgram: Option<DgramStats>,
 }
 
@@ -535,11 +533,23 @@ pub fn run_distributed(spec: &DeploymentSpec, cfg: &NetConfig) -> Result<NetRepo
             )));
         }
     }
+    // The coordinator's engine config: the link and partition script
+    // every hosted channel runs, validated before any node is spawned.
+    let rcfg = RuntimeConfig {
+        seed: cfg.seed,
+        links: cfg.links.clone(),
+        partitions: cfg.partitions.clone(),
+        fd_pacing: cfg.fd_pacing,
+        ..RuntimeConfig::default()
+    };
+    rcfg.validate(pi)
+        .map_err(|e| NetError::Config(e.to_string()))?;
     visit_system(
         spec,
         CoordLoop {
             spec: spec.clone(),
             cfg: cfg.clone(),
+            rcfg,
             pi,
         },
     )
@@ -574,6 +584,9 @@ struct NodeSlot {
     /// Datagram-plane accounting shipped at shutdown, appended by the
     /// node's reader thread only.
     dgram: Mutex<DgramStats>,
+    /// Chaos accounting of the channels the node hosted, shipped with
+    /// its datagram accounting.
+    chaos: Mutex<ChaosReport>,
     /// The latest incarnation's process. Dropping the slot kills and
     /// reaps it, so no return path out of a run — early `?` included —
     /// leaves a node process behind.
@@ -591,6 +604,7 @@ impl NodeSlot {
             respawns: AtomicU32::new(0),
             telemetry: Mutex::new(afd_prof::Report::default()),
             dgram: Mutex::new(DgramStats::default()),
+            chaos: Mutex::new(ChaosReport::default()),
             child: Mutex::new(None),
         }
     }
@@ -891,8 +905,8 @@ impl CommitPort for Fabric<'_> {
 
     fn forward(&self, target: usize, a: Action) {
         // Under UDP the sender node transmits the committed `Send` to
-        // the destination node's datagram socket itself (after
-        // shaping); a `Deliver` frame here would double-deliver.
+        // the destination node's datagram socket itself; a `Deliver`
+        // frame here would double-deliver.
         if self.dgram_skip[target] && matches!(a, Action::Send { .. } | Action::WireSend { .. }) {
             return;
         }
@@ -1155,6 +1169,8 @@ fn recovery_gated(
 struct CoordLoop {
     spec: DeploymentSpec,
     cfg: NetConfig,
+    /// The engine config `run_distributed` validated.
+    rcfg: RuntimeConfig,
     pi: Pi,
 }
 
@@ -1166,7 +1182,12 @@ impl SystemVisitor for CoordLoop {
         P: Automaton<Action = Action> + Sync,
         P::State: Send,
     {
-        let CoordLoop { spec, cfg, pi } = self;
+        let CoordLoop {
+            spec,
+            cfg,
+            rcfg,
+            pi,
+        } = self;
         let comps = sys.composition.components();
         let kinds = sys.component_kinds();
         let nodes = cfg.nodes as usize;
@@ -1246,13 +1267,6 @@ impl SystemVisitor for CoordLoop {
 
         // The engine hosts everything no node does, bar the crash
         // automaton (the injector below plays the fault script).
-        let rcfg = RuntimeConfig {
-            seed: cfg.seed,
-            links: cfg.links.clone(),
-            partitions: cfg.partitions.clone(),
-            fd_pacing: cfg.fd_pacing,
-            ..RuntimeConfig::default()
-        };
         let eng: CoordEngine<'_, P> = Engine::new(
             comps,
             &kinds,
@@ -1304,11 +1318,12 @@ impl SystemVisitor for CoordLoop {
             }
             all
         });
-        // UDP runs synthesize the chaos surface from the shapers'
-        // injected decisions; TCP runs take the engine's accounting.
-        let chaos = dgram
-            .as_ref()
-            .map_or_else(|| eng.chaos_report(), DgramStats::to_chaos_report);
+        // Every channel ran on exactly one engine — ours, or (UDP) its
+        // destination node's — so the per-channel reports are disjoint.
+        let mut chaos = eng.chaos_report();
+        for slot in &launch.slots {
+            chaos.per_channel.append(&mut lock(&slot.chaos).per_channel);
+        }
         let telemetry = cfg.profiling.then(|| {
             // Coordinator threads flushed on scope exit; grab whatever
             // the main thread still buffers, then merge with each
@@ -1605,13 +1620,18 @@ fn harvest(slot: &NodeSlot, msg: WireMsg) -> Option<WireMsg> {
         }
         // Sender and receiver halves of a channel arrive from different
         // nodes; the report-time merge sums them.
-        WireMsg::DgramStats { per_channel, .. } => {
+        WireMsg::DgramStats {
+            per_channel, chaos, ..
+        } => {
             let mut incoming = DgramStats::default();
             for (from, to, s) in per_channel {
                 let e = incoming.per_channel.entry((from, to)).or_default();
                 *e = e.merged(s);
             }
             lock(&slot.dgram).merge(&incoming);
+            lock(&slot.chaos)
+                .per_channel
+                .extend(chaos.into_iter().map(|(from, to, s)| ((from, to), s)));
             None
         }
         other => Some(other),

@@ -25,10 +25,12 @@
 //! plan.
 //!
 //! Selecting [`Transport::Udp`] moves the node↔node *data* channels
-//! onto real `std::net::UdpSocket`s (`afd-dgram` framing, sender-side
-//! ADD shapers driven by the same seeded chaos stream) while the
+//! onto real `std::net::UdpSocket`s (`afd-dgram` framing) while the
 //! control plane — commits, crash injection, stop, telemetry — stays
-//! on TCP. See `DESIGN.md` §14.
+//! on TCP. Each channel then runs on the engine of the node hosting its
+//! destination, whose chaos activation draws the same seeded decision
+//! stream per arriving datagram: still one interpreter of the plan.
+//! See `DESIGN.md` §14.
 //!
 //! # Commit protocol
 //!

@@ -29,8 +29,8 @@ use std::thread;
 use std::time::Duration;
 
 use afd_core::{Action, Loc};
-use afd_dgram::{AddShaper, DgramStats, Reassembly, DEFAULT_MTU};
-use afd_runtime::{Commit, CommitPort, Engine, LinkProfile, RuntimeConfig, StopReason};
+use afd_dgram::{DgramStats, Reassembly, DEFAULT_MTU};
+use afd_runtime::{Commit, CommitPort, Engine, LinkFaults, LinkProfile, RuntimeConfig, StopReason};
 use afd_system::{ComponentKind, System};
 use ioa::Automaton;
 
@@ -189,7 +189,9 @@ pub fn serve(addr: &str, id: u32) -> Result<(), NetError> {
              I am node {id} epoch {epoch}"
         )));
     }
-    // UDP deployments: the datagram-plane wiring follows the Assign.
+    // UDP deployments: the datagram-plane wiring follows the Assign,
+    // with the link profiles of the channels this node will host.
+    let mut links = LinkFaults::none();
     let udp = match dgram_sock {
         Some(socket) => {
             let setup = read_frame(&mut stream)?
@@ -210,7 +212,10 @@ pub fn serve(addr: &str, id: u32) -> Result<(), NetError> {
                     "UdpSetup addressed to node {setup_node}, I am {id}"
                 )));
             }
-            Some(UdpPlan::new(socket, &peers, &hosts, &profiles, seed)?)
+            for (from, to, w) in profiles {
+                links = links.with_override(from, to, LinkProfile::from(w));
+            }
+            Some(UdpPlan::new(socket, &peers, &hosts)?)
         }
         None => None,
     };
@@ -219,7 +224,12 @@ pub fn serve(addr: &str, id: u32) -> Result<(), NetError> {
         NodeLoop {
             stream,
             hosted,
-            wire_pacing: Duration::from_micros(wire_pacing_us),
+            cfg: RuntimeConfig {
+                seed,
+                links,
+                wire_pacing: Duration::from_micros(wire_pacing_us),
+                ..RuntimeConfig::default()
+            },
             node: id,
             replay_len,
             udp,
@@ -229,18 +239,13 @@ pub fn serve(addr: &str, id: u32) -> Result<(), NetError> {
 
 /// The datagram-plane wiring a UDP node derives from
 /// [`WireMsg::UdpSetup`]: its bound socket, every peer's loopback
-/// endpoint, the location hosting map, and per-channel link profiles.
+/// endpoint, and the location hosting map.
 struct UdpPlan {
     socket: UdpSocket,
     /// Peer UDP endpoints, indexed by node id.
     peers: Vec<SocketAddr>,
     /// Hosting node id per location index.
     host_of: BTreeMap<Loc, u32>,
-    /// Configured shaper profile per directed channel.
-    profiles: BTreeMap<(Loc, Loc), LinkProfile>,
-    /// The run seed — the shapers' chaos streams are a pure function
-    /// of `(seed, from, to)`, exactly like the engines'.
-    seed: u64,
 }
 
 impl UdpPlan {
@@ -248,8 +253,6 @@ impl UdpPlan {
         socket: UdpSocket,
         peers: &[(u32, u16)],
         hosts: &[(Loc, u32)],
-        profiles: &[(Loc, Loc, crate::codec::WireLinkProfile)],
-        seed: u64,
     ) -> Result<Self, NetError> {
         let n_nodes = peers
             .iter()
@@ -269,11 +272,6 @@ impl UdpPlan {
             socket,
             peers: addrs,
             host_of: hosts.iter().copied().collect(),
-            profiles: profiles
-                .iter()
-                .map(|&(from, to, w)| ((from, to), LinkProfile::from(w)))
-                .collect(),
-            seed,
         })
     }
 }
@@ -287,30 +285,25 @@ const DGRAM_PRUNE_EVERY: u64 = 128;
 /// transmissions this far behind the newest seq are declared lost.
 const DGRAM_PRUNE_WINDOW: u32 = 512;
 
-/// The live datagram plane of one UDP node: sender-side ADD shapers
-/// for every channel our processes transmit on, plus the component
-/// index of every channel we host (destination side) so the receive
-/// loop can route completed payloads into the right inbox.
+/// The live datagram plane of one UDP node: the socket our processes
+/// transmit their committed `Send`s on, plus the component index of
+/// every channel we host (destination side) so the receive loop can
+/// route completed payloads into the right inbox.
 struct UdpRt {
     plan: UdpPlan,
     /// Global component index per hosted (destination-side) channel.
     chan_comp: BTreeMap<(Loc, Loc), usize>,
-    /// Sender-side shapers, created lazily on the first committed
-    /// `Send` per channel. Per-channel sends are totally ordered by
-    /// the commit protocol and shaped under this lock immediately
-    /// after acceptance, so the k-th send always meets the k-th chaos
-    /// decision — same seed, same plan, regardless of scheduling.
-    shapers: Mutex<BTreeMap<(Loc, Loc), AddShaper>>,
-    /// Receiver-side accounting folded out of the reassembly tables
-    /// when the receive loop exits.
-    rx_stats: Mutex<DgramStats>,
+    /// Both halves of the datagram accounting: transmissions per
+    /// channel we send on (whose `datagrams_tx` is also the channel's
+    /// next sequence number), and the reassembly tables' counters,
+    /// folded in when the receive loop exits.
+    stats: Mutex<DgramStats>,
 }
 
 impl UdpRt {
-    /// Shape one committed `Send` through the channel's ADD shaper and
-    /// transmit the surviving datagrams over the real socket. Loss is
-    /// silent by design: a dropped datagram simply means the hosted
-    /// channel automaton never consumes this `Send`.
+    /// Transmit one committed `Send` to the destination's socket under
+    /// the channel's next sequence number. No fault is injected here:
+    /// the destination channel's activation draws this arrival's fate.
     fn transmit_send(&self, a: &Action, from: Loc, to: Loc) {
         let Some(&host) = self.plan.host_of.get(&to) else {
             return;
@@ -319,28 +312,14 @@ impl UdpRt {
             return;
         };
         let payload = encode_action(a);
-        let mut shapers = lock(&self.shapers);
-        let shaper = shapers.entry((from, to)).or_insert_with(|| {
-            AddShaper::new(
-                self.plan.seed,
-                from,
-                to,
-                self.plan
-                    .profiles
-                    .get(&(from, to))
-                    .copied()
-                    .unwrap_or_default(),
-                0,
-                DEFAULT_MTU,
-            )
-        });
-        if let Ok(dgrams) = shaper.send(&payload) {
-            afd_prof::gauge_sampled(
-                afd_prof::GaugeKind::ChannelBacklog,
-                shaper.held_len() as u64,
-                64,
-            );
-            for d in dgrams {
+        let mut stats = lock(&self.stats);
+        let s = stats.per_channel.entry((from, to)).or_default();
+        // The header's seq is 32 bits and wraps, as the receiver expects.
+        let seq = s.datagrams_tx as u32;
+        if let Ok(frags) = afd_dgram::fragment(from, to, 0, seq, &payload, DEFAULT_MTU) {
+            s.datagrams_tx += 1;
+            s.frags_tx += frags.len() as u64;
+            for d in frags {
                 let _ = self.plan.socket.send_to(&d, dest);
             }
         }
@@ -405,46 +384,20 @@ impl UdpRt {
             }
             rx.done();
         }
-        let mut stats = lock(&self.rx_stats);
+        let mut stats = lock(&self.stats);
         for ((from, to), r) in asm {
             let slot = stats.per_channel.entry((from, to)).or_default();
             *slot = slot.merged(r.stats);
         }
-    }
-
-    /// Flush shaper reorder buffers (best-effort straggler transmit)
-    /// and fold both halves of the accounting — sender shapers and
-    /// receiver reassembly — into one [`DgramStats`] for the
-    /// coordinator.
-    fn flush_and_stats(&self) -> DgramStats {
-        let mut out = DgramStats::default();
-        {
-            let mut shapers = lock(&self.shapers);
-            for (&(from, to), shaper) in shapers.iter_mut() {
-                let stragglers = shaper.flush();
-                if let Some(&dest) = self
-                    .plan
-                    .host_of
-                    .get(&to)
-                    .and_then(|&host| self.plan.peers.get(host as usize))
-                {
-                    for d in stragglers {
-                        let _ = self.plan.socket.send_to(&d, dest);
-                    }
-                }
-                let slot = out.per_channel.entry((from, to)).or_default();
-                *slot = slot.merged(shaper.stats);
-            }
-        }
-        out.merge(&lock(&self.rx_stats));
-        out
     }
 }
 
 struct NodeLoop {
     stream: TcpStream,
     hosted: Vec<afd_core::Loc>,
-    wire_pacing: Duration,
+    /// The engine's config: the run seed, the wire pacing, and (UDP
+    /// only) the link profiles of the hosted channels.
+    cfg: RuntimeConfig,
     node: u32,
     /// Committed-prefix replay length promised by `Assign` (0 on a
     /// first incarnation).
@@ -498,7 +451,7 @@ impl SystemVisitor for NodeLoop {
         let NodeLoop {
             stream,
             hosted,
-            wire_pacing,
+            cfg,
             node,
             replay_len,
             udp,
@@ -507,8 +460,9 @@ impl SystemVisitor for NodeLoop {
         let comps = sys.composition.components();
         // Hosted components: our process automata, plus — under UDP —
         // every channel whose destination we host (its datagrams land
-        // on our socket; its `Receive` proposals ride our commit
-        // pipeline).
+        // on our socket as arrivals, whose drop/dup/reorder fate the
+        // engine's chaos activation draws; its `Receive` proposals ride
+        // our commit pipeline).
         let is_udp = udp.is_some();
         let hosts = |k: ComponentKind| match k {
             ComponentKind::Process(l) => hosted.contains(&l),
@@ -529,8 +483,7 @@ impl SystemVisitor for NodeLoop {
                     _ => None,
                 })
                 .collect(),
-            shapers: Mutex::new(BTreeMap::new()),
-            rx_stats: Mutex::new(DgramStats::default()),
+            stats: Mutex::new(DgramStats::default()),
             plan,
         });
 
@@ -542,12 +495,6 @@ impl SystemVisitor for NodeLoop {
             resp_cv: Condvar::new(),
             node,
             udp: udp_rt.as_ref(),
-        };
-        // Link shaping under UDP is the sender-side `AddShaper`'s job,
-        // so hosted channels run with clean profiles here.
-        let cfg = RuntimeConfig {
-            wire_pacing,
-            ..RuntimeConfig::default()
         };
         let eng = Engine::new(comps, &kinds, hosts, &port, &cfg);
 
@@ -618,17 +565,22 @@ impl SystemVisitor for NodeLoop {
                 s.spawn(move || eng.run_worker(k));
             }
         });
+        let chaos = eng.chaos_report();
         drop(eng);
         let writer = port.writer;
-        // UDP: flush shaper reorder buffers and ship the datagram-
-        // plane accounting (sender + receiver halves) before the
+        // UDP: ship the datagram-plane accounting (sender + receiver
+        // halves) and the hosted channels' chaos accounting before the
         // socket closes; the coordinator's post-stop harvest loop
-        // merges it into the run report.
+        // merges both into the run report.
         if let Some(rt) = udp_rt.as_ref() {
-            let stats = rt.flush_and_stats();
             let msg = WireMsg::DgramStats {
                 node,
-                per_channel: stats
+                per_channel: lock(&rt.stats)
+                    .per_channel
+                    .iter()
+                    .map(|(&(from, to), &s)| (from, to, s))
+                    .collect(),
+                chaos: chaos
                     .per_channel
                     .iter()
                     .map(|(&(from, to), &s)| (from, to, s))
@@ -715,10 +667,10 @@ impl CommitPort for NodePort<'_> {
         match status {
             CommitStatus::Accepted => {
                 // UDP data plane: a committed `Send` (or stubborn
-                // `WireSend`) goes out over the real socket, shaped by
-                // the channel's ADD shaper. The coordinator skipped
-                // routing it to the channel — the datagram (if it
-                // survives) is the only copy.
+                // `WireSend`) goes out over the real socket to the
+                // node hosting the channel. The coordinator skipped
+                // routing it there — the datagram (if the socket
+                // delivers it) is the only copy.
                 if let Some(rt) = self.udp {
                     if let Action::Send { from, to, .. } | Action::WireSend { from, to, .. } = a {
                         let tx = afd_prof::span(afd_prof::Stage::NetDgramSend);

@@ -34,7 +34,7 @@
 //! * **Spans** ([`Stage`]): a start timestamp plus a duration, scoped
 //!   by the RAII [`SpanGuard`] returned from [`span`].
 //! * **Gauges** ([`GaugeKind`]): a sampled value at a timestamp —
-//!   sink queue depth, per-channel backlog, commit batch size —
+//!   sink queue depth, per-channel backlog, ready-queue depth —
 //!   recorded by [`gauge`] or decimated by [`gauge_sampled`].
 //!
 //! [`drain`] collects everything into a [`Report`]; [`merge`] combines
@@ -89,8 +89,8 @@ pub enum Stage {
     /// Routing a committed action: fan-out into target inboxes plus
     /// executor enqueue.
     Route = 14,
-    /// Node side (UDP transport): shaping + fragmenting + transmitting
-    /// a committed send as datagrams.
+    /// Node side (UDP transport): fragmenting + transmitting a
+    /// committed send as datagrams.
     NetDgramSend = 15,
     /// Node side (UDP transport): reassembling + decoding a received
     /// datagram into a channel input.
@@ -161,21 +161,18 @@ pub enum GaugeKind {
     SinkDepth = 0,
     /// Queued arrivals inside one chaos channel worker.
     ChannelBacklog = 1,
-    /// Actions committed under one sink-lock acquisition.
-    CommitBatch = 2,
     /// Ready components queued on one executor shard at pop time.
-    ReadyQueueDepth = 3,
+    ReadyQueueDepth = 2,
 }
 
 /// Number of distinct [`GaugeKind`]s.
-pub const GAUGE_COUNT: usize = 4;
+pub const GAUGE_COUNT: usize = 3;
 
 impl GaugeKind {
     /// All gauges, in discriminant order.
     pub const ALL: [GaugeKind; GAUGE_COUNT] = [
         GaugeKind::SinkDepth,
         GaugeKind::ChannelBacklog,
-        GaugeKind::CommitBatch,
         GaugeKind::ReadyQueueDepth,
     ];
 
@@ -185,7 +182,6 @@ impl GaugeKind {
         match self {
             GaugeKind::SinkDepth => "sink-depth",
             GaugeKind::ChannelBacklog => "channel-backlog",
-            GaugeKind::CommitBatch => "commit-batch",
             GaugeKind::ReadyQueueDepth => "ready-queue-depth",
         }
     }
@@ -882,7 +878,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
             s.done();
         }
-        gauge(GaugeKind::CommitBatch, 7);
+        gauge(GaugeKind::ReadyQueueDepth, 7);
         let report = drain();
         disable();
         assert_eq!(report.lanes.len(), 1);
@@ -891,8 +887,8 @@ mod tests {
         assert_eq!(stats[Stage::Step as usize].count, 1);
         assert!(stats[Stage::Step as usize].total_ns >= 100_000);
         let gs = gauge_stats(&report.recs);
-        assert_eq!(gs[GaugeKind::CommitBatch as usize].count, 1);
-        assert_eq!(gs[GaugeKind::CommitBatch as usize].sum, 7);
+        assert_eq!(gs[GaugeKind::ReadyQueueDepth as usize].count, 1);
+        assert_eq!(gs[GaugeKind::ReadyQueueDepth as usize].sum, 7);
         let cov = coverage(&report);
         assert!(cov.attributed_ns > 0 && cov.wall_ns >= cov.attributed_ns);
         assert!(cov.pct() > 0.0);

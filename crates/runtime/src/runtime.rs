@@ -849,7 +849,8 @@ where
 /// The adversarial channel activation: like the task sweep for a
 /// channel component, but every consumed arrival draws a chaos
 /// decision (drop/dup/hold) and scripted partitions gate delivery.
-/// The only consumer of [`ChannelChaos::next`] on a commit path.
+/// The only consumer of [`ChannelChaos::next`] on any run path —
+/// threaded, TCP-coordinator and UDP-node channels alike.
 fn activate_chaos<P, C>(
     eng: &Engine<'_, P, C>,
     idx: usize,

@@ -299,32 +299,7 @@ impl EventSink {
 
     /// Attempt to append `a` to the log.
     pub fn try_commit(&self, a: Action) -> Commit {
-        let (accepted, status) = self.try_commit_batch(std::slice::from_ref(&a));
-        if accepted == 1 {
-            Commit::Accepted
-        } else {
-            status
-        }
-    }
-
-    /// Attempt to append a *batch* of actions under one lock
-    /// acquisition: a speculative chain of locally-controlled actions
-    /// from a single worker (each enabled in the state produced by its
-    /// predecessors). Committing them back to back is a legal
-    /// scheduling choice — the worker's component state only changes
-    /// through the worker itself, and routed inputs wait in its queue.
-    ///
-    /// Returns `(accepted, status)`: the first `accepted` actions are
-    /// in the log (the committer must step + route exactly those, in
-    /// order); `status` is `Accepted` when the whole batch landed, or
-    /// the fate of the first rejected action. A crash cannot land
-    /// between two actions of a batch (crash commits take the same
-    /// lock), so suppression always rejects from the batch's first
-    /// action of the crashed location onward.
-    pub fn try_commit_batch(&self, actions: &[Action]) -> (usize, Commit) {
-        let mut accepted = 0usize;
-        let mut status = Commit::Accepted;
-        {
+        let status = {
             // Uncontended fast path: no commit-wait span (there was no
             // wait), and only the lock-hold probe's single clock read
             // lands inside the critical section. On contention the
@@ -343,16 +318,11 @@ impl EventSink {
                     (g, wait.handoff(afd_prof::Stage::LockHold))
                 }
             };
-            let now_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for &a in actions {
-                if g.stop.is_some() {
-                    status = Commit::Stopped;
-                    break;
-                }
-                if self.is_suppressed(&a) {
-                    status = Commit::Suppressed;
-                    break;
-                }
+            let status = if g.stop.is_some() {
+                Commit::Stopped
+            } else if self.is_suppressed(&a) {
+                Commit::Suppressed
+            } else {
                 match a {
                     Action::Crash(l) => {
                         let w = &self.crashed[usize::from(l.0) >> 6];
@@ -366,26 +336,25 @@ impl EventSink {
                     }
                     _ => {}
                 }
+                let now_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 g.log.push(a);
                 if self.needs_drain {
                     g.stamps.push(now_ns);
                 }
-                accepted += 1;
                 if g.log.len() >= self.max_events {
                     g.stop = Some(StopReason::MaxEvents);
                     self.stopped.store(true, Ordering::Release);
                 }
-            }
-            if accepted > 0 {
                 self.len.store(g.log.len(), Ordering::Release);
                 self.last_commit_ns.store(now_ns, Ordering::Relaxed);
-            }
+                Commit::Accepted
+            };
             drop(g);
             hold.done();
-        }
-        if accepted > 0 {
+            status
+        };
+        if status == Commit::Accepted {
             self.notify_len_watch();
-            afd_prof::gauge_sampled(afd_prof::GaugeKind::CommitBatch, accepted as u64, 64);
             if self.needs_drain {
                 afd_prof::gauge_sampled(
                     afd_prof::GaugeKind::SinkDepth,
@@ -398,7 +367,7 @@ impl EventSink {
                 self.drain_pending();
             }
         }
-        (accepted, status)
+        status
     }
 
     /// Try to become the drainer and replay the undispatched suffix.
@@ -793,50 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_commits_land_contiguously() {
-        let sink = EventSink::new(100, 16, None);
-        let batch = [send01(), send01(), Action::Crash(Loc(0))];
-        assert_eq!(sink.try_commit_batch(&batch), (3, Commit::Accepted));
-        // The whole chain after the crash is rejected at its head.
-        assert_eq!(
-            sink.try_commit_batch(&[send01(), send01()]),
-            (0, Commit::Suppressed)
-        );
-        let (log, _) = sink.into_log();
-        assert_eq!(log.len(), 3);
-    }
-
-    #[test]
-    fn batch_respects_the_event_budget() {
-        let sink = EventSink::new(2, 16, None);
-        let batch = [send01(), send01(), send01(), send01()];
-        assert_eq!(sink.try_commit_batch(&batch), (2, Commit::Stopped));
-        assert!(sink.is_stopped());
-        let (log, stop) = sink.into_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(stop, Some(StopReason::MaxEvents));
-    }
-
-    #[test]
-    fn batch_suppression_rejects_the_tail() {
-        let sink = EventSink::new(100, 16, None);
-        // A batch whose second action is an output of a crashed loc:
-        // accepted prefix is exactly the pre-crash part.
-        assert_eq!(sink.try_commit(Action::Crash(Loc(2))), Commit::Accepted);
-        let batch = [
-            send01(),
-            Action::Fd {
-                at: Loc(2),
-                out: FdOutput::Leader(Loc(0)),
-            },
-            send01(),
-        ];
-        assert_eq!(sink.try_commit_batch(&batch), (1, Commit::Suppressed));
-        let (log, _) = sink.into_log();
-        assert_eq!(log.len(), 2);
-    }
-
-    #[test]
     fn external_stop_first_wins() {
         let sink = EventSink::new(100, 16, None);
         sink.stop(StopReason::Idle);
@@ -908,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_filling_batch_lands_whole_and_is_observed() {
+    fn budget_filling_commits_land_and_are_observed() {
         let rec = Arc::new(afd_obs::TraceRecorder::new());
         let sink = EventSink::with_options(SinkOptions {
             max_events: 3,
@@ -925,12 +850,10 @@ mod tests {
             }),
             Commit::Suppressed
         );
-        // The batch exactly fills the budget: both land, and the stop
-        // is discovered by the next commit attempt.
-        assert_eq!(
-            sink.try_commit_batch(&[send01(), send01()]),
-            (2, Commit::Accepted)
-        );
+        // These exactly fill the budget: both land, and the stop is
+        // discovered by the next commit attempt.
+        assert_eq!(sink.try_commit(send01()), Commit::Accepted);
+        assert_eq!(sink.try_commit(send01()), Commit::Accepted);
         assert!(sink.is_stopped());
         assert_eq!(sink.try_commit(send01()), Commit::Stopped);
         sink.flush();

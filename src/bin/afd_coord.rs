@@ -16,7 +16,7 @@
 //! respawned on deterministic backoff and rejoins with a bumped
 //! incarnation epoch. `--udp` moves the node↔node data channels onto
 //! real UDP sockets (DESIGN.md §14); `--drop/--dup/--reorder` then
-//! shape real datagrams instead of router deliveries.
+//! act on the datagrams arriving at each channel's destination node.
 //!
 //! Exits 0 iff the run stopped for a benign reason and every check
 //! passed.
@@ -276,11 +276,9 @@ fn main() {
         }
         if let Some(dgram) = &report.dgram {
             println!(
-                "  dgram: {} sends, {} tx, {} rx, {} injected drops, {} organic lost{}",
-                dgram.sends(),
+                "  dgram: {} tx, {} rx, {} organic lost{}",
                 dgram.datagrams_tx(),
                 dgram.datagrams_rx(),
-                dgram.injected_drops(),
                 dgram.organic_lost(),
                 dgram
                     .delivery_rate()

@@ -25,8 +25,8 @@
 //! replay length, and post-recovery re-election latency, failing if
 //! any rejoin blows the policy budget. Table `y` is the UDP datagram
 //! plane — configured drop ∈ {0, 10, 30, 50}% over real sockets, the
-//! shaper's transmission rate gated within ±5pp of the profile's
-//! expectation, bounded-message ◇P conformance and detection latency
+//! chaos report's injected-drop and delivery shares gated within ±5pp
+//! of the profile, bounded-message ◇P conformance and detection latency
 //! per point, and ReliablePaxos deciding at 30% drop. For tables `w`,
 //! `x` and `y` this binary doubles as its own node executable: the
 //! coordinator respawns `current_exe()` and
@@ -1131,17 +1131,18 @@ fn table_x_recovery() -> Table {
 
 /// Table Y: the UDP datagram plane end to end. Sweeps configured drop
 /// rate ∈ {0, 10, 30, 50}% over [`afd_net::coord::Transport::Udp`] —
-/// every heartbeat a real `UdpSocket` datagram, loss injected by the
-/// sender-side ADD shaper on top of whatever the socket does — running
-/// the bounded-message ◇P of the ADD paper at each point. Gates: the
-/// ◇P streaming conformance checker passes at every drop rate; a
-/// crashed location is detected (suspected) despite the loss; and the
-/// shaper did what the profile says — injected drops ÷ sends within
-/// ±5 percentage points of the configured rate, and transmissions ÷
-/// sends within ±5pp of `(1 − drop) · (1 + dup)`. What the host's
-/// socket then loses is reported as organic loss, never a failure by
-/// itself (`tests/udp_transport.rs` states the same rule). A final
-/// ReliablePaxos run at 30% drop must decide — stubborn
+/// every heartbeat a real `UdpSocket` datagram, whose injected fate the
+/// destination channel's chaos activation draws on top of whatever the
+/// socket does — running the bounded-message ◇P of the ADD paper at
+/// each point. Gates: the ◇P streaming conformance checker passes at
+/// every drop rate; a crashed location is detected (suspected) despite
+/// the loss; and the channels did what the profile says — the chaos
+/// report's dropped ÷ arrivals within ±5 percentage points of the
+/// configured rate, deliveries ÷ arrivals within ±5pp of
+/// `(1 − drop) · (1 + dup)`, and arrivals ≤ received ≤ transmitted.
+/// What the host's socket loses is reported as organic loss, never a
+/// failure by itself (`tests/udp_transport.rs` states the same rule).
+/// A final ReliablePaxos run at 30% drop must decide — stubborn
 /// retransmission over genuinely lossy sockets.
 fn table_y_dgram() -> Table {
     use afd_dgram::expected_delivery_rate;
@@ -1164,13 +1165,14 @@ fn table_y_dgram() -> Table {
     t.meta_run("udp", Some(seed));
     t.columns(&[
         "drop (config)",
-        "sends",
-        "transmitted ÷ sends",
+        "datagrams tx",
+        "arrivals",
+        "injected drop",
+        "delivered ÷ arrivals",
         "expected",
         "within ±5pp",
-        "injected drop",
         "organic lost",
-        "received ÷ sends",
+        "received ÷ tx",
         "◇P conformant",
         "detection (events)",
     ]);
@@ -1211,19 +1213,27 @@ fn table_y_dgram() -> Table {
             t.fail(format!("y: drop={drop_pct}% run lost its dgram report"));
             continue;
         };
-        let sends = dgram.sends();
+        let chaos = &report.chaos;
         let (tx, rx) = (dgram.datagrams_tx(), dgram.datagrams_rx());
-        let injected = dgram.injected_drop_rate().unwrap_or(f64::NAN);
-        let transmitted = tx as f64 / sends as f64;
-        let within = sends > 0
+        let arrivals = chaos.arrivals();
+        let injected = chaos.drop_rate();
+        // A clean (drop 0) channel keeps no chaos ledger: it delivers
+        // every arrival once.
+        let delivered = if arrivals == 0 {
+            1.0
+        } else {
+            (arrivals - chaos.dropped() + chaos.duplicated()) as f64 / arrivals as f64
+        };
+        let within = tx > 0
             && (injected - drop).abs() <= tolerance
-            && (transmitted - expected).abs() <= tolerance
+            && (delivered - expected).abs() <= tolerance
+            && arrivals <= rx
             && rx <= tx;
         if !within {
             t.fail(format!(
                 "y: drop={drop_pct}%: injected {injected:.3} vs configured {drop:.3}, \
-                 transmitted {transmitted:.3} vs expected {expected:.3} (±5pp each; \
-                 sends={sends}, tx={tx}, rx={rx}, organic={})",
+                 delivered {delivered:.3} vs expected {expected:.3} (±5pp each; \
+                 arrivals={arrivals}, tx={tx}, rx={rx}, organic={})",
                 dgram.organic_lost(),
             ));
         }
@@ -1236,11 +1246,12 @@ fn table_y_dgram() -> Table {
         }
         t.row(vec![
             format!("{drop_pct}%"),
-            sends.to_string(),
-            format!("{transmitted:.3}"),
+            tx.to_string(),
+            arrivals.to_string(),
+            chaos.dropped().to_string(),
+            format!("{delivered:.3}"),
             format!("{expected:.3}"),
             if within { "✓".into() } else { "✗".into() },
-            dgram.injected_drops().to_string(),
             dgram.organic_lost().to_string(),
             format!("{:.3}", dgram.delivery_rate().unwrap_or(0.0)),
             if conformant {
@@ -1278,28 +1289,28 @@ fn table_y_dgram() -> Table {
             }
             t.note(format!(
                 "ReliablePaxos(Ω) n={n} at 30% injected drop over UDP: decided={decided} \
-                 in {} events ({} datagram sends).",
+                 in {} events ({} datagrams sent).",
                 report.events,
                 report
                     .dgram
                     .as_ref()
-                    .map_or(0, afd_dgram::DgramStats::sends),
+                    .map_or(0, afd_dgram::DgramStats::datagrams_tx),
             ));
         }
         Err(e) => t.fail(format!("y: ReliablePaxos at 30% drop failed: {e}")),
     }
 
     t.note(
-        "Every heartbeat is a real `std::net::UdpSocket` datagram on loopback; drops are \
-         injected by the sender-side ADD shaper (seeded SplitMix64, same stream as the TCP \
-         router) on top of whatever the socket loses organically. The gated column is \
-         transmissions put on the wire over logical sends, compared against the profile's \
-         expectation (1 − drop)·(1 + dup), together with injected drops over sends against \
-         the configured rate; `organic lost` counts transmissions the real network ate \
-         (including datagrams still in flight at shutdown) and `received ÷ sends` is what \
-         survived both — reported, not gated, because the host decides it. Detection latency \
-         is schedule events from the Halt crash to the first suspicion, per \
-         `afd_obs::detector_qos`.",
+        "Every heartbeat is a real `std::net::UdpSocket` datagram on loopback; each one the \
+         socket delivers is an arrival at the destination node's channel, whose chaos \
+         activation (seeded SplitMix64, the same code and stream as the TCP coordinator and \
+         the threaded engine) draws its drop/dup/reorder fate. The gated columns come from \
+         the run's chaos report — injected drops over arrivals against the configured rate, \
+         deliveries over arrivals against the profile's expectation (1 − drop)·(1 + dup); \
+         `organic lost` counts transmissions the real network ate (including datagrams still \
+         in flight at shutdown) and `received ÷ tx` is what the sockets delivered — reported, \
+         not gated, because the host decides it. Detection latency is schedule events from \
+         the Halt crash to the first suspicion, per `afd_obs::detector_qos`.",
     );
     t
 }

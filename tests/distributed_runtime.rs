@@ -20,10 +20,10 @@
 
 use std::time::Duration;
 
-use afd_core::{Action, Loc, Pi};
-use afd_net::coord::{NetConfig, NetFault, NetReport};
-use afd_net::{run_distributed, DeploymentSpec, FdKindSpec};
-use afd_runtime::{fifo_violation, LinkFaults, LinkProfile, StopReason};
+use afd_core::{Action, Loc, LocSet, Pi};
+use afd_net::coord::{NetConfig, NetFault, NetReport, Transport};
+use afd_net::{run_distributed, DeploymentSpec, FdKindSpec, NetError};
+use afd_runtime::{fifo_violation, LinkFaults, LinkProfile, Partition, StopReason};
 
 #[cfg(target_os = "linux")]
 mod common;
@@ -243,38 +243,67 @@ fn bad_configs_are_rejected() {
         values: vec![0, 1],
     };
     assert!(run_distributed(&short_vals, &NetConfig::new(node_cmd(), 3)).is_err());
+    // The link and partition script is validated like `run_threaded`'s,
+    // before any node is spawned.
+    let config_error = |cfg: NetConfig| {
+        let err = run_distributed(&spec, &cfg).err();
+        assert!(matches!(err, Some(NetError::Config(_))), "{err:?}");
+    };
+    config_error(
+        NetConfig::new(node_cmd(), 3).with_links(LinkFaults::uniform(LinkProfile::lossy(1.5))),
+    );
+    config_error(
+        NetConfig::new(node_cmd(), 3).with_links(LinkFaults::none().with_override(
+            Loc(1),
+            Loc(1),
+            LinkProfile::default(),
+        )),
+    );
+    config_error(NetConfig::new(node_cmd(), 3).with_partition(Partition::cut(
+        10,
+        20,
+        LocSet::singleton(Loc(9)),
+    )));
 }
 
-/// The TCP data plane honours `LinkProfile::{delay, jitter}` like the
+/// Both data planes honour `LinkProfile::{delay, jitter}` like the
 /// threaded engine: a channel's deliveries are serialized by its one
-/// activation, each preceded by its sleep, so the run cannot be
+/// activation (on the coordinator under TCP, on the destination node
+/// under UDP), each preceded by its sleep, so the run cannot be
 /// shorter than the busiest channel's `Receive` count times the
 /// configured delay (sleeps only ever run long).
 #[test]
-fn tcp_links_honour_configured_delay() {
-    let delay = Duration::from_millis(2);
+fn links_honour_configured_delay() {
+    let delay = Duration::from_millis(1);
     let spec = DeploymentSpec::BoundedEvP { n: 3 };
-    // Heartbeat senders are unpaced, so the budget is mostly `Send`s
-    // and the run lasts long enough for a few dozen paced deliveries.
-    let cfg = base_cfg(3)
-        .with_max_events(4_000)
-        .with_seed(31)
-        .with_links(LinkFaults::uniform(LinkProfile::delay(delay)));
-    let report = run_distributed(&spec, &cfg).expect("run");
-    assert_eq!(report.stop, Some(StopReason::MaxEvents));
-    let mut receives = std::collections::BTreeMap::<(Loc, Loc), u32>::new();
-    for a in &report.schedule {
-        if let Action::Receive { from, to, .. } = a {
-            *receives.entry((*from, *to)).or_default() += 1;
+    for transport in [Transport::Tcp, Transport::Udp] {
+        // Heartbeat senders are unpaced, so the budget is mostly
+        // `Send`s and the run lasts long enough for a few dozen paced
+        // deliveries.
+        let cfg = base_cfg(3)
+            .with_max_events(4_000)
+            .with_seed(31)
+            .with_links(LinkFaults::uniform(LinkProfile::delay(delay)))
+            .with_transport(transport);
+        let report = run_distributed(&spec, &cfg).expect("run");
+        assert_eq!(report.stop, Some(StopReason::MaxEvents), "{transport:?}");
+        let mut receives = std::collections::BTreeMap::<(Loc, Loc), u32>::new();
+        for a in &report.schedule {
+            if let Action::Receive { from, to, .. } = a {
+                *receives.entry((*from, *to)).or_default() += 1;
+            }
         }
+        let busiest = receives.values().copied().max().unwrap_or(0);
+        assert!(
+            busiest >= 5,
+            "{transport:?}: heartbeats flowed: {receives:?}"
+        );
+        assert!(
+            report.elapsed >= delay * busiest,
+            "{transport:?}: {busiest} deliveries on one channel at {delay:?} each took only {:?}",
+            report.elapsed
+        );
     }
-    let busiest = receives.values().copied().max().unwrap_or(0);
-    assert!(busiest >= 5, "heartbeats flowed: {receives:?}");
-    assert!(
-        report.elapsed >= delay * busiest,
-        "{busiest} deliveries on one channel at {delay:?} each took only {:?}",
-        report.elapsed
-    );
 }
 
 /// Deployment failure modes: whatever goes wrong while the nodes come

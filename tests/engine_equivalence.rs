@@ -1,15 +1,16 @@
-//! One engine, two hosts: `run_threaded` and a TCP `run_distributed`
-//! coordinator run the same activation loop, so on the same seed and
-//! link profile each channel's *realised* chaos accounting must be
-//! exactly what the exported plan says about that channel's first
-//! `arrivals` messages — on both.
+//! One engine, three hosts: `run_threaded`, a TCP `run_distributed`
+//! coordinator and the UDP nodes hosting their channels' destinations
+//! run the same activation loop, so on the same seed and link profile
+//! each channel's *realised* chaos accounting must be exactly what the
+//! exported plan says about that channel's first `arrivals` messages —
+//! on all three.
 
 use std::time::Duration;
 
 use afd_algorithms::consensus::all_live_decided;
 use afd_algorithms::reliable::reliable_paxos_system;
 use afd_core::Pi;
-use afd_net::{run_distributed, DeploymentSpec, NetConfig};
+use afd_net::{run_distributed, DeploymentSpec, NetConfig, Transport};
 use afd_runtime::{
     run_threaded, ChannelChaos, ChannelChaosStats, ChaosReport, LinkFaults, LinkProfile,
     RuntimeConfig,
@@ -60,8 +61,7 @@ fn realised_chaos_equals_the_plan_threaded() {
     assert_realised_equals_planned("threaded", &out.chaos);
 }
 
-#[test]
-fn realised_chaos_equals_the_plan_tcp() {
+fn distributed_chaos(transport: Transport) -> ChaosReport {
     let spec = DeploymentSpec::ReliablePaxos {
         n: 3,
         values: vec![1, 0, 1],
@@ -70,7 +70,17 @@ fn realised_chaos_equals_the_plan_tcp() {
         .with_deadlines(Duration::from_secs(10), Duration::from_secs(120))
         .with_max_events(6_000)
         .with_seed(SEED)
-        .with_links(links());
-    let report = run_distributed(&spec, &cfg).expect("run");
-    assert_realised_equals_planned("tcp", &report.chaos);
+        .with_links(links())
+        .with_transport(transport);
+    run_distributed(&spec, &cfg).expect("run").chaos
+}
+
+#[test]
+fn realised_chaos_equals_the_plan_tcp() {
+    assert_realised_equals_planned("tcp", &distributed_chaos(Transport::Tcp));
+}
+
+#[test]
+fn realised_chaos_equals_the_plan_udp() {
+    assert_realised_equals_planned("udp", &distributed_chaos(Transport::Udp));
 }

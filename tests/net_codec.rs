@@ -28,6 +28,7 @@ use afd_net::codec::{
     MAX_FRAME,
 };
 use afd_net::{CommitStatus, DeploymentSpec, FdKindSpec, WireLinkProfile, WireMsg};
+use afd_runtime::ChannelChaosStats;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -870,10 +871,19 @@ fn rwire(rng: &mut StdRng) -> WireMsg {
             per_channel: (0..rng.gen_range(0u32..7))
                 .map(|_| {
                     let s = ChannelDgramStats {
-                        sends: rval(rng),
                         datagrams_tx: rval(rng),
                         datagrams_rx: rval(rng),
                         ..ChannelDgramStats::default()
+                    };
+                    (rloc(rng), rloc(rng), s)
+                })
+                .collect(),
+            chaos: (0..rng.gen_range(0u32..7))
+                .map(|_| {
+                    let s = ChannelChaosStats {
+                        arrivals: rval(rng),
+                        dropped: rval(rng),
+                        ..ChannelChaosStats::default()
                     };
                     (rloc(rng), rloc(rng), s)
                 })

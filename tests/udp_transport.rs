@@ -1,7 +1,8 @@
 //! Acceptance grid for [`Transport::Udp`]: the same deployments the
 //! TCP acceptance suite runs, but with every node↔node data channel
-//! riding real `std::net::UdpSocket` datagrams (afd-dgram framing,
-//! sender-side ADD shapers seeded from the run seed):
+//! riding real `std::net::UdpSocket` datagrams (afd-dgram framing; each
+//! arriving datagram's drop/dup/reorder fate drawn by the destination
+//! channel's seeded chaos activation, as on every other engine):
 //!
 //! * the ◇P/Ω conformance grid stays conformant over real datagrams —
 //!   including the bounded-message ◇P of the ADD paper under 30%
@@ -9,9 +10,11 @@
 //! * ReliablePaxos (Paxos-Ω behind stubborn wire channels) decides at
 //!   30% injected drop + duplication, retransmitting over genuinely
 //!   lossy sockets;
-//! * the datagram-plane accounting separates injected from organic
-//!   loss, and what the shaper injected and transmitted tracks the
-//!   configured [`LinkProfile`] within ±5 percentage points;
+//! * reordering is bounded delay, not loss: plain Paxos decides over
+//!   reordering UDP links exactly as over TCP;
+//! * injected loss (the chaos report) tracks the configured
+//!   [`LinkProfile`] within ±5 percentage points, apart from the
+//!   organic loss the datagram report counts;
 //! * `Transport::Tcp` stays the default and byte-for-byte identical
 //!   on the same seed (chaos plan pinned, no dgram report);
 //! * deployments that need the router data plane (partitions,
@@ -21,7 +24,6 @@ use std::time::Duration;
 
 use afd_core::afds::EvPerfect;
 use afd_core::{Action, Loc, Pi, StreamChecker};
-use afd_dgram::expected_delivery_rate;
 use afd_net::coord::{NetConfig, NetReport, RecoveryPolicy, Transport};
 use afd_net::{run_distributed, DeploymentSpec, FdKindSpec, NetError};
 use afd_runtime::{LinkFaults, LinkProfile, Partition, StopReason};
@@ -155,14 +157,12 @@ fn bounded_evp_conformant_over_udp_at_30pct_drop() {
     let report = run_distributed(&spec, &cfg).expect("run");
     assert_bounded_evp_checks(&report, spec.pi());
     let dgram = report.dgram.as_ref().expect("dgram report");
-    assert!(dgram.sends() > 0, "◇P exchanged no heartbeats");
+    assert!(dgram.datagrams_tx() > 0, "◇P exchanged no heartbeats");
     assert!(
-        dgram.injected_drops() > 0,
-        "30% drop injected nothing: {dgram:?}"
+        report.chaos.dropped() > 0,
+        "30% drop injected nothing: {}",
+        report.chaos
     );
-    // The chaos surface is synthesized from the shaper half, so UDP
-    // runs report injected drops exactly like the TCP router does.
-    assert_eq!(report.chaos.dropped(), dgram.injected_drops());
 }
 
 /// ReliablePaxos n=3 over UDP at 30% drop + 10% duplication: stubborn
@@ -189,17 +189,44 @@ fn reliable_paxos_decides_over_udp_at_30pct_drop() {
         report.events
     );
     assert_decided(&report, Pi::new(3));
-    let dgram = report.dgram.as_ref().expect("dgram report");
-    assert!(dgram.injected_drops() > 0, "the shaper dropped nothing");
+    assert!(report.chaos.dropped() > 0, "the channels dropped nothing");
 }
 
-/// The loss-accounting probe: with enough traffic, the shaper's share
-/// of the loss tracks the configured profile. Injected drops ÷ sends
-/// lands within ±5pp of the configured rate and transmissions ÷ sends
-/// within ±5pp of [`expected_delivery_rate`] — both seeded, so the
-/// same on every host. What the host's socket then loses is organic
-/// loss: counted apart, reported, never a failure by itself (Table Y
-/// states the same rule).
+/// Reordering is bounded delay, not loss: a held arrival is released
+/// after at most `reorder` later arrivals, or by virtual ticks once the
+/// channel goes quiet. Plain Paxos — no retransmission to mask a lost
+/// message — decides over reordering UDP links on every seed.
+#[test]
+fn reorder_is_bounded_delay_not_loss() {
+    let pi = Pi::new(3);
+    let spec = DeploymentSpec::Paxos {
+        n: 3,
+        values: vec![0, 1, 1],
+    };
+    for seed in [1, 2, 3] {
+        let cfg = udp_cfg(3)
+            .with_max_events(4_000)
+            .with_seed(seed)
+            .with_links(LinkFaults::uniform(LinkProfile::default().with_reorder(4)));
+        let report = run_distributed(&spec, &cfg).expect("run");
+        assert_eq!(
+            report.stop,
+            Some(StopReason::Predicate),
+            "seed {seed}: stopped by all-live-decided, not the budget (events={}, {})",
+            report.events,
+            report.chaos
+        );
+        assert_all_checks(&report);
+        assert_decided(&report, pi);
+    }
+}
+
+/// The loss-accounting probe: with enough traffic, the injected share
+/// of the loss tracks the configured profile — the chaos report's drop
+/// rate lands within ±5pp of it, seeded, so the same on every host.
+/// What the host's socket loses is organic loss: counted apart by the
+/// datagram report, never a failure by itself (Table Y states the same
+/// rule).
 #[test]
 fn delivery_rate_tracks_configured_profile() {
     let profile = LinkProfile::lossy(0.30);
@@ -210,32 +237,29 @@ fn delivery_rate_tracks_configured_profile() {
         .with_links(LinkFaults::uniform(profile));
     let report = run_distributed(&spec, &cfg).expect("run");
     assert_bounded_evp_checks(&report, spec.pi());
+    let chaos = &report.chaos;
     let dgram = report.dgram.as_ref().expect("dgram report");
-    let sends = dgram.sends();
     let (tx, rx) = (dgram.datagrams_tx(), dgram.datagrams_rx());
     let counts = format!(
-        "sends={sends}, injected={}, tx={tx}, rx={rx}, organic={}",
-        dgram.injected_drops(),
-        dgram.organic_lost(),
+        "chaos: {chaos}; dgram: tx={tx}, rx={rx}, organic={}",
+        dgram.organic_lost()
     );
-    let injected = dgram.injected_drop_rate().expect("no sends");
+    let injected = chaos.drop_rate();
     assert!(
-        (injected - 0.30).abs() <= 0.05,
+        (injected - profile.drop).abs() <= 0.05,
         "injected drop rate {injected:.3} not within ±5pp of configured 0.30 ({counts})"
     );
-    let transmitted = tx as f64 / sends as f64;
-    let expected = expected_delivery_rate(&profile);
     assert!(
-        (transmitted - expected).abs() <= 0.05,
-        "transmitted share {transmitted:.3} not within ±5pp of configured {expected:.3} ({counts})"
+        chaos.arrivals() <= rx && rx <= tx,
+        "arrivals ≤ reassembled ≤ transmitted must hold ({counts})"
     );
-    assert!(rx <= tx, "reassembled more than was transmitted ({counts})");
     assert_eq!(tx, rx + dgram.organic_lost(), "{counts}");
 }
 
-/// Same-seed UDP runs replay the same chaos plan: the shapers consume
-/// the same SplitMix64 decision stream as the TCP router, so the k-th
-/// send on a channel meets the k-th decision in every run.
+/// Same-seed UDP runs replay the same chaos plan: the destination
+/// channels consume the same SplitMix64 decision stream as under TCP,
+/// so the k-th arrival on a channel meets the k-th decision in every
+/// run.
 #[test]
 fn same_seed_udp_chaos_plans_are_byte_identical() {
     let spec = DeploymentSpec::BoundedEvP { n: 3 };

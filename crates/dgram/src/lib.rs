@@ -24,8 +24,8 @@
 //!
 //! The *configured* `LinkProfile` (drop / dup / bounded reorder) is not
 //! applied here: each reassembled `Send` is one arrival at the
-//! destination channel, whose fate the engine's own seeded chaos
-//! activation draws, exactly as on the threaded and TCP engines.
+//! destination channel, whose fate its seeded ADD state draws as it
+//! steps, exactly as on the threaded and TCP engines.
 //! Injected faults are therefore reported by the run's `ChaosReport`,
 //! organic socket faults by [`DgramStats`].
 //!

@@ -86,6 +86,21 @@ pub trait Automaton {
     /// action that is not enabled in `s` (inputs are always accepted).
     fn step(&self, s: &Self::State, a: &Self::Action) -> Option<Self::State>;
 
+    /// [`Automaton::step`] applied to `s` itself: `false`, leaving `s`
+    /// unchanged, exactly where `step` returns `None`. The default steps
+    /// a copy; an automaton whose state owns a growing buffer overrides
+    /// it so that an engine's step costs what it changes, not what the
+    /// state holds.
+    fn step_in_place(&self, s: &mut Self::State, a: &Self::Action) -> bool {
+        match self.step(s, a) {
+            Some(next) => {
+                *s = next;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// True iff some task is enabled in `s`.
     ///
     /// A state where nothing is enabled is *quiescent*: a finite fair

@@ -30,6 +30,10 @@ use crate::deploy::{DeploymentSpec, FdKindSpec};
 /// an allocation request.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// The most [`read_frame`] reserves on the strength of a length prefix
+/// alone; a longer payload grows its buffer only as its bytes arrive.
+pub const FRAME_RESERVE: usize = 64 << 10;
+
 /// Typed decoding failure. Every malformed input maps to one of these;
 /// the decoder never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1333,8 +1337,14 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<WireMsg>> {
             DecodeError::FrameTooLarge { len },
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // `Take` answers the end-of-payload probe of `read_to_end` itself,
+    // so a frame within the reserve costs one allocation and no extra
+    // read from the socket.
+    let mut payload = Vec::with_capacity((len as usize).min(FRAME_RESERVE));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     decode_msg(&payload)
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))

@@ -183,8 +183,8 @@ pub enum Transport {
     /// Channels are hosted by the node hosting their destination and
     /// `Send`s travel as real UDP datagrams (`afd-dgram` framing). Each
     /// reassembled `Send` is one arrival at the hosting node's engine,
-    /// whose chaos activation draws its seeded drop/dup/reorder fate
-    /// exactly as the coordinator's engine does under TCP, on top of
+    /// where the channel's ADD state draws its seeded drop/dup/reorder
+    /// fate exactly as it does on the coordinator under TCP, on top of
     /// whatever the real socket does. Both plain (`Send`) and stubborn
     /// wire (`WireSend`) channels ride the datagram plane, so
     /// `ReliablePaxos` retransmits over genuinely lossy sockets.

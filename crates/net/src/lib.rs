@@ -20,16 +20,16 @@
 //! the coordinator's channel components, which is what lets one
 //! seeded [`afd_runtime::LinkProfile`] plan replay
 //! drop/dup/reorder/partition decisions byte-identically across
-//! same-seed runs — the coordinator, its nodes and `run_threaded` all
-//! run the same activation loop, so there is one interpreter of that
-//! plan.
+//! same-seed runs — a chaotic channel starts in the channel automaton's
+//! seeded ADD state on whichever engine hosts it, so the plan is
+//! interpreted by one `step` function everywhere.
 //!
 //! Selecting [`Transport::Udp`] moves the node↔node *data* channels
 //! onto real `std::net::UdpSocket`s (`afd-dgram` framing) while the
 //! control plane — commits, crash injection, stop, telemetry — stays
 //! on TCP. Each channel then runs on the engine of the node hosting its
-//! destination, whose chaos activation draws the same seeded decision
-//! stream per arriving datagram: still one interpreter of the plan.
+//! destination, where each arriving datagram is a `Send` step of the
+//! same seeded ADD state: still one interpreter of the plan.
 //! See `DESIGN.md` §14.
 //!
 //! # Commit protocol

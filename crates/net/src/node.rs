@@ -345,9 +345,18 @@ impl UdpRt {
         while !stop.load(Ordering::SeqCst) {
             let n = match sock.recv_from(&mut buf) {
                 Ok((n, _)) => n,
+                // `Interrupted`: Linux fails a `recv_from` under
+                // `SO_RCVTIMEO` with EINTR when the process is stopped
+                // and continued (SIGSTOP/SIGCONT), handler or not —
+                // breaking there silenced every channel into this node
+                // for the rest of the run.
                 Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) =>
                 {
                     continue;
                 }
@@ -461,8 +470,8 @@ impl SystemVisitor for NodeLoop {
         // Hosted components: our process automata, plus — under UDP —
         // every channel whose destination we host (its datagrams land
         // on our socket as arrivals, whose drop/dup/reorder fate the
-        // engine's chaos activation draws; its `Receive` proposals ride
-        // our commit pipeline).
+        // channel's ADD state draws as it steps; its `Receive`
+        // proposals ride our commit pipeline).
         let is_udp = udp.is_some();
         let hosts = |k: ComponentKind| match k {
             ComponentKind::Process(l) => hosted.contains(&l),

@@ -5,8 +5,8 @@
 //! did. This crate measures the *engines themselves* — where the wall
 //! time went while doing it: how long a worker waited on its input
 //! queue, how long an automaton step took, how long the commit path
-//! waited for (and then held) the sink lock, what the chaos router and
-//! the distributed commit round trip cost.
+//! waited for (and then held) the sink lock, what the distributed
+//! commit round trip cost.
 //!
 //! # Hot-path rules
 //!
@@ -34,7 +34,7 @@
 //! * **Spans** ([`Stage`]): a start timestamp plus a duration, scoped
 //!   by the RAII [`SpanGuard`] returned from [`span`].
 //! * **Gauges** ([`GaugeKind`]): a sampled value at a timestamp —
-//!   sink queue depth, per-channel backlog, ready-queue depth —
+//!   sink queue depth, ready-queue depth —
 //!   recorded by [`gauge`] or decimated by [`gauge_sampled`].
 //!
 //! [`drain`] collects everything into a [`Report`]; [`merge`] combines
@@ -65,7 +65,9 @@ pub enum Stage {
     LockHold = 3,
     /// Observer / stop-predicate dispatch on the sink's in-order drain.
     ObserverDispatch = 4,
-    /// Chaos layer deciding a delivery's fate (drop/dup/reorder/delay).
+    /// Retired: the engine's chaos activation, now the channel
+    /// automaton's own `step`, timed as [`Stage::Step`]. The id stays
+    /// reserved so the Telemetry wire format keeps its numbering.
     ChaosDecision = 5,
     /// Wire-frame pacing and retransmission work (ReliableLink).
     Retransmit = 6,
@@ -159,29 +161,22 @@ impl Stage {
 pub enum GaugeKind {
     /// Committed-but-undrained backlog in the event sink.
     SinkDepth = 0,
-    /// Queued arrivals inside one chaos channel worker.
-    ChannelBacklog = 1,
     /// Ready components queued on one executor shard at pop time.
-    ReadyQueueDepth = 2,
+    ReadyQueueDepth = 1,
 }
 
 /// Number of distinct [`GaugeKind`]s.
-pub const GAUGE_COUNT: usize = 3;
+pub const GAUGE_COUNT: usize = 2;
 
 impl GaugeKind {
     /// All gauges, in discriminant order.
-    pub const ALL: [GaugeKind; GAUGE_COUNT] = [
-        GaugeKind::SinkDepth,
-        GaugeKind::ChannelBacklog,
-        GaugeKind::ReadyQueueDepth,
-    ];
+    pub const ALL: [GaugeKind; GAUGE_COUNT] = [GaugeKind::SinkDepth, GaugeKind::ReadyQueueDepth];
 
     /// Stable, human-readable gauge name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             GaugeKind::SinkDepth => "sink-depth",
-            GaugeKind::ChannelBacklog => "channel-backlog",
             GaugeKind::ReadyQueueDepth => "ready-queue-depth",
         }
     }
@@ -943,13 +938,13 @@ mod tests {
         }
         reset(); // invalidates the un-flushed record above
         {
-            let _s = span(Stage::ChaosDecision);
+            let _s = span(Stage::Route);
         }
         let report = drain();
         disable();
         let stats = stage_stats(&report.recs);
         assert_eq!(stats[Stage::Step as usize].count, 0);
-        assert_eq!(stats[Stage::ChaosDecision as usize].count, 1);
+        assert_eq!(stats[Stage::Route as usize].count, 1);
     }
 
     #[test]

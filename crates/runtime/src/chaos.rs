@@ -1,117 +1,29 @@
-//! The adversarial link decision stream and its accounting.
+//! What the link adversary did during a run, and the plan it follows.
 //!
-//! Every channel worker owns a [`ChannelChaos`] generator seeded from
-//! `(run seed, from, to)` — independent of thread timing. Each message
-//! *arrival* (the worker consuming the channel's head-of-line message)
-//! consumes exactly one [`ChaosDecision`] = exactly three `splitmix64`
-//! draws, in a fixed order (drop, dup, hold). The decision stream is
-//! therefore a pure function of the seed and the channel, regardless
-//! of how the OS interleaves threads: the k-th arrival on channel
-//! `(i, j)` meets the same fate in every same-seed run, and
-//! [`chaos_plan_jsonl`] can export that plan byte-identically without
-//! running anything.
+//! The decision stream ([`ChannelChaos`]: one [`ChaosDecision`] per
+//! arrival, a pure function of `(run seed, from, to)`) lives in the
+//! channel automaton's seeded ADD start state ([`afd_system::AddState`]),
+//! which an engine gives every channel whose
+//! [`LinkProfile`](crate::LinkProfile) is chaotic. What the decisions
+//! mean operationally, as steps of that automaton:
+//! * **drop** — the `Send` enqueues nothing: the message vanishes.
+//! * **dup** — the `Send` enqueues two deliveries, two `Receive` steps.
+//! * **hold `h > 0`** — the delivery is stamped `h` arrivals ahead;
+//!   deliveries whose stamps are reached overtake it, and it goes out
+//!   once its own is reached, or from the front when no stamp is:
+//!   bounded out-of-order delivery with window `h ≤ reorder`.
 //!
-//! What the decisions mean operationally (see `crate::runtime`):
-//! * **drop** — the message is consumed from the channel automaton but
-//!   never committed: it silently vanishes.
-//! * **dup** — the delivery is committed (and routed) twice; the
-//!   channel automaton steps once.
-//! * **hold `h > 0`** — the message is consumed into a worker-local
-//!   buffer and re-released only after `h` further arrivals (or
-//!   virtual ticks once the channel goes quiet): bounded out-of-order
-//!   delivery with window `h ≤ reorder`.
+//! [`Engine::chaos_report`](crate::Engine::chaos_report) reads the
+//! `stats` out of the channel states; [`chaos_plan_jsonl`] exports the
+//! stream without running anything.
 
 use std::collections::BTreeMap;
 
 use afd_core::{Loc, Pi};
 
-use crate::config::{LinkProfile, RuntimeConfig};
-use crate::rng::SplitMix64;
+pub use afd_system::{ChannelChaos, ChannelChaosStats, ChaosDecision};
 
-/// The fate of one arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosDecision {
-    /// Discard the message.
-    pub drop: bool,
-    /// Commit the delivery twice.
-    pub dup: bool,
-    /// Hold the message past this many later arrivals (0 = in order).
-    pub hold: u32,
-}
-
-impl ChaosDecision {
-    /// A decision that changes nothing (deliver once, in order).
-    #[must_use]
-    pub fn benign() -> Self {
-        ChaosDecision {
-            drop: false,
-            dup: false,
-            hold: 0,
-        }
-    }
-}
-
-/// Map a draw to a probability hit: the top 53 bits as a uniform
-/// `f64` in `[0, 1)`, compared against `p`.
-fn prob_hit(draw: u64, p: f64) -> bool {
-    ((draw >> 11) as f64 / (1u64 << 53) as f64) < p
-}
-
-/// The per-channel adversarial decision generator.
-#[derive(Debug, Clone)]
-pub struct ChannelChaos {
-    rng: SplitMix64,
-    profile: LinkProfile,
-}
-
-impl ChannelChaos {
-    /// The generator for channel `(from, to)` under `seed`.
-    #[must_use]
-    pub fn new(seed: u64, from: Loc, to: Loc, profile: LinkProfile) -> Self {
-        // Decorrelate channels by mixing the endpoints into the seed
-        // through an extra splitmix scramble.
-        let mix = SplitMix64::new(
-            seed ^ (u64::from(from.0) << 8 | u64::from(to.0)).wrapping_mul(0xA24B_AED4_963E_E407),
-        )
-        .next_u64();
-        ChannelChaos {
-            rng: SplitMix64::new(mix),
-            profile,
-        }
-    }
-
-    /// The fate of the next arrival. Always consumes exactly three
-    /// draws so the stream stays aligned across profile changes.
-    #[allow(clippy::should_implement_trait)] // not an Iterator: infinite, and `next` is the natural name
-    pub fn next(&mut self) -> ChaosDecision {
-        let d_drop = self.rng.next_u64();
-        let d_dup = self.rng.next_u64();
-        let d_hold = self.rng.next_u64();
-        let drop = prob_hit(d_drop, self.profile.drop);
-        let dup = !drop && prob_hit(d_dup, self.profile.dup);
-        let hold = if drop || self.profile.reorder == 0 {
-            0
-        } else {
-            // Uniform over 0..=reorder: most arrivals pass through,
-            // some are held back a bounded distance.
-            (d_hold % (u64::from(self.profile.reorder) + 1)) as u32
-        };
-        ChaosDecision { drop, dup, hold }
-    }
-}
-
-/// Per-channel adversarial accounting, merged into a [`ChaosReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelChaosStats {
-    /// Messages consumed from the channel (decision stream length).
-    pub arrivals: u64,
-    /// Arrivals discarded.
-    pub dropped: u64,
-    /// Deliveries committed twice.
-    pub duplicated: u64,
-    /// Arrivals held back for out-of-order release.
-    pub held: u64,
-}
+use crate::config::RuntimeConfig;
 
 /// What the link adversary actually did during a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -174,10 +86,10 @@ impl std::fmt::Display for ChaosReport {
 /// as JSONL — one line per `(channel, arrival)`.
 ///
 /// The plan is a pure function of `(cfg.seed, cfg.links, pi)`: two
-/// calls with the same seed produce byte-identical output, and the
-/// runtime's channel workers consume the *same* stream, so the plan is
-/// exactly what a same-seed run will do to its first `arrivals`
-/// messages per channel.
+/// calls with the same seed produce byte-identical output, and a
+/// chaotic channel's ADD start state draws the *same* stream, so the
+/// plan is exactly what a same-seed run will do to its first
+/// `arrivals` messages per channel.
 #[must_use]
 pub fn chaos_plan_jsonl(cfg: &RuntimeConfig, pi: Pi, arrivals: usize) -> String {
     let mut out = String::new();
@@ -203,62 +115,6 @@ pub fn chaos_plan_jsonl(cfg: &RuntimeConfig, pi: Pi, arrivals: usize) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn decision_stream_is_deterministic_per_channel() {
-        let p = LinkProfile::lossy(0.3).with_dup(0.2).with_reorder(4);
-        let mut a = ChannelChaos::new(42, Loc(0), Loc(1), p);
-        let mut b = ChannelChaos::new(42, Loc(0), Loc(1), p);
-        let xs: Vec<ChaosDecision> = (0..64).map(|_| a.next()).collect();
-        let ys: Vec<ChaosDecision> = (0..64).map(|_| b.next()).collect();
-        assert_eq!(xs, ys);
-        // A different channel under the same seed draws differently.
-        let mut c = ChannelChaos::new(42, Loc(1), Loc(0), p);
-        let zs: Vec<ChaosDecision> = (0..64).map(|_| c.next()).collect();
-        assert_ne!(xs, zs);
-    }
-
-    #[test]
-    fn rates_are_roughly_honored() {
-        let p = LinkProfile::lossy(0.3).with_dup(0.25).with_reorder(3);
-        let mut g = ChannelChaos::new(7, Loc(0), Loc(2), p);
-        let n = 4000;
-        let mut drops = 0;
-        let mut dups = 0;
-        let mut holds = 0;
-        for _ in 0..n {
-            let d = g.next();
-            drops += u32::from(d.drop);
-            dups += u32::from(d.dup);
-            holds += u32::from(d.hold > 0);
-            assert!(d.hold <= 3);
-            assert!(!(d.drop && d.dup), "dropped messages are not duplicated");
-        }
-        let rate = |k: u32| f64::from(k) / f64::from(n);
-        assert!(
-            (rate(drops) - 0.3).abs() < 0.05,
-            "drop rate {}",
-            rate(drops)
-        );
-        // dup applies to the non-dropped 70%: expect ~0.25 * 0.7.
-        assert!((rate(dups) - 0.175).abs() < 0.05, "dup rate {}", rate(dups));
-        // hold > 0 with prob 3/4 over surviving arrivals.
-        assert!(rate(holds) > 0.4, "hold rate {}", rate(holds));
-    }
-
-    #[test]
-    fn benign_profile_yields_benign_decisions() {
-        let mut g = ChannelChaos::new(
-            9,
-            Loc(0),
-            Loc(1),
-            LinkProfile::delay(Duration::from_micros(10)),
-        );
-        for _ in 0..32 {
-            assert_eq!(g.next(), ChaosDecision::benign());
-        }
-    }
 
     #[test]
     fn plan_export_is_byte_identical_per_seed() {
@@ -278,7 +134,7 @@ mod tests {
         assert_ne!(a, other);
     }
 
-    use crate::config::LinkFaults;
+    use crate::config::{LinkFaults, LinkProfile};
 
     #[test]
     fn report_aggregates() {

@@ -9,6 +9,7 @@ use std::time::Duration;
 use afd_core::{Action, Loc, LocSet, Pi};
 use afd_obs::Observer;
 use afd_system::FaultPattern;
+pub use afd_system::LinkProfile;
 
 /// What happens to a process's worker thread when its location crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,90 +25,6 @@ pub enum CrashMode {
     /// dropped on the floor (its channel receiver is gone), which is
     /// indistinguishable from crash-stop for every other component.
     Kill,
-}
-
-/// Fault profile of one channel.
-///
-/// Timing: each delivery waits `delay` plus a uniform draw from
-/// `0..jitter` before committing.
-///
-/// Adversarial faults, drawn deterministically per arrival from the
-/// run's seeded RNG (see [`crate::chaos`]):
-/// * `drop` — probability an arriving message is silently discarded;
-/// * `dup` — probability a delivered message is committed twice;
-/// * `reorder` — bound on the out-of-order window: an arrival may be
-///   held back past up to `reorder` later arrivals before delivery
-///   (`0` preserves FIFO).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkProfile {
-    /// Fixed delivery delay.
-    pub delay: Duration,
-    /// Upper bound of the uniform extra delay.
-    pub jitter: Duration,
-    /// Per-arrival drop probability in `[0, 1]`.
-    pub drop: f64,
-    /// Per-delivery duplication probability in `[0, 1]`.
-    pub dup: f64,
-    /// Maximum number of later arrivals a held message can be passed by.
-    pub reorder: u32,
-}
-
-impl LinkProfile {
-    /// A profile with fixed `delay` and no jitter.
-    #[must_use]
-    pub fn delay(delay: Duration) -> Self {
-        LinkProfile {
-            delay,
-            ..LinkProfile::default()
-        }
-    }
-
-    /// A profile with fixed `delay` plus uniform `jitter`.
-    #[must_use]
-    pub fn jittered(delay: Duration, jitter: Duration) -> Self {
-        LinkProfile {
-            delay,
-            jitter,
-            ..LinkProfile::default()
-        }
-    }
-
-    /// A zero-latency profile that drops each arrival with probability
-    /// `drop`.
-    #[must_use]
-    pub fn lossy(drop: f64) -> Self {
-        LinkProfile {
-            drop,
-            ..LinkProfile::default()
-        }
-    }
-
-    /// Set the duplication probability.
-    #[must_use]
-    pub fn with_dup(mut self, p: f64) -> Self {
-        self.dup = p;
-        self
-    }
-
-    /// Set the reorder window.
-    #[must_use]
-    pub fn with_reorder(mut self, window: u32) -> Self {
-        self.reorder = window;
-        self
-    }
-
-    /// True iff this profile never sleeps.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.delay.is_zero() && self.jitter.is_zero()
-    }
-
-    /// True iff this profile injects adversarial faults (beyond mere
-    /// delay).
-    #[must_use]
-    pub fn is_chaotic(&self) -> bool {
-        self.drop > 0.0 || self.dup > 0.0 || self.reorder > 0
-    }
 }
 
 /// Per-channel delivery delays: a default profile plus `(from, to)`
@@ -446,13 +363,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Is the channel `(from, to)` severed by any scripted partition
-    /// at global event index `step`?
-    #[must_use]
-    pub fn is_cut(&self, from: Loc, to: Loc, step: usize) -> bool {
-        self.partitions.iter().any(|p| p.cuts(from, to, step))
-    }
-
     /// Validate the configuration against the universe `pi`, returning
     /// a typed error instead of letting a malformed config panic (or
     /// silently misbehave) mid-run.
@@ -738,9 +648,6 @@ mod tests {
         assert!(!p.cuts(Loc(0), Loc(1), 20), "healed");
         let forever = Partition::eternal(5, LocSet::singleton(Loc(2)));
         assert!(forever.cuts(Loc(2), Loc(0), usize::MAX - 1));
-        let cfg = RuntimeConfig::default().with_partition(p);
-        assert!(cfg.is_cut(Loc(0), Loc(1), 12));
-        assert!(!cfg.is_cut(Loc(0), Loc(1), 25));
     }
 
     #[test]

@@ -37,15 +37,16 @@
 //!   event-count thresholds, with [`CrashMode::Halt`] (the paper's
 //!   model: the automaton survives, silenced) or [`CrashMode::Kill`]
 //!   (the component is retired, dropping its queued inputs);
-//! - an adversarial link layer ([`LinkFaults`]) delays channel
-//!   deliveries (per-channel fixed delay plus seeded jitter) and, when
-//!   a profile is chaotic, drops, duplicates, and reorders them from a
-//!   deterministic per-channel decision stream ([`chaos::ChannelChaos`]
-//!   — a pure function of the run seed, exportable via
-//!   [`chaos_plan_jsonl`]);
+//! - per-channel link profiles ([`LinkFaults`]) delay channel
+//!   deliveries (fixed delay plus seeded jitter) and, when a profile
+//!   is chaotic, start the channel in the channel automaton's seeded
+//!   ADD state ([`start_state`]), which drops, duplicates, and reorders
+//!   as it steps, from a deterministic per-channel decision stream
+//!   ([`ChannelChaos`] — a pure function of the run seed, exportable
+//!   via [`chaos_plan_jsonl`]);
 //! - scripted [`Partition`]s cut all channels crossing a location set
 //!   for a window of global steps, *holding* (not dropping) traffic so
-//!   healing resumes FIFO delivery.
+//!   healing resumes delivery where it stopped.
 //!
 //! Robustness machinery:
 //! - shutdown is structural quiescence detection (commit count stable,
@@ -70,9 +71,9 @@ pub mod chaos;
 pub mod config;
 pub mod exec;
 pub mod harness;
-pub mod rng;
 pub mod runtime;
 pub mod sink;
+pub use afd_system::rng;
 
 pub use chaos::{chaos_plan_jsonl, ChannelChaos, ChannelChaosStats, ChaosDecision, ChaosReport};
 pub use config::{
@@ -81,6 +82,6 @@ pub use config::{
 };
 pub use harness::{check_fd_trace, fd_projection, fifo_violation, FifoViolation};
 pub use runtime::{
-    run_threaded, try_run_threaded, CommitPort, Engine, RunDiagnostic, RuntimeOutcome,
+    run_threaded, start_state, try_run_threaded, CommitPort, Engine, RunDiagnostic, RuntimeOutcome,
 };
 pub use sink::{Commit, EventSink, SinkOptions, StopReason, CRASH_CAPACITY};

@@ -2,8 +2,8 @@
 //! [`crate::exec`]) multiplexing the component automata an [`Engine`]
 //! hosts, plus what `run_threaded` adds around it — a crash injector
 //! and a watchdog monitor. The engine is generic over its hosted set
-//! and its [`CommitPort`], so the same activation loop, adversarial
-//! link layer included, also runs the `afd-net` coordinator and nodes.
+//! and its [`CommitPort`], so the same activation loop also runs the
+//! `afd-net` coordinator and nodes.
 //!
 //! **Why a pool.** The previous engine spawned one OS thread per
 //! component. At n = 16 that is ~270 threads (16 processes + 240
@@ -16,7 +16,7 @@
 //! [`EventSink::wait_len_at_least`]).
 //!
 //! **Activation model.** Each component owns an inbox (routed inputs)
-//! and a body (automaton state plus per-channel adversary state). An
+//! and a body (automaton state plus a seeded jitter generator). An
 //! activation drains the inbox (applying `step`), then sweeps local
 //! tasks: commit each enabled action through the port (the shared
 //! [`EventSink`], directly or at the far end of a socket), apply the
@@ -26,8 +26,7 @@
 //! what makes the sink's log a legal schedule (see the linearization
 //! convention in [`crate::sink`]). The pool guarantees at most one
 //! activation per component at a time, so bodies need no contended
-//! locking and per-channel adversary decisions stay a deterministic,
-//! seeded stream.
+//! locking.
 //!
 //! **Routing index.** `route()` no longer scans all O(n²) components
 //! calling `classify` per committed action. Action classification is
@@ -37,17 +36,19 @@
 //! per distinct key, a handful per run) and hit lock-free-ish through
 //! an `RwLock` read for every subsequent commit.
 //!
-//! **Adversarial links.** Channel components whose [`LinkProfile`] is
-//! chaotic (or while partitions are scripted) run a fault-injecting
-//! activation: each consumed arrival draws one [`ChannelChaos`]
-//! decision — drop (consume silently), duplicate (commit the delivery
-//! twice), or hold (release only after up to `reorder` later
-//! arrivals). Scripted [`crate::Partition`]s *hold* (never drop) all
-//! traffic crossing the cut; a cut channel with pending traffic goes
-//! idle without voting for quiescence and registers in a deferred
-//! registry keyed by the partition's heal step, so the first commit at
-//! or past that step (or the next watchdog tick) re-arms it — healing
-//! resumes delivery in FIFO order per channel with no cut-poll loop.
+//! **Adversarial links.** A channel whose [`LinkProfile`] is chaotic
+//! starts in the channel automaton's seeded ADD state ([`start_state`]):
+//! each `Send` it takes draws one [`ChannelChaos`] decision and
+//! enqueues zero, one or two stamped deliveries, so drop, duplicate
+//! and bounded reorder are steps of the automaton and the channel
+//! activates through the same task sweep as everything else. What the
+//! engine adds is timing: link delay and jitter before a delivery
+//! commits, and scripted [`crate::Partition`]s, which *hold* (never
+//! drop) all traffic crossing the cut. A cut channel with pending
+//! traffic goes idle without voting for quiescence and registers in a
+//! deferred registry keyed by the partition's heal step, so the first
+//! commit at or past that step (or the next watchdog tick) re-arms it —
+//! healing resumes delivery with no cut-poll loop.
 //!
 //! **Shutdown.** Quiescence is detected structurally, not by a timing
 //! heuristic: the run is idle when the commit count is stable across
@@ -71,13 +72,15 @@ use std::thread;
 use std::time::Duration;
 
 use afd_core::{Action, Loc};
-use afd_system::{Component, ComponentKind, RunStats, System};
+use afd_system::{
+    AddState, ChannelChaos, Component, ComponentKind, ComponentState, LinkProfile, RunStats,
+    SplitMix64, System,
+};
 use ioa::{ActionClass, Automaton, TaskId};
 
-use crate::chaos::{ChannelChaos, ChannelChaosStats, ChaosReport};
-use crate::config::{ConfigError, CrashMode, LinkProfile, RuntimeConfig};
+use crate::chaos::ChaosReport;
+use crate::config::{ConfigError, CrashMode, LinkFaults, RuntimeConfig};
 use crate::exec::{Directive, Pool};
-use crate::rng::SplitMix64;
 use crate::sink::{Commit, EventSink, SinkOptions, StopReason};
 
 /// Where a commit lands: one of the two things — with the hosted set
@@ -306,26 +309,12 @@ struct Inbox {
     killed: bool,
 }
 
-/// Per-channel adversary state, persisted across activations so the
-/// seeded decision stream is identical to a dedicated-thread run.
-struct ChaosState {
-    chaos: ChannelChaos,
-    jrng: SplitMix64,
-    /// Held-back arrivals: `(action, release_at, duplicate)` —
-    /// released once the arrival clock passes `release_at`, in
-    /// insertion order.
-    held: VecDeque<(Action, u64, bool)>,
-    arrivals: u64,
-    stats: ChannelChaosStats,
-}
-
 /// The mutable half of a component. The pool guarantees one activation
 /// at a time, so this mutex is uncontended — it exists to move the
 /// state across worker threads, not to arbitrate.
 struct Body<S> {
     state: S,
     rng: SplitMix64,
-    chaos: Option<ChaosState>,
 }
 
 struct Cell<P: Automaton<Action = Action>> {
@@ -391,14 +380,37 @@ impl Deferred {
 }
 
 /// The first heal step of the partitions cutting `(from, to)` at
-/// `step` (`usize::MAX` if the cut never heals).
-fn heal_threshold(cfg: &RuntimeConfig, from: Loc, to: Loc, step: usize) -> usize {
+/// `step` (`usize::MAX` if the cut never heals), or `None` if no
+/// partition cuts it.
+fn heal_threshold(cfg: &RuntimeConfig, from: Loc, to: Loc, step: usize) -> Option<usize> {
     cfg.partitions
         .iter()
         .filter(|p| p.cuts(from, to, step))
         .map(|p| p.end)
         .min()
-        .unwrap_or(usize::MAX)
+}
+
+/// The start state an [`Engine`] gives `comp` of kind `kind`: a channel
+/// whose profile in `links` is chaotic starts in the channel
+/// automaton's ADD state, seeded from `(seed, from, to)`; every other
+/// component starts in its initial state.
+#[must_use]
+pub fn start_state<P>(
+    comp: &Component<P>,
+    kind: ComponentKind,
+    links: &LinkFaults,
+    seed: u64,
+) -> ComponentState<P::State>
+where
+    P: Automaton<Action = Action>,
+{
+    match kind {
+        ComponentKind::Channel(i, j) if links.profile(i, j).is_chaotic() => {
+            let chaos = ChannelChaos::new(seed, i, j, links.profile(i, j));
+            ComponentState::Add(Box::new(AddState::new(chaos)))
+        }
+        _ => comp.initial_state(),
+    }
 }
 
 /// The routing-index key of an action: variant tag plus the locations
@@ -472,7 +484,6 @@ where
         port: &'a C,
         cfg: &'a RuntimeConfig,
     ) -> Self {
-        let adversary = !cfg.partitions.is_empty();
         let mut cells = Vec::with_capacity(comps.len());
         let mut profiles = Vec::with_capacity(comps.len());
         for (idx, comp) in comps.iter().enumerate() {
@@ -486,27 +497,14 @@ where
                 continue;
             }
             let seed = cfg.seed ^ (idx as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-            let chaos = match kinds[idx] {
-                ComponentKind::Channel(i, j) if profile.is_chaotic() || adversary => {
-                    Some(ChaosState {
-                        chaos: ChannelChaos::new(cfg.seed, i, j, profile),
-                        jrng: SplitMix64::new(seed),
-                        held: VecDeque::new(),
-                        arrivals: 0,
-                        stats: ChannelChaosStats::default(),
-                    })
-                }
-                _ => None,
-            };
             cells.push(Some(Cell {
                 inbox: Mutex::new(Inbox {
                     q: VecDeque::new(),
                     killed: false,
                 }),
                 body: Mutex::new(Body {
-                    state: comp.initial_state(),
+                    state: start_state(comp, kinds[idx], &cfg.links, cfg.seed),
                     rng: SplitMix64::new(seed),
-                    chaos,
                 }),
             }));
         }
@@ -670,22 +668,20 @@ where
     pub fn replay(&self, a: &Action) {
         for (comp, cell) in self.comps.iter().zip(&self.cells) {
             if let Some(cell) = cell {
-                let mut body = lock(&cell.body);
-                if let Some(next) = comp.step(&body.state, a) {
-                    body.state = next;
-                }
+                comp.step_in_place(&mut lock(&cell.body).state, a);
             }
         }
     }
 
-    /// What the link adversary did on the hosted channels.
+    /// What the link adversary did on the hosted channels: the
+    /// `stats` of every channel started in the ADD state.
     pub fn chaos_report(&self) -> ChaosReport {
         let mut report = ChaosReport::default();
         for (kind, cell) in self.kinds.iter().zip(&self.cells) {
             if let (ComponentKind::Channel(i, j), Some(cell)) = (kind, cell) {
-                if let Some(ch) = &lock(&cell.body).chaos {
-                    if ch.stats != ChannelChaosStats::default() {
-                        report.per_channel.insert((*i, *j), ch.stats);
+                if let ComponentState::Add(s) = &lock(&cell.body).state {
+                    if s.stats.arrivals > 0 {
+                        report.per_channel.insert((*i, *j), s.stats);
                     }
                 }
             }
@@ -715,7 +711,7 @@ where
 }
 
 /// One activation of component `idx`: drain the inbox, then sweep
-/// local tasks (or run the channel adversary). Returns the scheduling
+/// local tasks. Returns the scheduling
 /// directive for the pool. `drain` is the worker's reusable inbox swap
 /// target.
 fn activate<P, C>(eng: &Engine<'_, P, C>, idx: usize, drain: &mut VecDeque<Action>) -> Directive
@@ -757,17 +753,11 @@ where
         std::mem::swap(&mut inbox.q, drain);
         eng.tel.backlog[idx].store(0, Ordering::SeqCst);
     }
-    let Body { state, rng, chaos } = &mut *body;
-    // Apply routed inputs (inputs are always enabled; a `None` step
+    let Body { state, rng } = &mut *body;
+    // Apply routed inputs (inputs are always enabled; a refused step
     // would be a signature bug, tolerated as a no-op).
     for a in drain.drain(..) {
-        if let Some(next) = comp.step(state, &a) {
-            *state = next;
-        }
-    }
-    if let Some(ch) = chaos {
-        tile.done();
-        return activate_chaos(eng, idx, comp, state, ch);
+        comp.step_in_place(state, &a);
     }
     // Sweep local tasks.
     let profile = eng.profiles[idx];
@@ -780,7 +770,7 @@ where
         let Some(a) = comp.enabled(state, TaskId(t)) else {
             continue;
         };
-        // Pacing and link faults happen before the commit, so the
+        // Pacing and partitions happen before the commit, so the
         // linearization point itself stays instantaneous.
         match kind {
             ComponentKind::Fd if !cfg.fd_pacing.is_zero() => {
@@ -788,12 +778,26 @@ where
                 thread::sleep(cfg.fd_pacing);
                 tile = tile.handoff(afd_prof::Stage::Step);
             }
-            ComponentKind::Channel(_, _) if !profile.is_zero() => {
-                tile = tile.handoff(afd_prof::Stage::Pacing);
-                let jitter_ns =
-                    rng.below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
-                thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
-                tile = tile.handoff(afd_prof::Stage::Step);
+            ComponentKind::Channel(from, to) => {
+                let cut = (!cfg.partitions.is_empty())
+                    .then(|| heal_threshold(cfg, from, to, port.events()))
+                    .flatten();
+                if let Some(heal) = cut {
+                    // Hold everything so healing resumes where it left
+                    // off. Not parked — a cut channel with pending
+                    // traffic is not quiescent — but re-armed by the
+                    // deferred registry at the heal step (an eternal
+                    // cut registers nothing; the watchdog fires).
+                    eng.deferred.register(heal, idx);
+                    return Directive::Idle;
+                }
+                if !profile.is_zero() {
+                    tile = tile.handoff(afd_prof::Stage::Pacing);
+                    let jitter_ns =
+                        rng.below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
+                    thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
+                    tile = tile.handoff(afd_prof::Stage::Step);
+                }
             }
             // Throttle stubborn retransmission (WireSend) so it cannot
             // flood the event budget.
@@ -815,9 +819,7 @@ where
         tile = afd_prof::span(afd_prof::Stage::Step);
         match status {
             Commit::Accepted => {
-                if let Some(next) = comp.step(state, &a) {
-                    *state = next;
-                }
+                comp.step_in_place(state, &a);
                 tile.done();
                 eng.route(idx, a);
                 tile = afd_prof::span(afd_prof::Stage::Step);
@@ -841,131 +843,6 @@ where
     } else {
         // Nothing enabled and nothing arrived: this component votes
         // for quiescence until an input re-enqueues it.
-        eng.tel.park(idx);
-        Directive::Idle
-    }
-}
-
-/// The adversarial channel activation: like the task sweep for a
-/// channel component, but every consumed arrival draws a chaos
-/// decision (drop/dup/hold) and scripted partitions gate delivery.
-/// The only consumer of [`ChannelChaos::next`] on any run path —
-/// threaded, TCP-coordinator and UDP-node channels alike.
-fn activate_chaos<P, C>(
-    eng: &Engine<'_, P, C>,
-    idx: usize,
-    comp: &Component<P>,
-    state: &mut CState<P>,
-    ch: &mut ChaosState,
-) -> Directive
-where
-    P: Automaton<Action = Action>,
-    C: CommitPort,
-{
-    let port = eng.port;
-    let ComponentKind::Channel(from, to) = eng.kinds[idx] else {
-        unreachable!("chaos state only attaches to channel components")
-    };
-    let profile = eng.profiles[idx];
-    let cut = eng.cfg.is_cut(from, to, port.events());
-    let mut progressed = false;
-    if !cut {
-        // Release matured holds (never across an active cut). The
-        // automaton already stepped past these messages when they were
-        // consumed; only the commit + routing remain.
-        while let Some(&(a, at, dup)) = ch.held.front() {
-            if at > ch.arrivals {
-                break;
-            }
-            ch.held.pop_front();
-            match eng.commit(idx, a) {
-                Commit::Accepted => {
-                    if dup {
-                        eng.commit(idx, a);
-                    }
-                    progressed = true;
-                }
-                Commit::Suppressed => {} // unreachable: deliveries are exempt
-                Commit::Stopped => {
-                    eng.pool.shutdown();
-                    return Directive::Done;
-                }
-            }
-        }
-    }
-    let head = comp.enabled(state, TaskId(0));
-    if cut && (head.is_some() || !ch.held.is_empty()) {
-        // Partition: hold everything (no consume, no deliver) so
-        // healing resumes in FIFO order. The component stays un-parked
-        // — a cut channel with pending traffic is not quiescent — and
-        // is re-armed by the deferred registry once the heal step is
-        // reached (an eternal cut registers nothing and the watchdog
-        // eventually fires).
-        eng.deferred
-            .register(heal_threshold(eng.cfg, from, to, port.events()), idx);
-        return Directive::Idle;
-    }
-    if let Some(a) = head {
-        let decision_span = afd_prof::span(afd_prof::Stage::ChaosDecision);
-        let d = ch.chaos.next();
-        decision_span.done();
-        ch.arrivals += 1;
-        ch.stats.arrivals += 1;
-        ch.stats.dropped += u64::from(d.drop);
-        ch.stats.duplicated += u64::from(d.dup);
-        ch.stats.held += u64::from(d.hold > 0);
-        afd_prof::gauge_sampled(
-            afd_prof::GaugeKind::ChannelBacklog,
-            (eng.tel.backlog[idx].load(Ordering::SeqCst) + ch.held.len()) as u64,
-            64,
-        );
-        if d.drop || d.hold > 0 {
-            // Consume without committing: a dropped message vanishes,
-            // a held one waits in the reorder buffer.
-            if let Some(next) = comp.step(state, &a) {
-                *state = next;
-            }
-            if !d.drop {
-                ch.held
-                    .push_back((a, ch.arrivals + u64::from(d.hold), d.dup));
-            }
-            progressed = true;
-        } else {
-            if !profile.is_zero() {
-                let _p = afd_prof::span(afd_prof::Stage::Pacing);
-                let jitter_ns = ch
-                    .jrng
-                    .below(u64::try_from(profile.jitter.as_nanos()).unwrap_or(u64::MAX));
-                thread::sleep(profile.delay + Duration::from_nanos(jitter_ns));
-            }
-            match port.commit(idx, a) {
-                Commit::Accepted => {
-                    if let Some(next) = comp.step(state, &a) {
-                        *state = next;
-                    }
-                    eng.route(idx, a);
-                    if d.dup {
-                        eng.commit(idx, a);
-                    }
-                    progressed = true;
-                }
-                Commit::Suppressed => {} // unreachable: deliveries are exempt
-                Commit::Stopped => {
-                    eng.pool.shutdown();
-                    return Directive::Done;
-                }
-            }
-        }
-    } else if !ch.held.is_empty() {
-        // The wire went quiet with messages still held: advance the
-        // virtual arrival clock so the reorder buffer drains.
-        ch.arrivals += 1;
-        progressed = true;
-    }
-    if progressed {
-        eng.drain_deferred();
-        Directive::Again
-    } else {
         eng.tel.park(idx);
         Directive::Idle
     }

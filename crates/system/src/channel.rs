@@ -1,5 +1,6 @@
-//! Channel automata: the paper's reliable FIFO channels (§4.3) and the
-//! *wire* channels the adversarial runtime perturbs.
+//! Channel automata: the paper's reliable FIFO channels (§4.3), the
+//! *wire* channels the reliable layer runs over, and the ADD start
+//! state a chaotic link begins in.
 //!
 //! # Channel semantics
 //!
@@ -12,24 +13,33 @@
 //! Two flavours exist, chosen per system by
 //! [`crate::SystemBuilder::with_wire_channels`]:
 //!
-//! * [`Channel`] — the paper's channel `C_{i,j}` over [`Msg`]. Its
-//!   automaton is reliable FIFO *by construction*; any drop,
-//!   duplication, or reordering a runtime injects is therefore a
-//!   deviation that the app-level FIFO checker flags.
+//! * [`Channel`] — the paper's channel `C_{i,j}` over [`Msg`], with
+//!   the paper's `Send`/`Receive` alphabet.
 //! * [`WireChannel`] — the frame channel `W_{i,j}` over
-//!   [`afd_core::Frame`]. It has the same FIFO automaton shape, but it
-//!   is *meant* to be perturbed: the threaded runtime's adversarial
-//!   link layer may drop, duplicate, reorder, or partition its
-//!   deliveries, and the reliable-channel layer in `afd-algorithms`
-//!   (stubborn retransmission + sequence-number reassembly) restores
+//!   [`afd_core::Frame`], with the `WireSend`/`WireRecv` alphabet. The
+//!   reliable-channel layer in `afd-algorithms` (stubborn
+//!   retransmission + sequence-number reassembly) restores
 //!   reliable-FIFO semantics for the application on top of it.
 //!
-//! The split keeps both engines honest: `Send`/`Receive` remain the
-//! application-level alphabet with the paper's reliability contract,
-//! while `WireSend`/`WireRecv` carry the degraded traffic underneath.
+//! # The ADD start state
+//!
+//! An I/O automaton may have many start states. Besides the empty FIFO
+//! queue, each channel of either flavour may start in a seeded
+//! [`AddState`]: Kumar & Welch's ADD channel, which may drop,
+//! duplicate, and reorder messages within a bound. Its state carries
+//! the channel's [`ChannelChaos`] decision stream, so every schedule
+//! such a channel takes part in is an execution of the channel
+//! automaton — the engines start a channel there when its link profile
+//! is chaotic, and the simulator can start a system there too. On the
+//! paper's `C_{i,j}` such a start state breaks the reliable-FIFO
+//! contract, which the app-level FIFO checker then reports.
+
+use std::collections::VecDeque;
 
 use afd_core::{Action, Frame, Loc, Msg};
 use ioa::{ActionClass, Automaton, TaskId};
+
+use crate::chaos::{ChannelChaos, ChannelChaosStats};
 
 /// The channel automaton `C_{from,to}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,9 +213,94 @@ impl Automaton for WireChannel {
     }
 }
 
+/// The ADD start state of a channel, shared by [`Channel`] and
+/// [`WireChannel`]: deliveries queue as the `Receive`/`WireRecv`
+/// action itself, so one implementation serves both alphabets.
+///
+/// * A `Send`/`WireSend` draws exactly one [`ChannelChaos`] decision
+///   and enqueues zero deliveries (drop), one, or two (dup), each
+///   stamped `arrivals + hold`.
+/// * A delivery is enabled when it is the queue front or its stamp has
+///   been reached; [`AddState::enabled`] offers the first reached one,
+///   else the front. Receiving removes the first queued copy of that
+///   delivery.
+///
+/// The set of enabled deliveries only grows as sends are appended, so
+/// a delivery chosen before some sends were applied is still accepted
+/// after them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct AddState {
+    chaos: ChannelChaos,
+    queue: VecDeque<(Action, u64)>,
+    arrivals: u64,
+    /// What the adversary has done so far.
+    pub stats: ChannelChaosStats,
+}
+
+impl AddState {
+    /// An empty channel drawing its fates from `chaos`.
+    #[must_use]
+    pub fn new(chaos: ChannelChaos) -> Self {
+        AddState {
+            chaos,
+            queue: VecDeque::new(),
+            arrivals: 0,
+            stats: ChannelChaosStats::default(),
+        }
+    }
+
+    /// The delivery on offer, if any.
+    #[must_use]
+    pub fn enabled(&self) -> Option<Action> {
+        let reached = self.queue.iter().find(|(_, at)| *at <= self.arrivals);
+        reached.or(self.queue.front()).map(|(d, _)| *d)
+    }
+
+    /// Apply a send or a receive of this channel's signature.
+    #[must_use]
+    pub fn step(&self, a: &Action) -> Option<AddState> {
+        let mut next = self.clone();
+        next.apply(a).then_some(next)
+    }
+
+    /// [`AddState::step`] in place: `false`, leaving the state as it
+    /// was, where `step` returns `None`. An engine steps a backlogged
+    /// channel this way, at O(1) per step instead of a queue copy.
+    pub fn apply(&mut self, a: &Action) -> bool {
+        let delivery = match *a {
+            Action::Send { from, to, msg } => Action::Receive { from, to, msg },
+            Action::WireSend { from, to, frame } => Action::WireRecv { from, to, frame },
+            _ => {
+                let Some(k) = self.queue.iter().position(|(d, _)| d == a) else {
+                    return false;
+                };
+                let reached = |(d, at): &(Action, u64)| d == a && *at <= self.arrivals;
+                if k > 0 && !self.queue.iter().any(reached) {
+                    return false;
+                }
+                self.queue.remove(k);
+                return true;
+            }
+        };
+        let fate = self.chaos.next();
+        self.arrivals += 1;
+        self.stats.arrivals += 1;
+        self.stats.dropped += u64::from(fate.drop);
+        self.stats.duplicated += u64::from(fate.dup);
+        self.stats.held += u64::from(fate.hold > 0);
+        let copies = usize::from(!fate.drop) + usize::from(fate.dup);
+        let stamp = self.arrivals + u64::from(fate.hold);
+        self.queue
+            .extend(std::iter::repeat_n((delivery, stamp), copies));
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::LinkProfile;
+    use crate::component::{Component, ComponentState};
 
     fn chan() -> Channel {
         Channel::new(Loc(0), Loc(1))
@@ -345,6 +440,112 @@ mod tests {
     #[should_panic(expected = "self-channels")]
     fn wire_self_channel_rejected() {
         let _ = WireChannel::new(Loc(2), Loc(2));
+    }
+
+    fn add(c: Channel, profile: LinkProfile) -> ComponentState<ChannelState> {
+        let chaos = ChannelChaos::new(3, c.from, c.to, profile);
+        ComponentState::Add(Box::new(AddState::new(chaos)))
+    }
+
+    /// Deliver everything on offer; the `Receive`s, in order.
+    fn drain(c: &Component<Channel>, mut s: ComponentState<ChannelState>) -> Vec<Action> {
+        let mut out = Vec::new();
+        while let Some(a) = c.enabled(&s, TaskId(0)) {
+            s = c.step(&s, &a).expect("the offered delivery is accepted");
+            out.push(a);
+        }
+        out
+    }
+
+    #[test]
+    fn add_state_drops_duplicates_and_reorders_as_it_steps() {
+        let profile = LinkProfile::lossy(0.3).with_dup(0.2).with_reorder(3);
+        let c = Component::<Channel>::Channel(chan());
+        let mut s = add(chan(), profile);
+        let mut got = Vec::new();
+        // Deliver everything on offer after every fourth send.
+        for k in 0..64 {
+            s = c.step(&s, &send(Msg::Token(k))).unwrap();
+            while let Some(a) = c.enabled(&s, TaskId(0)).filter(|_| k % 4 == 3) {
+                s = c.step(&s, &a).unwrap();
+                got.push(a);
+            }
+        }
+        let ComponentState::Add(st) = &s else {
+            unreachable!()
+        };
+        let stats = st.stats;
+        let mut plan = ChannelChaos::new(3, Loc(0), Loc(1), profile);
+        let fates: Vec<_> = (0..64).map(|_| plan.next()).collect();
+        assert_eq!(stats.arrivals, 64);
+        assert_eq!(
+            stats.dropped,
+            fates.iter().filter(|d| d.drop).count() as u64
+        );
+        assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.held > 0);
+        got.extend(drain(&c, s));
+        let expected = 64 - stats.dropped + stats.duplicated;
+        assert_eq!(got.len() as u64, expected);
+        let mut sorted = got.clone();
+        sorted.sort_by_key(|a| match a {
+            Action::Receive {
+                msg: Msg::Token(k), ..
+            } => *k,
+            _ => unreachable!(),
+        });
+        assert_ne!(got, sorted, "some delivery was overtaken");
+        // Out-of-signature actions are refused, not enqueued.
+        let other = Action::Send {
+            from: Loc(1),
+            to: Loc(0),
+            msg: Msg::Token(0),
+        };
+        assert_eq!(c.step(&add(chan(), profile), &other), None);
+        assert_eq!(c.step(&add(chan(), profile), &recv(Msg::Token(0))), None);
+    }
+
+    #[test]
+    fn add_state_steps_in_place_exactly_as_it_steps() {
+        let profile = LinkProfile::lossy(0.3).with_dup(0.2).with_reorder(3);
+        let c = Component::<Channel>::Channel(chan());
+        let (mut copied, mut in_place) = (add(chan(), profile), add(chan(), profile));
+        for k in 0..64 {
+            let a = match c.enabled(&copied, TaskId(0)) {
+                Some(r) if k % 3 == 0 => r,
+                _ => send(Msg::Token(k)),
+            };
+            copied = c.step(&copied, &a).unwrap();
+            assert!(c.step_in_place(&mut in_place, &a));
+            assert_eq!(copied, in_place);
+        }
+        // A refused receive leaves the state as it was.
+        let before = in_place.clone();
+        assert!(!c.step_in_place(&mut in_place, &recv(Msg::Token(999))));
+        assert_eq!(in_place, before);
+    }
+
+    #[test]
+    fn add_state_accepts_a_delivery_chosen_before_later_sends() {
+        // Hold everything: only the front is on offer until a stamp is
+        // reached, and the offer stays acceptable as sends arrive.
+        let c = Component::<Channel>::Channel(chan());
+        let mut s = add(chan(), LinkProfile::default().with_reorder(4));
+        s = c.step(&s, &send(Msg::Token(1))).unwrap();
+        let offered = c.enabled(&s, TaskId(0)).unwrap();
+        for k in 2..12 {
+            s = c.step(&s, &send(Msg::Token(k))).unwrap();
+        }
+        assert!(c.step(&s, &offered).is_some());
+    }
+
+    #[test]
+    fn add_state_is_a_wire_channel_start_state_too() {
+        let w = Component::<Channel>::Wire(WireChannel::new(Loc(0), Loc(1)));
+        let chaos = ChannelChaos::new(3, Loc(0), Loc(1), LinkProfile::lossy(0.0).with_dup(1.0));
+        let mut s = ComponentState::Add(Box::new(AddState::new(chaos)));
+        let f = Frame::Ack { cum: 2 };
+        s = w.step(&s, &wsend(f)).unwrap();
+        assert_eq!(drain(&w, s), vec![wrecv(f), wrecv(f)], "dup delivers twice");
     }
 
     #[test]

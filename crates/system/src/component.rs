@@ -7,7 +7,7 @@ use afd_core::automata::{FdGen, FdGenState};
 use afd_core::{Action, Loc};
 use ioa::{ActionClass, Automaton, TaskId};
 
-use crate::channel::{Channel, ChannelState, WireChannel, WireChannelState};
+use crate::channel::{AddState, Channel, ChannelState, WireChannel, WireChannelState};
 use crate::crash::{CrashAdversary, CrashState};
 use crate::environment::{Env, EnvState};
 
@@ -38,59 +38,14 @@ pub enum ComponentState<S> {
     Channel(ChannelState),
     /// Wire channel state.
     Wire(WireChannelState),
+    /// A channel (of either flavour) started in its seeded ADD state.
+    Add(Box<AddState>),
     /// Crash-automaton state.
     Crash(CrashState),
     /// Environment state.
     Env(EnvState),
     /// Failure-detector state.
     Fd(FdGenState),
-}
-
-impl<S> ComponentState<S> {
-    /// The process state, if this is a process component's state.
-    #[must_use]
-    pub fn as_process(&self) -> Option<&S> {
-        match self {
-            ComponentState::Process(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The channel state, if this is a channel component's state.
-    #[must_use]
-    pub fn as_channel(&self) -> Option<&ChannelState> {
-        match self {
-            ComponentState::Channel(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The wire channel state, if this is a wire component's state.
-    #[must_use]
-    pub fn as_wire(&self) -> Option<&WireChannelState> {
-        match self {
-            ComponentState::Wire(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The FD state, if this is the failure-detector component's state.
-    #[must_use]
-    pub fn as_fd(&self) -> Option<&FdGenState> {
-        match self {
-            ComponentState::Fd(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The environment state, if this is the environment's state.
-    #[must_use]
-    pub fn as_env(&self) -> Option<&EnvState> {
-        match self {
-            ComponentState::Env(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl<P> Automaton for Component<P>
@@ -149,6 +104,7 @@ where
             (Component::Process(p), ComponentState::Process(s)) => p.enabled(s, t),
             (Component::Channel(c), ComponentState::Channel(s)) => c.enabled(s, t),
             (Component::Wire(w), ComponentState::Wire(s)) => w.enabled(s, t),
+            (Component::Channel(_) | Component::Wire(_), ComponentState::Add(s)) => s.enabled(),
             (Component::Crash(c), ComponentState::Crash(s)) => c.enabled(s, t),
             (Component::Env(e), ComponentState::Env(s)) => e.enabled(s, t),
             (Component::Fd(f), ComponentState::Fd(s)) => f.enabled(s, t),
@@ -168,6 +124,10 @@ where
                 c.step(s, a).map(ComponentState::Channel)
             }
             (Component::Wire(w), ComponentState::Wire(s)) => w.step(s, a).map(ComponentState::Wire),
+            (Component::Channel(_) | Component::Wire(_), ComponentState::Add(s)) => {
+                self.classify(a)?;
+                s.step(a).map(|s| ComponentState::Add(Box::new(s)))
+            }
             (Component::Crash(c), ComponentState::Crash(s)) => {
                 c.step(s, a).map(ComponentState::Crash)
             }
@@ -177,6 +137,24 @@ where
                 debug_assert!(false, "component/state kind mismatch");
                 None
             }
+        }
+    }
+
+    /// The ADD state steps in place: its delivery queue grows with the
+    /// channel's backlog, and copying it on every step made a node
+    /// that fell behind fall further behind.
+    fn step_in_place(&self, s: &mut Self::State, a: &Action) -> bool {
+        if let (Component::Channel(_) | Component::Wire(_), ComponentState::Add(st)) =
+            (self, &mut *s)
+        {
+            return self.classify(a).is_some() && st.apply(a);
+        }
+        match self.step(s, a) {
+            Some(next) => {
+                *s = next;
+                true
+            }
+            None => false,
         }
     }
 }

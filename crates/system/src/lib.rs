@@ -5,7 +5,8 @@
 //! * one **process automaton** per location ([`process`], §4.2 —
 //!   deterministic, crash-disabled, built from a [`process::LocalBehavior`]);
 //! * **reliable FIFO channels** `C_{i,j}` for every ordered pair
-//!   ([`channel`], §4.3);
+//!   ([`channel`], §4.3), each of which may instead start in a seeded
+//!   ADD state that drops, duplicates and reorders ([`chaos`]);
 //! * the **crash automaton** ([`crash`], §4.4 — no fairness
 //!   obligations; timing comes from a [`crash::FaultPattern`]);
 //! * an **environment automaton** ([`environment`], §4.5 — including
@@ -61,21 +62,25 @@
 //! ```
 
 pub mod channel;
+pub mod chaos;
 pub mod component;
 pub mod crash;
 pub mod environment;
 pub mod process;
 pub mod refuter;
+pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod system;
 
-pub use channel::{Channel, ChannelState, WireChannel, WireChannelState};
+pub use channel::{AddState, Channel, ChannelState, WireChannel, WireChannelState};
+pub use chaos::{ChannelChaos, ChannelChaosStats, ChaosDecision, LinkProfile};
 pub use component::{Component, ComponentKind, ComponentState, Label};
 pub use crash::{CrashAdversary, FaultPattern};
 pub use environment::{Env, EnvState};
 pub use process::{LocalBehavior, ProcState, ProcessAutomaton};
 pub use refuter::{refute_marabout, RefutationWitness};
+pub use rng::SplitMix64;
 pub use sim::{crash_midway, run_random, run_round_robin, run_sim, SimConfig, SimOutcome};
 pub use stats::{RunStats, RunStatsStream};
 pub use system::{System, SystemBuilder};

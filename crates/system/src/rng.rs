@@ -1,10 +1,10 @@
-//! A tiny seeded generator for link-fault jitter. The runtime is
-//! std-only by design, so it carries its own splitmix64 instead of
-//! pulling in an RNG dependency: jitter only needs to be deterministic
-//! per seed and well-spread, not of statistical quality.
+//! A tiny seeded generator for the link adversary's decision stream
+//! and the engines' link jitter: splitmix64 instead of an RNG
+//! dependency, because both only need to be deterministic per seed and
+//! well-spread, not of statistical quality.
 
 /// splitmix64 (Steele, Lea & Flood, OOPSLA 2014).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -1132,7 +1132,7 @@ fn table_x_recovery() -> Table {
 /// Table Y: the UDP datagram plane end to end. Sweeps configured drop
 /// rate ∈ {0, 10, 30, 50}% over [`afd_net::coord::Transport::Udp`] —
 /// every heartbeat a real `UdpSocket` datagram, whose injected fate the
-/// destination channel's chaos activation draws on top of whatever the
+/// destination channel's seeded ADD state draws on top of whatever the
 /// socket does — running the bounded-message ◇P of the ADD paper at
 /// each point. Gates: the ◇P streaming conformance checker passes at
 /// every drop rate; a crashed location is detected (suspected) despite
@@ -1302,15 +1302,16 @@ fn table_y_dgram() -> Table {
 
     t.note(
         "Every heartbeat is a real `std::net::UdpSocket` datagram on loopback; each one the \
-         socket delivers is an arrival at the destination node's channel, whose chaos \
-         activation (seeded SplitMix64, the same code and stream as the TCP coordinator and \
-         the threaded engine) draws its drop/dup/reorder fate. The gated columns come from \
-         the run's chaos report — injected drops over arrivals against the configured rate, \
-         deliveries over arrivals against the profile's expectation (1 − drop)·(1 + dup); \
-         `organic lost` counts transmissions the real network ate (including datagrams still \
-         in flight at shutdown) and `received ÷ tx` is what the sockets delivered — reported, \
-         not gated, because the host decides it. Detection latency is schedule events from \
-         the Halt crash to the first suspicion, per `afd_obs::detector_qos`.",
+         socket delivers is an arrival at the destination node's channel, whose seeded ADD \
+         start state (SplitMix64, the same automaton and stream as on the TCP coordinator and \
+         the threaded engine) draws its drop/dup/reorder fate as it steps. The gated columns \
+         come from the run's chaos report — injected drops over arrivals against the \
+         configured rate, deliveries over arrivals against the profile's expectation \
+         (1 − drop)·(1 + dup); `organic lost` counts transmissions the real network ate \
+         (including datagrams still in flight at shutdown) and `received ÷ tx` is what the \
+         sockets delivered — reported, not gated, because the host decides it. Detection \
+         latency is schedule events from the Halt crash to the first suspicion, per \
+         `afd_obs::detector_qos`.",
     );
     t
 }

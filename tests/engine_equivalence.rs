@@ -1,20 +1,26 @@
-//! One engine, three hosts: `run_threaded`, a TCP `run_distributed`
-//! coordinator and the UDP nodes hosting their channels' destinations
-//! run the same activation loop, so on the same seed and link profile
-//! each channel's *realised* chaos accounting must be exactly what the
-//! exported plan says about that channel's first `arrivals` messages —
-//! on all three.
+//! One channel automaton, four hosts. `run_threaded`, a TCP
+//! `run_distributed` coordinator and the UDP nodes hosting their
+//! channels' destinations run the same activation loop over channels
+//! started in the same seeded ADD state, so on the same seed and link
+//! profile each channel's *realised* chaos accounting must be exactly
+//! what the exported plan says about that channel's first `arrivals`
+//! messages — on all three. Because drop, duplicate and reorder are
+//! steps of that automaton, every chaotic schedule is an execution of
+//! its channels, and the simulator runs the same chaos from the same
+//! start state with no knob of its own.
 
 use std::time::Duration;
 
-use afd_algorithms::consensus::all_live_decided;
+use afd_algorithms::consensus::{all_live_decided, check_consensus_run};
 use afd_algorithms::reliable::reliable_paxos_system;
-use afd_core::Pi;
-use afd_net::{run_distributed, DeploymentSpec, NetConfig, Transport};
+use afd_core::{Action, Pi};
+use afd_net::{run_distributed, DeploymentSpec, NetConfig, NetReport, Transport};
 use afd_runtime::{
-    run_threaded, ChannelChaos, ChannelChaosStats, ChaosReport, LinkFaults, LinkProfile,
-    RuntimeConfig,
+    fifo_violation, run_threaded, start_state, ChannelChaos, ChannelChaosStats, ChaosReport,
+    LinkFaults, LinkProfile, RuntimeConfig, RuntimeOutcome,
 };
+use afd_system::{ComponentKind, ComponentState};
+use ioa::{Automaton, RandomFair, RunOptions, Runner};
 
 const SEED: u64 = 4_242;
 
@@ -47,8 +53,50 @@ fn assert_realised_equals_planned(engine: &str, report: &ChaosReport) {
     }
 }
 
-#[test]
-fn realised_chaos_equals_the_plan_threaded() {
+/// Project `schedule` onto each channel's signature and step that
+/// projection through the channel automaton from the start state the
+/// engines give it: every step must be accepted. Adds the chaos the
+/// channels went through to `seen`.
+fn assert_channels_accept(engine: &str, schedule: &[Action], seen: &mut ChannelChaosStats) {
+    let sys = reliable_paxos_system(Pi::new(3), &[1, 0, 1], vec![]);
+    let comps = sys.composition.components();
+    for (comp, kind) in comps.iter().zip(sys.component_kinds()) {
+        if !matches!(kind, ComponentKind::Channel(..)) {
+            continue;
+        }
+        let mut s = start_state(comp, kind, &links(), SEED);
+        let projection = schedule.iter().filter(|a| comp.classify(a).is_some());
+        for (k, a) in projection.enumerate() {
+            s = comp.step(&s, a).unwrap_or_else(|| {
+                panic!("{engine}: {} rejects its event #{k}, {a:?}", comp.name())
+            });
+        }
+        let ComponentState::Add(add) = s else {
+            panic!("{engine}: {} did not start in the ADD state", comp.name())
+        };
+        seen.dropped += add.stats.dropped;
+        seen.duplicated += add.stats.duplicated;
+        seen.held += add.stats.held;
+    }
+}
+
+/// Every schedule `run` produces is an execution of its channels, and
+/// the runs between them exercise a drop, a duplicate and a hold. The
+/// plan is fixed per channel but traffic is not: a run that decides
+/// before any channel reaches its first planned duplicate is checked
+/// in full and followed by another run, at most five in all.
+fn assert_runs_are_channel_executions(engine: &str, run: impl Fn() -> Vec<Action>) {
+    let mut seen = ChannelChaosStats::default();
+    for _ in 0..5 {
+        assert_channels_accept(engine, &run(), &mut seen);
+        if seen.dropped > 0 && seen.duplicated > 0 && seen.held > 0 {
+            return;
+        }
+    }
+    panic!("{engine}: five schedules exercised too little chaos: {seen:?}");
+}
+
+fn threaded_run() -> RuntimeOutcome {
     let pi = Pi::new(3);
     let sys = reliable_paxos_system(pi, &[1, 0, 1], vec![]);
     let cfg = RuntimeConfig::default()
@@ -57,11 +105,20 @@ fn realised_chaos_equals_the_plan_threaded() {
         .with_wire_pacing(Duration::from_micros(20))
         .with_max_events(6_000)
         .stop_when(move |s| all_live_decided(pi, s));
-    let out = run_threaded(&sys, &cfg);
-    assert_realised_equals_planned("threaded", &out.chaos);
+    run_threaded(&sys, &cfg)
 }
 
-fn distributed_chaos(transport: Transport) -> ChaosReport {
+#[test]
+fn realised_chaos_equals_the_plan_threaded() {
+    assert_realised_equals_planned("threaded", &threaded_run().chaos);
+}
+
+#[test]
+fn threaded_chaos_schedule_is_an_execution_of_its_channels() {
+    assert_runs_are_channel_executions("threaded", || threaded_run().schedule);
+}
+
+fn distributed_run(transport: Transport) -> NetReport {
     let spec = DeploymentSpec::ReliablePaxos {
         n: 3,
         values: vec![1, 0, 1],
@@ -72,15 +129,67 @@ fn distributed_chaos(transport: Transport) -> ChaosReport {
         .with_seed(SEED)
         .with_links(links())
         .with_transport(transport);
-    run_distributed(&spec, &cfg).expect("run").chaos
+    run_distributed(&spec, &cfg).expect("run")
 }
 
 #[test]
 fn realised_chaos_equals_the_plan_tcp() {
-    assert_realised_equals_planned("tcp", &distributed_chaos(Transport::Tcp));
+    assert_realised_equals_planned("tcp", &distributed_run(Transport::Tcp).chaos);
 }
 
 #[test]
 fn realised_chaos_equals_the_plan_udp() {
-    assert_realised_equals_planned("udp", &distributed_chaos(Transport::Udp));
+    assert_realised_equals_planned("udp", &distributed_run(Transport::Udp).chaos);
+}
+
+/// UDP is left out: a datagram the socket loses never reaches its
+/// channel, so its `WireSend` is in the schedule but outside the
+/// channel's execution.
+#[test]
+fn tcp_chaos_schedule_is_an_execution_of_its_channels() {
+    assert_runs_are_channel_executions("tcp", || distributed_run(Transport::Tcp).schedule);
+}
+
+/// The simulator runs the same chaos from the same start state:
+/// ReliablePaxos decides under the ADD channels on every seed, with
+/// app-level FIFO and consensus intact.
+#[test]
+fn simulator_runs_chaos_from_the_add_start_state() {
+    let pi = Pi::new(3);
+    let sys = reliable_paxos_system(pi, &[1, 0, 1], vec![]);
+    let start: Vec<_> = sys
+        .composition
+        .components()
+        .iter()
+        .zip(sys.component_kinds())
+        .map(|(comp, kind)| start_state(comp, kind, &links(), SEED))
+        .collect();
+    for seed in 1..=10 {
+        let opts = RunOptions::default()
+            .endpoints_only()
+            .with_max_steps(20_000)
+            .stop_when(move |_, s: &[Action]| all_live_decided(pi, s));
+        let out =
+            Runner::new(&sys.composition).run_from(start.clone(), &mut RandomFair::new(seed), opts);
+        let schedule = &out.execution.actions;
+        assert_eq!(
+            out.reason,
+            ioa::StopReason::Predicate,
+            "seed {seed}: no decision"
+        );
+        assert_eq!(fifo_violation(schedule), None, "seed {seed}");
+        let decided = check_consensus_run(pi, 1, schedule)
+            .unwrap_or_else(|v| panic!("seed {seed}: consensus violated: {v:?}"));
+        assert!(decided.is_some(), "seed {seed}");
+        let dropped: u64 = out
+            .execution
+            .last_state()
+            .iter()
+            .filter_map(|s| match s {
+                ComponentState::Add(add) => Some(add.stats.dropped),
+                _ => None,
+            })
+            .sum();
+        assert!(dropped > 0, "seed {seed}: the adversary dropped nothing");
+    }
 }

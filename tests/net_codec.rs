@@ -25,7 +25,7 @@ use afd_core::{Action, Ballot, FdOutput, Frame, Loc, LocSet, Msg};
 use afd_dgram::{fragment, ChannelDgramStats, DgramError, Reassembly, HDR_LEN};
 use afd_net::codec::{
     decode_action, decode_msg, encode_action, encode_msg, read_frame, write_frame, DecodeError,
-    MAX_FRAME,
+    FRAME_RESERVE, MAX_FRAME,
 };
 use afd_net::{CommitStatus, DeploymentSpec, FdKindSpec, WireLinkProfile, WireMsg};
 use afd_runtime::ChannelChaosStats;
@@ -762,6 +762,21 @@ fn oversized_frame_is_refused() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
+/// A length prefix is a claim, not an allocation request: a frame
+/// claiming nearly `MAX_FRAME` bytes but delivering a handful reserves
+/// at most `FRAME_RESERVE` before the read comes up short.
+#[test]
+fn short_frame_claiming_max_frame_reserves_at_most_the_cap() {
+    let mut wire = MAX_FRAME.to_le_bytes().to_vec();
+    wire.extend_from_slice(&[7u8; 8]);
+    let peak = peak_alloc_of(|| {
+        let err = read_frame(&mut std::io::Cursor::new(&wire)).expect_err("short frame");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    });
+    let cap = FRAME_RESERVE + alloc_budget(wire.len());
+    assert!(peak <= cap, "read_frame reserved {peak} bytes (cap {cap})");
+}
+
 // ---------------------------------------------------------------------
 // Long-loop decode fuzzing.
 // ---------------------------------------------------------------------
@@ -945,7 +960,7 @@ fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>, mtu: usize) {
 /// strings and mutated valid encodings — under `catch_unwind`: each
 /// outcome is `Ok` or a typed error, never a panic, and no call
 /// allocates beyond [`alloc_budget`] of the bytes it was given
-/// (`read_frame`: plus the one `MAX_FRAME`-capped payload buffer it
+/// (`read_frame`: plus the `FRAME_RESERVE`-capped payload buffer it
 /// reserves on the strength of a length prefix). Reassemblers live for
 /// 32 inputs, so fragments meet pending, completed and mismatching
 /// state; what one may allocate is budgeted against everything offered
@@ -985,7 +1000,7 @@ fn decoders_never_panic_or_overallocate() {
                             let mut r = std::io::Cursor::new(&bytes);
                             while let Ok(Some(_)) = read_frame(&mut r) {}
                         }),
-                        MAX_FRAME as usize + budget,
+                        FRAME_RESERVE + budget,
                     ),
                     (
                         "afd_dgram::parse",

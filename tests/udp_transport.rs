@@ -2,7 +2,7 @@
 //! TCP acceptance suite runs, but with every node↔node data channel
 //! riding real `std::net::UdpSocket` datagrams (afd-dgram framing; each
 //! arriving datagram's drop/dup/reorder fate drawn by the destination
-//! channel's seeded chaos activation, as on every other engine):
+//! channel's seeded ADD state, as on every other engine):
 //!
 //! * the ◇P/Ω conformance grid stays conformant over real datagrams —
 //!   including the bounded-message ◇P of the ADD paper under 30%
@@ -27,6 +27,9 @@ use afd_core::{Action, Loc, Pi, StreamChecker};
 use afd_net::coord::{NetConfig, NetReport, RecoveryPolicy, Transport};
 use afd_net::{run_distributed, DeploymentSpec, FdKindSpec, NetError};
 use afd_runtime::{LinkFaults, LinkProfile, Partition, StopReason};
+
+#[cfg(target_os = "linux")]
+mod common;
 
 fn node_cmd() -> Vec<String> {
     vec![env!("CARGO_BIN_EXE_afd-node").to_string()]
@@ -163,6 +166,57 @@ fn bounded_evp_conformant_over_udp_at_30pct_drop() {
         "30% drop injected nothing: {}",
         report.chaos
     );
+}
+
+/// A node stopped and continued mid-run (SIGSTOP/SIGCONT, as a
+/// debugger or a job-control shell does) keeps its datagram plane:
+/// Linux fails the receive loop's timed `recv_from` with EINTR on the
+/// continue, and ending the loop there silenced every channel into
+/// the node — its process then suspected both peers forever.
+#[cfg(target_os = "linux")]
+#[test]
+fn stopped_and_continued_node_keeps_receiving() {
+    let mark = common::marker("sigstop");
+    let spec = DeploymentSpec::BoundedEvP { n: 3 };
+    let cfg = NetConfig::new(vec![node_cmd().remove(0), mark.clone()], 3)
+        .with_deadlines(Duration::from_secs(10), Duration::from_secs(120))
+        .with_transport(Transport::Udp)
+        .with_max_events(15_000)
+        .with_seed(53)
+        .with_links(LinkFaults::uniform(LinkProfile::lossy(0.30)));
+    let pi = spec.pi();
+    let run = std::thread::spawn(move || run_distributed(&spec, &cfg));
+    let nodes = loop {
+        let pids = common::marked(&mark);
+        if pids.len() == 3 || run.is_finished() {
+            break pids;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let victim = nodes.iter().max().copied().expect("node processes");
+    let signal = |sig: &str| {
+        let _ = std::process::Command::new("kill")
+            .args([sig, &victim.to_string()])
+            .stderr(std::process::Stdio::null())
+            .status();
+    };
+    // Several stop/continue cycles early in the run, so that some
+    // continue lands while the receive loop waits in `recv_from`; the
+    // budget leaves the rest of the run undisturbed, so the ◇P cut is
+    // judged long after the last continue.
+    for _ in 0..5 {
+        std::thread::sleep(Duration::from_millis(20));
+        for sig in ["-STOP", "-CONT"] {
+            if run.is_finished() || !common::marked(&mark).contains(&victim) {
+                break;
+            }
+            signal(sig);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    signal("-CONT");
+    let report = run.join().expect("coordinator thread").expect("run");
+    assert_bounded_evp_checks(&report, pi);
 }
 
 /// ReliablePaxos n=3 over UDP at 30% drop + 10% duplication: stubborn

@@ -268,32 +268,67 @@ impl Action {
         }
     }
 
+    /// Number of action kinds: one per variant, the length of
+    /// [`Action::KIND_NAMES`].
+    pub const KIND_COUNT: usize = 20;
+
+    /// Every [`Action::kind_name`], indexed by [`Action::kind_index`].
+    pub const KIND_NAMES: [&'static str; Action::KIND_COUNT] = [
+        "crash",
+        "send",
+        "receive",
+        "fd",
+        "fd_renamed",
+        "propose",
+        "decide",
+        "elect",
+        "broadcast",
+        "deliver",
+        "propose_k",
+        "decide_k",
+        "vote",
+        "verdict",
+        "query",
+        "query_reply",
+        "internal",
+        "wire_send",
+        "wire_recv",
+        "recover",
+    ];
+
+    /// The action's variant as a dense index in `0..KIND_COUNT` — the
+    /// slot of per-kind tables such as the metrics observer's counters.
+    #[must_use]
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Action::Crash(_) => 0,
+            Action::Send { .. } => 1,
+            Action::Receive { .. } => 2,
+            Action::Fd { .. } => 3,
+            Action::FdRenamed { .. } => 4,
+            Action::Propose { .. } => 5,
+            Action::Decide { .. } => 6,
+            Action::Elect { .. } => 7,
+            Action::Broadcast { .. } => 8,
+            Action::Deliver { .. } => 9,
+            Action::ProposeK { .. } => 10,
+            Action::DecideK { .. } => 11,
+            Action::Vote { .. } => 12,
+            Action::Verdict { .. } => 13,
+            Action::Query { .. } => 14,
+            Action::QueryReply { .. } => 15,
+            Action::Internal { .. } => 16,
+            Action::WireSend { .. } => 17,
+            Action::WireRecv { .. } => 18,
+            Action::Recover(_) => 19,
+        }
+    }
+
     /// A stable machine-readable tag for the action's variant — the
     /// `kind` field of exported traces and the key of per-kind metrics.
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Action::Crash(_) => "crash",
-            Action::Send { .. } => "send",
-            Action::Receive { .. } => "receive",
-            Action::Fd { .. } => "fd",
-            Action::FdRenamed { .. } => "fd_renamed",
-            Action::Propose { .. } => "propose",
-            Action::Decide { .. } => "decide",
-            Action::Elect { .. } => "elect",
-            Action::Broadcast { .. } => "broadcast",
-            Action::Deliver { .. } => "deliver",
-            Action::ProposeK { .. } => "propose_k",
-            Action::DecideK { .. } => "decide_k",
-            Action::Vote { .. } => "vote",
-            Action::Verdict { .. } => "verdict",
-            Action::Query { .. } => "query",
-            Action::QueryReply { .. } => "query_reply",
-            Action::Internal { .. } => "internal",
-            Action::WireSend { .. } => "wire_send",
-            Action::WireRecv { .. } => "wire_recv",
-            Action::Recover(_) => "recover",
-        }
+        Action::KIND_NAMES[self.kind_index()]
     }
 
     /// True iff this is a decide-style problem output (`decide` or
@@ -468,6 +503,53 @@ mod tests {
             leader: Loc(1)
         }
         .is_decision());
+    }
+
+    #[test]
+    fn kind_index_is_dense_unique_and_names_every_kind() {
+        let (at, msg, out, frame) = (
+            Loc(0),
+            Msg::Token(0),
+            FdOutput::Leader(Loc(1)),
+            Frame::Ack { cum: 0 },
+        );
+        let (from, to) = (Loc(0), Loc(1));
+        let one_of_each = [
+            Action::Crash(at),
+            Action::Send { from, to, msg },
+            Action::Receive { from, to, msg },
+            Action::Fd { at, out },
+            Action::FdRenamed { at, out },
+            Action::Propose { at, v: 0 },
+            Action::Decide { at, v: 0 },
+            Action::Elect { at, leader: to },
+            Action::Broadcast { at, payload: 0 },
+            Action::Deliver {
+                at,
+                origin: to,
+                payload: 0,
+            },
+            Action::ProposeK { at, v: 0 },
+            Action::DecideK { at, v: 0 },
+            Action::Vote { at, yes: true },
+            Action::Verdict { at, commit: true },
+            Action::Query { at },
+            Action::QueryReply { at, out },
+            Action::Internal { at, tag: 0 },
+            Action::WireSend { from, to, frame },
+            Action::WireRecv { from, to, frame },
+            Action::Recover(at),
+        ];
+        let mut indices: Vec<usize> = one_of_each.iter().map(Action::kind_index).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..Action::KIND_COUNT).collect::<Vec<_>>());
+        for a in &one_of_each {
+            assert_eq!(Action::KIND_NAMES[a.kind_index()], a.kind_name());
+        }
+        let mut names = Action::KIND_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Action::KIND_COUNT, "kind names are distinct");
     }
 
     #[test]

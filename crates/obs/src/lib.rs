@@ -6,8 +6,8 @@
 //!
 //! The crate is organised around one hook and three consumers:
 //!
-//! - [`Observer`] — the trait both engines call synchronously at every
-//!   committed action (and once at stop). Engines hold an
+//! - [`Observer`] — the trait both engines call once per committed
+//!   action, in schedule order (and once at stop). Engines hold an
 //!   `Option<Arc<dyn Observer>>`; `None` costs nothing, so benches and
 //!   existing callers are unaffected.
 //! - [`Metrics`] / [`MetricsObserver`] — a registry of monotonic
@@ -54,6 +54,7 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod qos;
+pub mod seen;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
@@ -61,3 +62,4 @@ pub use metrics::{
 };
 pub use observer::{dispatch, Fanout, NullObserver, Observer, TraceRecorder};
 pub use qos::{detector_qos, CrashDetection, InaccuracyInterval, QosReport};
+pub use seen::SeenSeqs;

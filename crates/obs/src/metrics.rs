@@ -18,18 +18,20 @@
 //! * `crashes` — crash counter.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared and
-//! lock-free to update; the registry map itself is mutex-protected but
-//! only touched on first use of a name (the observer caches per-kind
-//! handles where it matters).
+//! lock-free to update. The observer resolves each name once, into
+//! `OnceLock` tables by action kind ([`Action::kind_index`]), location
+//! and channel; a channel slot also keeps that channel's bounded
+//! reliable-layer seen-sets ([`SeenSeqs`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use afd_core::{Action, Frame, Loc, Stamped};
 
 use crate::json::Json;
 use crate::observer::Observer;
+use crate::seen::SeenSeqs;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -361,35 +363,27 @@ impl MetricsSnapshot {
             .histograms
             .iter()
             .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Num(h.count as f64)),
-                        ("mean".into(), h.mean.map_or(Json::Null, Json::Num)),
-                        ("max".into(), Json::Num(h.max as f64)),
-                        (
-                            "buckets".into(),
-                            Json::Arr(
-                                h.buckets
-                                    .iter()
-                                    .map(|&(bound, count)| {
-                                        Json::Obj(vec![
-                                            (
-                                                "le".into(),
-                                                if bound == u64::MAX {
-                                                    Json::Str("inf".into())
-                                                } else {
-                                                    Json::Num(bound as f64)
-                                                },
-                                            ),
-                                            ("count".into(), Json::Num(count as f64)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                )
+                let buckets = h
+                    .buckets
+                    .iter()
+                    .map(|&(bound, count)| {
+                        let le = match bound {
+                            u64::MAX => Json::Str("inf".into()),
+                            _ => Json::Num(bound as f64),
+                        };
+                        Json::Obj(vec![
+                            ("le".into(), le),
+                            ("count".into(), Json::Num(count as f64)),
+                        ])
+                    })
+                    .collect();
+                let doc = Json::Obj(vec![
+                    ("count".into(), Json::Num(h.count as f64)),
+                    ("mean".into(), h.mean.map_or(Json::Null, Json::Num)),
+                    ("max".into(), Json::Num(h.max as f64)),
+                    ("buckets".into(), Json::Arr(buckets)),
+                ]);
+                (k.clone(), doc)
             })
             .collect();
         Json::Obj(vec![
@@ -399,6 +393,22 @@ impl MetricsSnapshot {
         ])
     }
 }
+
+/// Slots in the observer's per-location tables: one per [`Loc`] value.
+const LOCS: usize = 1 << u8::BITS;
+
+/// One channel's in-flight gauges and the `Data` seqs it has sent /
+/// delivered at least once (repeats are retransmissions / duplicates).
+#[derive(Default)]
+struct ChanSlot {
+    chan: OnceLock<Arc<Gauge>>,
+    wire: OnceLock<Arc<Gauge>>,
+    sent: Mutex<SeenSeqs>,
+    rcvd: Mutex<SeenSeqs>,
+}
+
+/// `(seq, wall_ns)` of a `Query`.
+type QueryStamp = (u64, Option<u64>);
 
 /// Populates a [`Metrics`] registry from observer callbacks (see the
 /// module docs for the metric families).
@@ -410,12 +420,14 @@ pub struct MetricsObserver {
     query_latency_ns: Arc<Histogram>,
     retransmissions: Arc<Counter>,
     dup_frames: Arc<Counter>,
-    /// Outstanding `Query` per location: `(seq, wall_ns)` of the query.
-    pending_queries: Mutex<BTreeMap<Loc, (u64, Option<u64>)>>,
-    /// `Data` frames already sent / delivered at least once, keyed
-    /// `(from, to, seq)` — repeats are retransmissions / duplicates.
-    data_sent: Mutex<BTreeSet<(Loc, Loc, u32)>>,
-    data_rcvd: Mutex<BTreeSet<(Loc, Loc, u32)>>,
+    /// `events.<kind>` by [`Action::kind_index`].
+    kinds: [OnceLock<Arc<Counter>>; Action::KIND_COUNT],
+    /// `loc.<p>.events` by location.
+    locs: Box<[OnceLock<Arc<Counter>>]>,
+    /// Channel slots: a row per sender, allocated on first use.
+    chans: Box<[OnceLock<Box<[ChanSlot]>>]>,
+    /// Outstanding `Query` per location.
+    pending_queries: Mutex<Box<[Option<QueryStamp>]>>,
 }
 
 impl MetricsObserver {
@@ -430,9 +442,10 @@ impl MetricsObserver {
             query_latency_ns: metrics.histogram("fd.query_latency_ns", Histogram::latency_ns),
             retransmissions: metrics.counter("rel.retransmissions"),
             dup_frames: metrics.counter("rel.dup_frames"),
-            pending_queries: Mutex::new(BTreeMap::new()),
-            data_sent: Mutex::new(BTreeSet::new()),
-            data_rcvd: Mutex::new(BTreeSet::new()),
+            kinds: std::array::from_fn(|_| OnceLock::new()),
+            locs: (0..LOCS).map(|_| OnceLock::new()).collect(),
+            chans: (0..LOCS).map(|_| OnceLock::new()).collect(),
+            pending_queries: Mutex::new(vec![None; LOCS].into_boxed_slice()),
             metrics,
         }
     }
@@ -446,66 +459,28 @@ impl MetricsObserver {
 
 impl Observer for MetricsObserver {
     fn on_commit(&self, ev: Stamped) {
+        let a = ev.action;
         self.total.inc();
-        self.metrics
-            .counter(&format!("events.{}", ev.action.kind_name()))
+        self.kinds[a.kind_index()]
+            .get_or_init(|| self.metrics.counter(&format!("events.{}", a.kind_name())))
             .inc();
-        self.metrics
-            .counter(&format!("loc.{}.events", ev.action.loc()))
+        let l = a.loc();
+        self.locs[l.index()]
+            .get_or_init(|| self.metrics.counter(&format!("loc.{l}.events")))
             .inc();
-        match ev.action {
-            Action::Send { from, to, .. } => {
-                self.metrics
-                    .gauge(&format!("chan.{from}->{to}.in_flight"))
-                    .add(1);
-            }
-            Action::Receive { from, to, .. } => {
-                self.metrics
-                    .gauge(&format!("chan.{from}->{to}.in_flight"))
-                    .add(-1);
-            }
-            Action::WireSend { from, to, frame } => {
-                self.metrics
-                    .gauge(&format!("wire.{from}->{to}.in_flight"))
-                    .add(1);
-                if let Frame::Data { seq, .. } = frame {
-                    let fresh = self
-                        .data_sent
-                        .lock()
-                        .expect("metrics poisoned")
-                        .insert((from, to, seq));
-                    if !fresh {
-                        self.retransmissions.inc();
-                    }
-                }
-            }
-            Action::WireRecv { from, to, frame } => {
-                self.metrics
-                    .gauge(&format!("wire.{from}->{to}.in_flight"))
-                    .add(-1);
-                if let Frame::Data { seq, .. } = frame {
-                    let fresh = self
-                        .data_rcvd
-                        .lock()
-                        .expect("metrics poisoned")
-                        .insert((from, to, seq));
-                    if !fresh {
-                        self.dup_frames.inc();
-                    }
-                }
-            }
+        let (from, to, wire, sending) = match a {
+            Action::Send { from, to, .. } => (from, to, false, true),
+            Action::Receive { from, to, .. } => (from, to, false, false),
+            Action::WireSend { from, to, .. } => (from, to, true, true),
+            Action::WireRecv { from, to, .. } => (from, to, true, false),
             Action::Query { at } => {
-                self.pending_queries
-                    .lock()
-                    .expect("metrics poisoned")
-                    .insert(at, (ev.seq, ev.wall_ns));
+                self.pending_queries.lock().expect("metrics poisoned")[at.index()] =
+                    Some((ev.seq, ev.wall_ns));
+                return;
             }
             Action::QueryReply { at, .. } => {
-                let pending = self
-                    .pending_queries
-                    .lock()
-                    .expect("metrics poisoned")
-                    .remove(&at);
+                let pending =
+                    self.pending_queries.lock().expect("metrics poisoned")[at.index()].take();
                 if let Some((q_seq, q_ns)) = pending {
                     self.query_latency_events
                         .observe(ev.seq.saturating_sub(q_seq));
@@ -513,8 +488,33 @@ impl Observer for MetricsObserver {
                         self.query_latency_ns.observe(t1.saturating_sub(t0));
                     }
                 }
+                return;
             }
-            _ => {}
+            _ => return,
+        };
+        let row = self.chans[from.index()]
+            .get_or_init(|| (0..LOCS).map(|_| ChanSlot::default()).collect());
+        let c = &row[to.index()];
+        let (gauge, family) = if wire {
+            (&c.wire, "wire")
+        } else {
+            (&c.chan, "chan")
+        };
+        gauge
+            .get_or_init(|| {
+                self.metrics
+                    .gauge(&format!("{family}.{from}->{to}.in_flight"))
+            })
+            .add(if sending { 1 } else { -1 });
+        if let Some(Frame::Data { seq, .. }) = a.frame() {
+            let (seen, repeats) = if sending {
+                (&c.sent, &self.retransmissions)
+            } else {
+                (&c.rcvd, &self.dup_frames)
+            };
+            if !seen.lock().expect("metrics poisoned").insert(seq) {
+                repeats.inc();
+            }
         }
     }
 
@@ -684,6 +684,182 @@ mod tests {
         assert_eq!(snap.counters["rel.dup_frames"], 1);
         assert_eq!(snap.gauges["wire.p0->p1.in_flight"], (0, 2));
         assert_eq!(snap.gauges["wire.p1->p0.in_flight"], (1, 1));
+    }
+
+    /// Members the observer's seen-sets hold above their floors.
+    fn retained_seen_state(obs: &MetricsObserver) -> usize {
+        obs.chans
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|row| row.iter())
+            .map(|c| c.sent.lock().unwrap().retained() + c.rcvd.lock().unwrap().retained())
+            .sum()
+    }
+
+    #[test]
+    fn seen_state_stays_bounded_over_a_million_frames() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::{BTreeSet, VecDeque};
+
+        const WINDOW: u32 = 8; // ReliableLink's SEND_WINDOW; also the reorder bound
+        struct Link {
+            from: Loc,
+            to: Loc,
+            /// Lowest unacked seq and one past the highest queued.
+            base: u32,
+            top: u32,
+            wire: VecDeque<u32>,
+            delivered: BTreeSet<u32>,
+            next_deliver: u32,
+        }
+        let metrics = Arc::new(Metrics::new());
+        let obs = MetricsObserver::new(metrics.clone());
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut links: Vec<Link> = [(0, 1), (1, 0)]
+            .map(|(f, t)| Link {
+                from: Loc(f),
+                to: Loc(t),
+                base: 0,
+                top: 0,
+                wire: VecDeque::new(),
+                delivered: BTreeSet::new(),
+                next_deliver: 0,
+            })
+            .into();
+        let (mut sent, mut rcvd) = (BTreeSet::new(), BTreeSet::new());
+        let (mut retransmissions, mut dups) = (0u64, 0u64);
+        let mut frames = 0u64;
+        while frames < 1_000_000 {
+            let l = &mut links[rng.gen_range(0..2usize)];
+            let (from, to) = (l.from, l.to);
+            let action = if l.wire.is_empty() || (l.wire.len() < 16 && rng.gen_bool(0.5)) {
+                if l.top - l.base < WINDOW && rng.gen_bool(0.5) {
+                    l.top += 1; // the application queues a message
+                }
+                if l.top == l.base {
+                    continue;
+                }
+                // Stubborn (re)transmission of any frame in the window,
+                // so first sends leave out of seq order.
+                let seq = rng.gen_range(l.base..l.top.min(l.base + WINDOW));
+                l.wire.push_back(seq);
+                retransmissions += u64::from(!sent.insert((from, seq)));
+                Action::WireSend {
+                    from,
+                    to,
+                    frame: Frame::Data {
+                        seq,
+                        msg: Msg::Token(seq.into()),
+                    },
+                }
+            } else {
+                // Reorder within the first WINDOW frames; duplicate 10%.
+                let k = rng.gen_range(0..l.wire.len().min(WINDOW as usize));
+                let seq = if rng.gen_bool(0.1) {
+                    l.wire[k]
+                } else {
+                    l.wire.remove(k).unwrap()
+                };
+                l.delivered.insert(seq);
+                while l.delivered.remove(&l.next_deliver) {
+                    l.next_deliver += 1;
+                }
+                l.base = l.next_deliver; // the cumulative ack gets through
+                dups += u64::from(!rcvd.insert((from, seq)));
+                Action::WireRecv {
+                    from,
+                    to,
+                    frame: Frame::Data {
+                        seq,
+                        msg: Msg::Token(seq.into()),
+                    },
+                }
+            };
+            dispatch(&obs, Stamped::logical(frames, action));
+            frames += 1;
+            if frames.is_multiple_of(1_000) {
+                // Per set, the members above the floor lie inside one
+                // send window: 2 links × 2 sets × WINDOW.
+                let retained = retained_seen_state(&obs);
+                assert!(
+                    retained <= 4 * WINDOW as usize,
+                    "{retained} seqs retained after {frames} frames"
+                );
+            }
+        }
+        assert!(
+            links.iter().all(|l| l.next_deliver > 10_000),
+            "the links made progress"
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counters["rel.retransmissions"], retransmissions);
+        assert_eq!(snap.counters["rel.dup_frames"], dups);
+        assert!(retransmissions > 0 && dups > 0);
+    }
+
+    #[test]
+    fn concurrent_observers_count_every_event() {
+        const THREADS: u8 = 4;
+        const PER_THREAD: u32 = 2_000;
+        let metrics = Arc::new(Metrics::new());
+        let obs = MetricsObserver::new(metrics.clone());
+        let start = std::sync::Barrier::new(THREADS.into());
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (obs, start) = (&obs, &start);
+                s.spawn(move || {
+                    let me = Loc(t);
+                    let (from, to) = (Loc(0), Loc(1));
+                    start.wait();
+                    for k in 0..PER_THREAD {
+                        let msg = Msg::Token(k.into());
+                        let frame = Frame::Data { seq: k, msg };
+                        for a in [
+                            // Shared by every thread: the same slots race to register.
+                            Action::Send { from, to, msg },
+                            Action::WireSend { from, to, frame },
+                            Action::WireRecv { from, to, frame },
+                            // One thread's own, at a location far above Π's usual size.
+                            Action::Send {
+                                from: me,
+                                to: Loc(200 + t),
+                                msg,
+                            },
+                            Action::Receive {
+                                from: me,
+                                to: Loc(200 + t),
+                                msg,
+                            },
+                        ] {
+                            dispatch(obs, Stamped::logical(0, a));
+                        }
+                    }
+                });
+            }
+        });
+        let snap = metrics.snapshot();
+        let (n, per) = (u64::from(THREADS), u64::from(PER_THREAD));
+        assert_eq!(snap.counters["events.total"], 5 * n * per);
+        assert_eq!(snap.counters["events.send"], 2 * n * per);
+        assert_eq!(snap.counters["events.receive"], n * per);
+        assert_eq!(snap.counters["events.wire_send"], n * per);
+        assert_eq!(snap.counters["events.wire_recv"], n * per);
+        // Each seq's first send and first delivery are fresh; the
+        // other threads' copies are repeats.
+        assert_eq!(snap.counters["rel.retransmissions"], (n - 1) * per);
+        assert_eq!(snap.counters["rel.dup_frames"], (n - 1) * per);
+        assert_eq!(snap.gauges["chan.p0->p1.in_flight"].0, (n * per) as i64);
+        assert_eq!(snap.gauges["wire.p0->p1.in_flight"].0, 0);
+        for t in 0..THREADS {
+            let p = Loc(200 + t);
+            assert_eq!(snap.counters[&format!("loc.{p}.events")], per);
+            assert_eq!(snap.gauges[&format!("chan.p{t}->{p}.in_flight")].0, 0);
+        }
+        // Shared sends and wire sends at p0, shared wire receipts at
+        // p1, plus each one's own sends.
+        assert_eq!(snap.counters["loc.p0.events"], 2 * n * per + per);
+        assert_eq!(snap.counters["loc.p1.events"], n * per + per);
     }
 
     #[test]

@@ -28,7 +28,8 @@ use std::sync::Mutex;
 
 use afd_core::{Action, FdOutput, Loc, Stamped, Val};
 
-/// A sink for execution events, called synchronously at every commit.
+/// A sink for execution events, called once per commit in schedule
+/// order (see the module docs for when).
 ///
 /// All methods default to no-ops so implementors override only what
 /// they need.

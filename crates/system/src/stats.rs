@@ -2,9 +2,10 @@
 //! traffic, and decision latencies — shared by the experiment tables,
 //! the benches, and assertions in tests.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use afd_core::{Action, Frame, Loc, Pi, StreamChecker};
+use afd_obs::SeenSeqs;
 
 /// Aggregate statistics of a schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -118,8 +119,8 @@ impl RunStats {
 pub struct RunStatsStream {
     st: RunStats,
     backlog: BTreeMap<(Loc, Loc), usize>,
-    data_sent: BTreeSet<(Loc, Loc, u32)>,
-    data_rcvd: BTreeSet<(Loc, Loc, u32)>,
+    data_sent: BTreeMap<(Loc, Loc), SeenSeqs>,
+    data_rcvd: BTreeMap<(Loc, Loc), SeenSeqs>,
     k: usize,
 }
 
@@ -186,7 +187,7 @@ impl StreamChecker for RunStatsStream {
             Action::WireSend { from, to, frame } => {
                 st.wire_sends += 1;
                 if let Frame::Data { seq, .. } = frame {
-                    if !self.data_sent.insert((*from, *to, *seq)) {
+                    if !self.data_sent.entry((*from, *to)).or_default().insert(*seq) {
                         st.retransmissions += 1;
                     }
                 }
@@ -194,7 +195,7 @@ impl StreamChecker for RunStatsStream {
             Action::WireRecv { from, to, frame } => {
                 st.wire_receives += 1;
                 if let Frame::Data { seq, .. } = frame {
-                    if !self.data_rcvd.insert((*from, *to, *seq)) {
+                    if !self.data_rcvd.entry((*from, *to)).or_default().insert(*seq) {
                         st.dup_frames += 1;
                     }
                 }

@@ -59,3 +59,16 @@ pub use problem::ProblemSpec;
 pub use stamp::Stamped;
 pub use stream::StreamChecker;
 pub use trace::Violation;
+
+// Layout pins. The action alphabet moves by value through every engine
+// — sink, channel queues, observers, the retained schedule — so its
+// size is a memory and copy budget. `LocSet` is 16 bytes at 4-byte
+// alignment (see [`loc`]); a 16-aligned `u128` would pad `Action` back
+// to 96 bytes and fail these.
+const _: () = {
+    assert!(std::mem::size_of::<LocSet>() == 16);
+    assert!(std::mem::size_of::<Action>() <= 56);
+    assert!(std::mem::size_of::<Msg>() <= 40);
+    assert!(std::mem::size_of::<Frame>() <= 48);
+    assert!(std::mem::size_of::<FdOutput>() <= 36);
+};

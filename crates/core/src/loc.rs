@@ -5,6 +5,14 @@
 //! as a 128-bit bitset [`LocSet`], so Π may contain up to 128
 //! locations — enough for the n = 128 throughput grid, and far beyond
 //! anything the execution-tree analysis can explore anyway.
+//!
+//! A `LocSet` is a `u128` held at 4-byte alignment
+//! (`#[repr(C, packed(4))]`). A bare `u128` is 16-aligned, which pads
+//! every type holding one: the action alphabet moves by value through
+//! every engine, and the 4-byte layout shrinks
+//! [`Action`](crate::action::Action) from 96 to 56 bytes. Values,
+//! ordering, hashes, `Debug` output and the 16-byte wire encoding are
+//! the `u128`'s own, unchanged.
 
 use std::fmt;
 
@@ -87,7 +95,12 @@ impl Pi {
 }
 
 /// A set of locations, represented as a bitset.
+///
+/// Packed to 4-byte alignment (see the module docs). The derives copy
+/// the field out, so they behave exactly as on a bare `u128`; taking
+/// `&set.0` does not compile (E0793) — copy the value instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+#[repr(C, packed(4))]
 pub struct LocSet(pub u128);
 
 impl LocSet {
@@ -322,5 +335,77 @@ mod tests {
     fn from_u8_conversion() {
         assert_eq!(Loc::from(3u8), Loc(3));
         assert_eq!(Loc(3).index(), 3);
+    }
+
+    fn hash_of<T: std::hash::Hash>(x: T) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// Everything observable about `LocSet(a)` is what the bare `u128`
+    /// `a` gives: the packed layout changes storage, not behaviour.
+    fn assert_same_as_u128(a: u128, b: u128) {
+        let (sa, sb) = (LocSet(a), LocSet(b));
+        assert_eq!(sa.cmp(&sb), a.cmp(&b), "{a} vs {b}");
+        assert_eq!(sa == sb, a == b);
+        assert_eq!(hash_of(sa), hash_of(a), "hash of {a}");
+        assert_eq!(format!("{sa:?}"), format!("LocSet({a})"));
+        let members: Vec<Loc> = (0..128u8).filter(|&i| a >> i & 1 == 1).map(Loc).collect();
+        assert_eq!(sa.iter().collect::<Vec<_>>(), members);
+        assert_eq!(sa.len(), a.count_ones() as usize);
+        assert_eq!(sa.min(), members.first().copied());
+        assert_eq!(sa.max(), members.last().copied());
+        let shown: Vec<String> = members.iter().map(ToString::to_string).collect();
+        assert_eq!(sa.to_string(), format!("{{{}}}", shown.join(",")));
+    }
+
+    #[test]
+    fn packed_layout_is_unobservable() {
+        assert_eq!(std::mem::size_of::<LocSet>(), 16);
+        assert_eq!(std::mem::align_of::<LocSet>(), 4);
+        let edges = [
+            0,
+            1,
+            1 << 63,
+            1 << 64,
+            1 << 127,
+            (1 << 64) - 1,
+            u128::MAX << 64,
+            u128::MAX - 1,
+            u128::MAX,
+        ];
+        for a in edges {
+            for b in edges {
+                assert_same_as_u128(a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random pairs, with the high word (bits 64..128) drawn as
+        /// often as the low one and one case in four forced to
+        /// `u128::MAX` or to equality.
+        #[test]
+        fn packed_layout_is_unobservable_on_random_sets(
+            a_hi in 0u64..=u64::MAX,
+            a_lo in 0u64..=u64::MAX,
+            b_hi in 0u64..=u64::MAX,
+            b_lo in 0u64..=u64::MAX,
+            shape in 0u8..8,
+        ) {
+            let a = u128::from(a_hi) << 64 | u128::from(a_lo);
+            let b = match shape {
+                0 => a,
+                1 => u128::MAX,
+                2 => u128::from(b_hi) << 64,
+                _ => u128::from(b_hi) << 64 | u128::from(b_lo),
+            };
+            assert_same_as_u128(a, b);
+            assert_same_as_u128(b, a);
+        }
     }
 }

@@ -40,7 +40,7 @@ use afd_runtime::{
     chaos_plan_jsonl, ChaosReport, Commit, CommitPort, Engine, EventSink, LinkFaults, Partition,
     RuntimeConfig, SinkOptions, StopReason,
 };
-use afd_system::ComponentKind;
+use afd_system::{ComponentKind, SplitMix64};
 use ioa::Automaton;
 
 use crate::codec::{read_frame, write_frame, CommitStatus, WireLinkProfile, WireMsg};
@@ -111,16 +111,6 @@ impl NetFault {
     }
 }
 
-/// SplitMix64: the respawn-jitter generator. A pure function of its
-/// seed, so the respawn schedule is deterministic per `(seed, node,
-/// attempt)` and byte-identical across same-seed runs.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Crash-recovery policy: when set on [`NetConfig`], a node process
 /// that dies (Kill fault or containment) is respawned after a bounded
 /// exponentially backed-off delay and rejoined into the run with a
@@ -162,7 +152,10 @@ impl RecoveryPolicy {
             .respawn_delay
             .saturating_mul(1u32 << attempt.min(10))
             .min(self.max_delay);
-        let r = splitmix64(seed ^ (u64::from(node) << 32) ^ u64::from(attempt));
+        // The first draw of a generator keyed on the triple: a pure
+        // function, so the respawn schedule is byte-identical across
+        // same-seed runs.
+        let r = SplitMix64::new(seed ^ (u64::from(node) << 32) ^ u64::from(attempt)).next_u64();
         let quarter = u64::try_from(base.as_nanos()).unwrap_or(u64::MAX) / 4;
         let jitter = Duration::from_nanos(quarter.saturating_mul(r % 1024) / 1024);
         base.saturating_add(jitter).min(self.max_delay)

@@ -113,8 +113,10 @@ pub const CRASH_CAPACITY: usize = CRASH_WORDS * 64;
 
 struct Inner {
     log: Vec<Action>,
-    /// Wall-clock stamp (ns since `start`) per commit; maintained only
-    /// when a drain consumer exists (observer or stop predicate).
+    /// Wall-clock stamps (ns since `start`) of the commits not yet
+    /// copied out by the drainer — `log[drained..]`, one each — so it
+    /// holds the backlog, not the run. Maintained only when a drain
+    /// consumer exists (observer or stop predicate).
     stamps: Vec<u64>,
     stop: Option<StopReason>,
 }
@@ -392,16 +394,17 @@ impl EventSink {
             d.scratch.clear();
             let start = d.drained;
             {
-                let g = self
+                let mut g = self
                     .inner
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 if g.log.len() <= start {
                     return;
                 }
-                for i in start..g.log.len() {
-                    d.scratch.push((g.log[i], g.stamps[i]));
-                }
+                debug_assert_eq!(g.stamps.len(), g.log.len() - start);
+                let g = &mut *g;
+                d.scratch
+                    .extend(g.log[start..].iter().copied().zip(g.stamps.drain(..)));
             }
             d.drained += d.scratch.len();
             let scratch = std::mem::take(&mut d.scratch);
@@ -569,6 +572,18 @@ impl EventSink {
     #[must_use]
     pub fn elapsed(&self) -> std::time::Duration {
         self.start.elapsed()
+    }
+
+    /// `(retained wall stamps, undispatched backlog)`, read under one
+    /// hold of the log lock.
+    #[cfg(test)]
+    fn stamps_and_backlog(&self) -> (usize, usize) {
+        let g = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let backlog = g.log.len() - self.dispatched.load(Ordering::Acquire);
+        (g.stamps.len(), backlog)
     }
 
     /// Consume the sink, returning the log and the stop reason, after
@@ -862,6 +877,53 @@ mod tests {
         let (log, stop) = sink.into_log();
         assert_eq!(log.len(), 3);
         assert_eq!(stop, Some(StopReason::MaxEvents));
+    }
+
+    /// Checks, per dispatched event, that sequence numbers run 0, 1, …
+    /// and that wall stamps never go backwards.
+    #[derive(Default)]
+    struct OrderCheck(Mutex<(u64, u64)>);
+
+    impl Observer for OrderCheck {
+        fn on_commit(&self, ev: Stamped) {
+            let mut g = self.0.lock().unwrap();
+            let (next_seq, last_ns) = *g;
+            let ns = ev.wall_ns.expect("the sink stamps wall time");
+            assert_eq!(ev.seq, next_seq);
+            assert!(ns >= last_ns, "wall_ns went back at seq {}", ev.seq);
+            *g = (next_seq + 1, ns);
+        }
+    }
+
+    #[test]
+    fn stamps_are_kept_only_until_drained() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 25_000;
+        let check = Arc::new(OrderCheck::default());
+        let sink = EventSink::with_observer(usize::MAX, 16, None, Some(check.clone()));
+        std::thread::scope(|s| {
+            for i in 0..THREADS {
+                let sink = &sink;
+                s.spawn(move || {
+                    for j in 0..PER_THREAD {
+                        let a = Action::Send {
+                            from: Loc(i as u8),
+                            to: Loc(0),
+                            msg: Msg::Token(j),
+                        };
+                        assert_eq!(sink.try_commit(a), Commit::Accepted);
+                        let (stamps, backlog) = sink.stamps_and_backlog();
+                        assert!(stamps <= backlog, "{stamps} stamps > backlog {backlog}");
+                    }
+                });
+            }
+        });
+        sink.flush();
+        assert_eq!(sink.stamps_and_backlog(), (0, 0));
+        let n = THREADS * PER_THREAD;
+        assert_eq!(check.0.lock().unwrap().0, n);
+        let (log, _) = sink.into_log();
+        assert_eq!(log.len() as u64, n);
     }
 
     #[test]

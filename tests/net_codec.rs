@@ -556,6 +556,29 @@ fn trailing_bytes_are_rejected() {
     }
 }
 
+/// A `PsiK` output with members on both sides of the 64-bit word
+/// boundary encodes to the same bytes it always has: each `LocSet` is
+/// its `u128`, 16 bytes little-endian, whatever its in-memory layout.
+#[test]
+fn psik_encoding_is_pinned() {
+    let a = Action::Fd {
+        at: Loc(3),
+        out: FdOutput::PsiK {
+            quorum: LocSet::from_iter_locs([Loc(0), Loc(63), Loc(64), Loc(127)]),
+            leaders: LocSet::singleton(Loc(64)),
+        },
+    };
+    let bytes = encode_action(&a);
+    #[rustfmt::skip]
+    let want: [u8; 35] = [
+        3, 3, 5,                                             // Fd, at p3, PsiK
+        1, 0, 0, 0, 0, 0, 0, 128, 1, 0, 0, 0, 0, 0, 0, 128, // quorum
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,     // leaders
+    ];
+    assert_eq!(bytes, want);
+    assert_eq!(decode_action(&bytes), Ok(a));
+}
+
 /// An unknown action tag is a `BadTag`, not a panic.
 #[test]
 fn unknown_tag_is_bad_tag() {

@@ -307,4 +307,17 @@ fn respawn_backoff_is_deterministic_and_bounded() {
     let spread: std::collections::BTreeSet<Duration> =
         (0..32u64).map(|s| p.delay_for(s, 1, 3)).collect();
     assert!(spread.len() > 1, "jitter is degenerate across seeds");
+    // Exact values pin the jitter generator itself, not just its bounds.
+    for (seed, node, attempt, nanos) in [
+        (0u64, 0u32, 0u32, 55_261_230u64),
+        (11, 2, 1, 103_808_593),
+        (99, 3, 4, 808_007_812),
+        (u64::MAX, 1, 2, 244_580_078),
+    ] {
+        assert_eq!(
+            p.delay_for(seed, node, attempt),
+            Duration::from_nanos(nanos),
+            "delay_for({seed}, {node}, {attempt})"
+        );
+    }
 }

@@ -121,13 +121,6 @@ impl PaxosOmega {
         }
     }
 
-    /// Enable the timer-restart ablation.
-    #[must_use]
-    pub fn with_timer_restart(mut self, omega_ticks: u8) -> Self {
-        self.timer_restart = Some(omega_ticks.max(1));
-        self
-    }
-
     fn start_ballot(&self, me: Loc, s: &mut PaxosState) {
         let round = s.highest_round + 1;
         s.highest_round = round;

@@ -182,6 +182,17 @@ pub struct PfcState {
     pub crashed: LocSet,
 }
 
+impl PfcState {
+    /// The querier the embedded consensus decided, if any: the black
+    /// box decides a *proposed* value, i.e. a querier ID.
+    fn decided_querier(&self) -> Option<Loc> {
+        self.consensus
+            .chosen
+            .and_then(|v| u8::try_from(v).ok())
+            .map(Loc)
+    }
+}
+
 impl ParticipantFromConsensus {
     /// A new implementation over `pi`.
     #[must_use]
@@ -226,50 +237,38 @@ impl Automaton for ParticipantFromConsensus {
         if !s.pending.contains(i) || s.crashed.contains(i) {
             return None;
         }
-        let v = s.consensus.chosen?;
-        // The black box decides a *proposed* value — i.e. a querier ID.
         Some(Action::QueryReply {
             at: i,
-            out: FdOutput::Leader(Loc(u8::try_from(v).ok()?)),
+            out: FdOutput::Leader(s.decided_querier()?),
         })
     }
 
-    fn step(&self, s: &PfcState, a: &Action) -> Option<PfcState> {
-        let mut next = s.clone();
+    fn apply(&self, s: &mut PfcState, a: &Action) -> bool {
+        // Crashes and proposals are inputs of the embedded solver, which
+        // accepts them in every state.
         match a {
             Action::Crash(l) => {
-                next.crashed.insert(*l);
-                next.consensus = self.solver.step(&s.consensus, a)?;
-                Some(next)
+                s.crashed.insert(*l);
+                self.solver.apply(&mut s.consensus, a);
             }
             Action::Query { at } => {
-                next.pending.insert(*at);
-                next.consensus = self.solver.step(
-                    &s.consensus,
-                    &Action::Propose {
-                        at: *at,
-                        v: u64::from(at.0),
-                    },
-                )?;
-                Some(next)
+                s.pending.insert(*at);
+                let propose = Action::Propose {
+                    at: *at,
+                    v: u64::from(at.0),
+                };
+                self.solver.apply(&mut s.consensus, &propose);
             }
-            Action::QueryReply { at, out } => {
-                let expected = s
-                    .consensus
-                    .chosen
-                    .and_then(|v| u8::try_from(v).ok())
-                    .map(Loc);
-                if !s.pending.contains(*at)
-                    || s.crashed.contains(*at)
-                    || out.as_leader() != expected
-                {
-                    return None;
-                }
-                next.pending.remove(*at);
-                Some(next)
+            Action::QueryReply { at, out }
+                if s.pending.contains(*at)
+                    && !s.crashed.contains(*at)
+                    && s.decided_querier().map(FdOutput::Leader) == Some(*out) =>
+            {
+                s.pending.remove(*at);
             }
-            _ => None,
+            _ => return false,
         }
+        true
     }
 }
 

@@ -140,7 +140,9 @@ impl<B: LocalBehavior> LocalBehavior for ReliableLink<B> {
 
     fn on_input(&self, i: Loc, s: &mut RelState<B::State>, a: &Action) {
         if let Action::WireRecv { from, to, frame } = a {
-            if *to != i {
+            // A frame from no peer of `i` (outside Π) is absorbed: an
+            // input must be accepted in every state.
+            if *to != i || !s.rcv.contains_key(from) {
                 return;
             }
             match frame {

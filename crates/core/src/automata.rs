@@ -314,54 +314,40 @@ impl Automaton for FdGen {
         })
     }
 
-    fn step(&self, s: &FdGenState, a: &Action) -> Option<FdGenState> {
+    fn apply(&self, s: &mut FdGenState, a: &Action) -> bool {
         match a {
-            Action::Crash(l) => {
-                let mut next = s.clone();
-                next.crashset.insert(*l);
-                Some(next)
-            }
+            Action::Crash(l) => s.crashset.insert(*l),
             Action::Recover(l) => {
                 // The recovered location is up again: outputs resume
                 // there and the canonical behaviors stop reflecting it
                 // as crashed (P un-suspects it, Ω may re-elect it).
-                let mut next = s.clone();
-                next.crashset.remove(*l);
-                Some(next)
+                s.crashset.remove(*l);
             }
             Action::Query { at } if self.behavior == FdBehavior::Participant => {
-                let mut next = s.clone();
-                next.queried.insert(*at);
-                next.pending.insert(*at);
-                if next.answer.is_none() {
-                    next.answer = Some(*at);
-                }
-                Some(next)
+                s.queried.insert(*at);
+                s.pending.insert(*at);
+                s.answer.get_or_insert(*at);
             }
-            Action::QueryReply { at, out } if self.behavior == FdBehavior::Participant => {
-                if self.output_at(s, *at) != Some(*out) {
-                    return None;
-                }
-                let mut next = s.clone();
-                next.pending.remove(*at);
-                Some(next)
+            Action::QueryReply { at, out }
+                if self.behavior == FdBehavior::Participant
+                    && self.output_at(s, *at) == Some(*out) =>
+            {
+                s.pending.remove(*at);
             }
-            Action::Fd { at, out } => {
-                let expected = self.output_at(s, *at)?;
-                if expected != *out {
-                    return None;
-                }
-                let mut next = s.clone();
-                let horizon = self.lie_horizon();
-                let c = &mut next.counts[at.index()];
-                if *c < horizon {
+            Action::Fd { at, out }
+                if self.behavior != FdBehavior::Participant
+                    && self.pi.contains(*at)
+                    && self.output_at(s, *at) == Some(*out) =>
+            {
+                let c = &mut s.counts[at.index()];
+                if *c < self.lie_horizon() {
                     *c += 1;
                 }
-                next.pos = self.script_advance(s);
-                Some(next)
+                s.pos = self.script_advance(s);
             }
-            _ => None,
+            _ => return false,
         }
+        true
     }
 }
 

@@ -207,19 +207,17 @@ mod tests {
         fn enabled(&self, s: &SolverState, _t: TaskId) -> Option<Action> {
             (!s.decided && !s.crashed).then_some(Action::Decide { at: Loc(0), v: 0 })
         }
-        fn step(&self, s: &SolverState, a: &Action) -> Option<SolverState> {
+        fn apply(&self, s: &mut SolverState, a: &Action) -> bool {
             match a {
-                Action::Crash(l) => Some(SolverState {
-                    decided: s.decided,
-                    crashed: s.crashed || *l == Loc(0),
-                }),
-                Action::Decide { at, v } if *at == Loc(0) && *v == 0 => (!s.decided && !s.crashed)
-                    .then_some(SolverState {
-                        decided: true,
-                        crashed: s.crashed,
-                    }),
-                _ => None,
+                Action::Crash(l) => s.crashed |= *l == Loc(0),
+                Action::Decide { at, v }
+                    if *at == Loc(0) && *v == 0 && !s.decided && !s.crashed =>
+                {
+                    s.decided = true;
+                }
+                _ => return false,
             }
+            true
         }
     }
 
@@ -286,12 +284,13 @@ mod tests {
             fn enabled(&self, s: &(bool, bool), _t: TaskId) -> Option<Action> {
                 (s.0 && !s.1).then_some(Action::Decide { at: Loc(0), v: 0 })
             }
-            fn step(&self, s: &(bool, bool), a: &Action) -> Option<(bool, bool)> {
+            fn apply(&self, s: &mut (bool, bool), a: &Action) -> bool {
                 match a {
-                    Action::Crash(_) => Some((true, s.1)),
-                    Action::Decide { .. } => (s.0 && !s.1).then_some((s.0, true)),
-                    _ => None,
+                    Action::Crash(_) => s.0 = true,
+                    Action::Decide { .. } if s.0 && !s.1 => s.1 = true,
+                    _ => return false,
                 }
+                true
             }
         }
 

@@ -243,33 +243,21 @@ impl Automaton for AtomicCommitSolver {
             .map(|commit| Action::Verdict { at: i, commit })
     }
 
-    fn step(&self, s: &AtomicCommitSolverState, a: &Action) -> Option<AtomicCommitSolverState> {
-        let mut next = s.clone();
+    fn apply(&self, s: &mut AtomicCommitSolverState, a: &Action) -> bool {
         match a {
-            Action::Crash(l) => {
-                next.crashed.insert(*l);
-                Some(next)
+            Action::Crash(l) => s.crashed.insert(*l),
+            Action::Vote { at, yes: true } => s.yes.insert(*at),
+            Action::Vote { yes: false, .. } => s.any_no = true,
+            Action::Verdict { at, commit }
+                if !s.learned.contains(*at)
+                    && !s.crashed.contains(*at)
+                    && self.outcome(s) == Some(*commit) =>
+            {
+                s.learned.insert(*at);
             }
-            Action::Vote { at, yes } => {
-                if *yes {
-                    next.yes.insert(*at);
-                } else {
-                    next.any_no = true;
-                }
-                Some(next)
-            }
-            Action::Verdict { at, commit } => {
-                if s.learned.contains(*at)
-                    || s.crashed.contains(*at)
-                    || self.outcome(s) != Some(*commit)
-                {
-                    return None;
-                }
-                next.learned.insert(*at);
-                Some(next)
-            }
-            _ => None,
+            _ => return false,
         }
+        true
     }
 }
 

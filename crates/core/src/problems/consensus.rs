@@ -447,29 +447,21 @@ impl Automaton for ConsensusSolver {
         Some(Action::Decide { at: i, v })
     }
 
-    fn step(&self, s: &ConsensusSolverState, a: &Action) -> Option<ConsensusSolverState> {
-        let mut next = s.clone();
+    fn apply(&self, s: &mut ConsensusSolverState, a: &Action) -> bool {
         match a {
-            Action::Crash(l) => {
-                next.crashed.insert(*l);
-                Some(next)
-            }
+            Action::Crash(l) => s.crashed.insert(*l),
             Action::Propose { at, v } => {
-                next.proposed.insert(*at);
-                if next.chosen.is_none() {
-                    next.chosen = Some(*v);
-                }
-                Some(next)
+                s.proposed.insert(*at);
+                s.chosen.get_or_insert(*v);
             }
-            Action::Decide { at, v } => {
-                if s.decided.contains(*at) || s.crashed.contains(*at) || s.chosen != Some(*v) {
-                    return None;
-                }
-                next.decided.insert(*at);
-                Some(next)
+            Action::Decide { at, v }
+                if !s.decided.contains(*at) && !s.crashed.contains(*at) && s.chosen == Some(*v) =>
+            {
+                s.decided.insert(*at);
             }
-            _ => None,
+            _ => return false,
         }
+        true
     }
 }
 

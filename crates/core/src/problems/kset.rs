@@ -227,28 +227,20 @@ impl Automaton for KSetSolver {
         s.chosen.map(|v| Action::DecideK { at: i, v })
     }
 
-    fn step(&self, s: &KSetSolverState, a: &Action) -> Option<KSetSolverState> {
-        let mut next = s.clone();
+    fn apply(&self, s: &mut KSetSolverState, a: &Action) -> bool {
         match a {
-            Action::Crash(l) => {
-                next.crashed.insert(*l);
-                Some(next)
-            }
+            Action::Crash(l) => s.crashed.insert(*l),
             Action::ProposeK { v, .. } => {
-                if next.chosen.is_none() {
-                    next.chosen = Some(*v);
-                }
-                Some(next)
+                s.chosen.get_or_insert(*v);
             }
-            Action::DecideK { at, v } => {
-                if s.decided.contains(*at) || s.crashed.contains(*at) || s.chosen != Some(*v) {
-                    return None;
-                }
-                next.decided.insert(*at);
-                Some(next)
+            Action::DecideK { at, v }
+                if !s.decided.contains(*at) && !s.crashed.contains(*at) && s.chosen == Some(*v) =>
+            {
+                s.decided.insert(*at);
             }
-            _ => None,
+            _ => return false,
         }
+        true
     }
 }
 

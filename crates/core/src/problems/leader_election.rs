@@ -173,22 +173,17 @@ impl Automaton for LeaderElectionSolver {
         })
     }
 
-    fn step(&self, s: &LeaderElectionSolverState, a: &Action) -> Option<LeaderElectionSolverState> {
-        let mut next = s.clone();
+    fn apply(&self, s: &mut LeaderElectionSolverState, a: &Action) -> bool {
         match a {
-            Action::Crash(l) => {
-                next.crashed.insert(*l);
-                Some(next)
+            Action::Crash(l) => s.crashed.insert(*l),
+            Action::Elect { at, leader }
+                if *leader == Loc(0) && !s.announced.contains(*at) && !s.crashed.contains(*at) =>
+            {
+                s.announced.insert(*at);
             }
-            Action::Elect { at, leader } => {
-                if *leader != Loc(0) || s.announced.contains(*at) || s.crashed.contains(*at) {
-                    return None;
-                }
-                next.announced.insert(*at);
-                Some(next)
-            }
-            _ => None,
+            _ => return false,
         }
+        true
     }
 }
 

@@ -51,18 +51,23 @@ impl std::fmt::Display for TaskId {
 ///
 /// # Contract
 ///
+/// * **One transition**: [`Automaton::apply`] is the transition
+///   relation, performed on a state in place. [`Automaton::step`] is
+///   derived from it (clone, then `apply`) for explorers that keep the
+///   pre-state.
 /// * **Input enabling**: for every input action `a` and state `s`,
-///   `step(s, a)` must return `Some(_)`.
+///   `apply(s, a)` must return `true`.
 /// * **Task determinism** (§2.5): `enabled(s, t)` returns at most one
-///   action, and `step` is a function (at most one post-state). The
+///   action, and `apply` is a function (at most one post-state). The
 ///   dynamic checks in [`crate::determinism`] validate both.
 /// * `enabled(s, t)` must return a *locally controlled* action of task
-///   `t` that `step(s, ..)` accepts.
+///   `t` that `apply(s, ..)` accepts.
 pub trait Automaton {
     /// The action alphabet. Cheap to clone; hashable so traces can be
     /// indexed and states deduplicated.
     type Action: Clone + Eq + Hash + Debug;
-    /// Automaton state. Cloned on every step of recorded executions.
+    /// Automaton state. Engines change it in place; explorers and
+    /// recorded executions clone it to keep the states they visit.
     type State: Clone + Eq + Hash + Debug;
 
     /// Human-readable name (used in diagnostics and fairness reports).
@@ -82,23 +87,19 @@ pub trait Automaton {
     /// The unique action of task `t` enabled in `s`, if any.
     fn enabled(&self, s: &Self::State, t: TaskId) -> Option<Self::Action>;
 
-    /// Apply `a` to `s`. Returns `None` iff `a` is a locally controlled
-    /// action that is not enabled in `s` (inputs are always accepted).
-    fn step(&self, s: &Self::State, a: &Self::Action) -> Option<Self::State>;
+    /// Perform `a` on `s` in place. Returns `false` where `a` cannot
+    /// occur in `s`: a locally controlled action that is not enabled
+    /// (inputs are always accepted), or an action outside the signature.
+    ///
+    /// On `false`, `s` must be left exactly as it was: every guard runs
+    /// before the first write.
+    fn apply(&self, s: &mut Self::State, a: &Self::Action) -> bool;
 
-    /// [`Automaton::step`] applied to `s` itself: `false`, leaving `s`
-    /// unchanged, exactly where `step` returns `None`. The default steps
-    /// a copy; an automaton whose state owns a growing buffer overrides
-    /// it so that an engine's step costs what it changes, not what the
-    /// state holds.
-    fn step_in_place(&self, s: &mut Self::State, a: &Self::Action) -> bool {
-        match self.step(s, a) {
-            Some(next) => {
-                *s = next;
-                true
-            }
-            None => false,
-        }
+    /// The post-state of `a` from `s`, or `None` where
+    /// [`Automaton::apply`] refuses it: `apply` on a copy of `s`.
+    fn step(&self, s: &Self::State, a: &Self::Action) -> Option<Self::State> {
+        let mut next = s.clone();
+        self.apply(&mut next, a).then_some(next)
     }
 
     /// True iff some task is enabled in `s`.
@@ -169,11 +170,13 @@ mod tests {
         fn enabled(&self, s: &u32, _t: TaskId) -> Option<Act> {
             (*s < self.limit).then_some(Act::Inc)
         }
-        fn step(&self, s: &u32, a: &Act) -> Option<u32> {
+        fn apply(&self, s: &mut u32, a: &Act) -> bool {
             match a {
-                Act::Inc => (*s < self.limit).then_some(*s + 1),
-                Act::Reset => Some(0),
+                Act::Inc if *s < self.limit => *s += 1,
+                Act::Inc => return false,
+                Act::Reset => *s = 0,
             }
+            true
         }
     }
 
@@ -207,6 +210,9 @@ mod tests {
     fn disabled_local_action_rejected() {
         let c = Counter { limit: 1 };
         assert_eq!(c.step(&1, &Act::Inc), None);
+        let mut s = 1;
+        assert!(!c.apply(&mut s, &Act::Inc));
+        assert_eq!(s, 1, "a refused action leaves the state as it was");
     }
 
     #[test]

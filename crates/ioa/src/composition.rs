@@ -303,17 +303,24 @@ impl<C: Automaton> Automaton for Composition<C> {
         self.components[g.component].enabled(&s[g.component], g.task)
     }
 
-    fn step(&self, s: &Self::State, a: &Self::Action) -> Option<Self::State> {
-        // The controller (if any) must be enabled; every participant steps.
-        let mut next = s.clone();
-        let mut participated = false;
+    fn apply(&self, s: &mut Self::State, a: &Self::Action) -> bool {
+        // The controller, if any, goes first: it is the only participant
+        // that may refuse, and a refusal must leave `s` as it was.
+        let controller = self.controller(a);
+        if let Some(ci) = controller {
+            if !self.components[ci].apply(&mut s[ci], a) {
+                return false;
+            }
+        }
+        let mut participated = controller.is_some();
         for (ci, c) in self.components.iter().enumerate() {
-            if c.classify(a).is_some() {
-                next[ci] = c.step(&s[ci], a)?;
+            if Some(ci) != controller && c.classify(a).is_some() {
+                let accepted = c.apply(&mut s[ci], a);
+                debug_assert!(accepted, "{} refused its input {a:?}", c.name());
                 participated = true;
             }
         }
-        participated.then_some(next)
+        participated
     }
 }
 
@@ -381,23 +388,16 @@ mod tests {
             }
         }
 
-        fn step(&self, s: &St, a: &Act) -> Option<St> {
+        fn apply(&self, s: &mut St, a: &Act) -> bool {
             match (self, s, a) {
-                (Comp::Sender { budget }, St::Sender { sent }, Act::Msg) => {
-                    (sent < budget).then_some(St::Sender { sent: sent + 1 })
+                (Comp::Sender { budget }, St::Sender { sent }, Act::Msg) if *sent < *budget => {
+                    *sent += 1;
                 }
-                (Comp::Sink, St::Sink { got, ticks }, Act::Msg) => Some(St::Sink {
-                    got: got + 1,
-                    ticks: *ticks,
-                }),
-                (Comp::Sink, St::Sink { got, ticks }, Act::Tick) => {
-                    (ticks < got).then_some(St::Sink {
-                        got: *got,
-                        ticks: ticks + 1,
-                    })
-                }
-                _ => None,
+                (Comp::Sink, St::Sink { got, .. }, Act::Msg) => *got += 1,
+                (Comp::Sink, St::Sink { got, ticks }, Act::Tick) if *ticks < *got => *ticks += 1,
+                _ => return false,
             }
+            true
         }
     }
 

@@ -204,22 +204,14 @@ mod tests {
         fn enabled(&self, s: &u8, _t: TaskId) -> Option<Act> {
             (*s < 3).then_some(Act::Go)
         }
-        fn step(&self, s: &u8, a: &Act) -> Option<u8> {
+        fn apply(&self, s: &mut u8, a: &Act) -> bool {
             match a {
+                Act::Go if self.broken_step || *s >= 3 => false,
                 Act::Go => {
-                    if self.broken_step {
-                        None
-                    } else {
-                        (*s < 3).then_some(s + 1)
-                    }
+                    *s += 1;
+                    true
                 }
-                Act::In => {
-                    if self.broken_input && *s >= 2 {
-                        None
-                    } else {
-                        Some(*s)
-                    }
-                }
+                Act::In => !(self.broken_input && *s >= 2),
             }
         }
     }

@@ -216,11 +216,11 @@ mod tests {
                 _ => None,
             }
         }
-        fn step(&self, s: &bool, a: &Act) -> Option<bool> {
-            match a {
-                Act::Flip => Some(!s),
-                Act::Noise => Some(*s),
+        fn apply(&self, s: &mut bool, a: &Act) -> bool {
+            if *a == Act::Flip {
+                *s = !*s;
             }
+            true
         }
     }
 

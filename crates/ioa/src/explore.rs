@@ -178,11 +178,13 @@ mod tests {
         fn enabled(&self, s: &u8, _t: TaskId) -> Option<Act> {
             (*s < self.limit).then_some(Act::Inc)
         }
-        fn step(&self, s: &u8, a: &Act) -> Option<u8> {
+        fn apply(&self, s: &mut u8, a: &Act) -> bool {
             match a {
-                Act::Inc => (*s < self.limit).then_some(s + 1),
-                Act::Reset => Some(0),
+                Act::Inc if *s < self.limit => *s += 1,
+                Act::Inc => return false,
+                Act::Reset => *s = 0,
             }
+            true
         }
     }
 
@@ -274,24 +276,17 @@ mod tests {
                 fn enabled(&self, s: &Vec<u8>, _t: TaskId) -> Option<QA> {
                     s.first().map(|&m| QA::Recv(m))
                 }
-                fn step(&self, s: &Vec<u8>, a: &QA) -> Option<Vec<u8>> {
+                fn apply(&self, s: &mut Vec<u8>, a: &QA) -> bool {
                     match a {
-                        QA::Send(m) => {
-                            if s.len() >= 3 {
-                                return None; // bound the sweep
-                            }
-                            let mut n = s.clone();
-                            n.push(*m);
-                            Some(n)
+                        // Bound the sweep.
+                        QA::Send(_) if s.len() >= 3 => return false,
+                        QA::Send(m) => s.push(*m),
+                        QA::Recv(m) if s.first() == Some(m) => {
+                            s.remove(0);
                         }
-                        QA::Recv(m) => {
-                            if s.first() == Some(m) {
-                                Some(s[1..].to_vec())
-                            } else {
-                                None
-                            }
-                        }
+                        QA::Recv(_) => return false,
                     }
+                    true
                 }
             }
         }

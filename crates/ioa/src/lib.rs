@@ -38,8 +38,8 @@
 //!     fn enabled(&self, s: &St, _t: TaskId) -> Option<Act> {
 //!         if s.fired { None } else { Some(Act::Ping) }
 //!     }
-//!     fn step(&self, s: &St, a: &Act) -> Option<St> {
-//!         match a { Act::Ping if !s.fired => Some(St { fired: true }), _ => None }
+//!     fn apply(&self, s: &mut St, a: &Act) -> bool {
+//!         match a { Act::Ping if !s.fired => { s.fired = true; true } _ => false }
 //!     }
 //! }
 //!

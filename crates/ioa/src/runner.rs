@@ -212,8 +212,12 @@ mod tests {
         fn enabled(&self, s: &u64, _t: TaskId) -> Option<Tick> {
             (*s < self.limit).then_some(Tick)
         }
-        fn step(&self, s: &u64, _a: &Tick) -> Option<u64> {
-            (*s < self.limit).then_some(*s + 1)
+        fn apply(&self, s: &mut u64, _a: &Tick) -> bool {
+            if *s >= self.limit {
+                return false;
+            }
+            *s += 1;
+            true
         }
     }
 

@@ -238,11 +238,16 @@ mod tests {
                 _ => None,
             }
         }
-        fn step(&self, s: &(u32, u32), a: &Act) -> Option<(u32, u32)> {
-            match a {
-                Act::A => (s.0 < self.limit).then_some((s.0 + 1, s.1)),
-                Act::B => (s.1 < self.limit).then_some((s.0, s.1 + 1)),
+        fn apply(&self, s: &mut (u32, u32), a: &Act) -> bool {
+            let count = match a {
+                Act::A => &mut s.0,
+                Act::B => &mut s.1,
+            };
+            if *count >= self.limit {
+                return false;
             }
+            *count += 1;
+            true
         }
     }
 

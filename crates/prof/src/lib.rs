@@ -442,12 +442,6 @@ impl SpanGuard {
         }
     }
 
-    /// Discard the span without recording anything (no clock read) —
-    /// for waits that turned out not to be waits.
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
-
     fn finish(&mut self) {
         if let Some(start) = self.start.take() {
             let end = Instant::now();
@@ -472,15 +466,6 @@ pub fn span(stage: Stage) -> SpanGuard {
         } else {
             None
         },
-    }
-}
-
-/// Record a span for `stage` that started at `start` and ends now.
-/// For measurements whose start and end straddle a scope boundary.
-#[inline]
-pub fn record_since(stage: Stage, start: Instant) {
-    if is_enabled() {
-        record_between(stage, start, Instant::now());
     }
 }
 

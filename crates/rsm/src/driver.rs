@@ -37,11 +37,6 @@ pub struct RsmConfig {
     pub pi: Pi,
     /// Maximum ops sealed into one batch (one slot decides one batch).
     pub batch_ops: usize,
-    /// How many slot instances may be live at once. The driver runs
-    /// slots sequentially today (`1`), but the knob is validated
-    /// against the runtime's location capacity either way so a future
-    /// pipelined driver fails at config time, not mid-run.
-    pub slots_live: usize,
     /// Base seed; each slot derives its own.
     pub seed: u64,
     /// Link-fault layer for every slot instance. Chaotic profiles
@@ -60,7 +55,6 @@ impl RsmConfig {
         RsmConfig {
             pi,
             batch_ops: 64,
-            slots_live: 1,
             seed: 1,
             links: LinkFaults::none(),
             wire_pacing: Duration::from_micros(20),
@@ -89,27 +83,14 @@ impl RsmConfig {
         self
     }
 
-    /// Set the per-slot event budget.
-    #[must_use]
-    pub fn with_max_events_per_slot(mut self, n: usize) -> Self {
-        self.max_events_per_slot = n;
-        self
-    }
-
-    /// Set the live-slot budget (validated, not yet exploited).
-    #[must_use]
-    pub fn with_slots_live(mut self, n: usize) -> Self {
-        self.slots_live = n.max(1);
-        self
-    }
-
-    /// Validate the deployment against runtime capacity limits.
+    /// Validate the deployment against runtime capacity limits. The
+    /// driver runs one slot instance at a time, so `|Π|` alone counts.
     ///
     /// # Errors
-    /// [`ConfigError::LocCapacityExceeded`] when `|Π| × slots_live`
-    /// exceeds the crash-bitset capacity.
+    /// [`ConfigError::LocCapacityExceeded`] when `|Π|` exceeds the
+    /// crash-bitset capacity.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        validate_loc_capacity(self.pi.len(), self.slots_live)
+        validate_loc_capacity(self.pi.len(), 1)
     }
 }
 
@@ -558,15 +539,6 @@ impl Rsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn capacity_is_validated_at_build_time() {
-        let cfg = RsmConfig::new(Pi::new(5)).with_slots_live(60);
-        assert!(matches!(
-            Rsm::new(cfg),
-            Err(ConfigError::LocCapacityExceeded { locations: 300, .. })
-        ));
-    }
 
     #[test]
     fn sequential_slots_apply_in_order_and_agree() {

@@ -668,7 +668,7 @@ where
     pub fn replay(&self, a: &Action) {
         for (comp, cell) in self.comps.iter().zip(&self.cells) {
             if let Some(cell) = cell {
-                comp.step_in_place(&mut lock(&cell.body).state, a);
+                comp.apply(&mut lock(&cell.body).state, a);
             }
         }
     }
@@ -757,7 +757,7 @@ where
     // Apply routed inputs (inputs are always enabled; a refused step
     // would be a signature bug, tolerated as a no-op).
     for a in drain.drain(..) {
-        comp.step_in_place(state, &a);
+        comp.apply(state, &a);
     }
     // Sweep local tasks.
     let profile = eng.profiles[idx];
@@ -819,7 +819,7 @@ where
         tile = afd_prof::span(afd_prof::Stage::Step);
         match status {
             Commit::Accepted => {
-                comp.step_in_place(state, &a);
+                comp.apply(state, &a);
                 tile.done();
                 eng.route(idx, a);
                 tile = afd_prof::span(afd_prof::Stage::Step);

@@ -115,46 +115,21 @@ where
         }
     }
 
-    fn step(&self, s: &Self::State, a: &Action) -> Option<Self::State> {
+    fn apply(&self, s: &mut Self::State, a: &Action) -> bool {
         match (self, s) {
-            (Component::Process(p), ComponentState::Process(s)) => {
-                p.step(s, a).map(ComponentState::Process)
-            }
-            (Component::Channel(c), ComponentState::Channel(s)) => {
-                c.step(s, a).map(ComponentState::Channel)
-            }
-            (Component::Wire(w), ComponentState::Wire(s)) => w.step(s, a).map(ComponentState::Wire),
+            (Component::Process(p), ComponentState::Process(s)) => p.apply(s, a),
+            (Component::Channel(c), ComponentState::Channel(s)) => c.apply(s, a),
+            (Component::Wire(w), ComponentState::Wire(s)) => w.apply(s, a),
             (Component::Channel(_) | Component::Wire(_), ComponentState::Add(s)) => {
-                self.classify(a)?;
-                s.step(a).map(|s| ComponentState::Add(Box::new(s)))
+                self.classify(a).is_some() && s.apply(a)
             }
-            (Component::Crash(c), ComponentState::Crash(s)) => {
-                c.step(s, a).map(ComponentState::Crash)
-            }
-            (Component::Env(e), ComponentState::Env(s)) => e.step(s, a).map(ComponentState::Env),
-            (Component::Fd(f), ComponentState::Fd(s)) => f.step(s, a).map(ComponentState::Fd),
+            (Component::Crash(c), ComponentState::Crash(s)) => c.apply(s, a),
+            (Component::Env(e), ComponentState::Env(s)) => e.apply(s, a),
+            (Component::Fd(f), ComponentState::Fd(s)) => f.apply(s, a),
             _ => {
                 debug_assert!(false, "component/state kind mismatch");
-                None
+                false
             }
-        }
-    }
-
-    /// The ADD state steps in place: its delivery queue grows with the
-    /// channel's backlog, and copying it on every step made a node
-    /// that fell behind fall further behind.
-    fn step_in_place(&self, s: &mut Self::State, a: &Action) -> bool {
-        if let (Component::Channel(_) | Component::Wire(_), ComponentState::Add(st)) =
-            (self, &mut *s)
-        {
-            return self.classify(a).is_some() && st.apply(a);
-        }
-        match self.step(s, a) {
-            Some(next) => {
-                *s = next;
-                true
-            }
-            None => false,
         }
     }
 }

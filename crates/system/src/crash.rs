@@ -81,12 +81,6 @@ impl CrashAdversary {
         CrashAdversary { script }
     }
 
-    /// From a [`FaultPattern`] (order of steps).
-    #[must_use]
-    pub fn from_pattern(p: &FaultPattern) -> Self {
-        CrashAdversary::new(p.faulty())
-    }
-
     /// The next location to crash, if any.
     #[must_use]
     pub fn pending(&self, s: &CrashState) -> Option<Loc> {
@@ -119,10 +113,13 @@ impl Automaton for CrashAdversary {
         None
     }
 
-    fn step(&self, s: &CrashState, a: &Action) -> Option<CrashState> {
+    fn apply(&self, s: &mut CrashState, a: &Action) -> bool {
         match a {
-            Action::Crash(l) if self.pending(s) == Some(*l) => Some(s + 1),
-            _ => None,
+            Action::Crash(l) if self.pending(s) == Some(*l) => {
+                *s += 1;
+                true
+            }
+            _ => false,
         }
     }
 }

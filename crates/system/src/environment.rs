@@ -86,6 +86,22 @@ impl EnvState {
             pos: 0,
         }
     }
+
+    /// A location's one input (propose or vote): accepted once, at a
+    /// live location of `pi`, carrying its `scripted` value, and then
+    /// the location stops.
+    fn stop_once(&mut self, pi: &Pi, at: Loc, scripted: bool) -> bool {
+        if !pi.contains(at) || self.stopped.contains(at) || !scripted {
+            return false;
+        }
+        self.stopped.insert(at);
+        true
+    }
+
+    /// Index of the next scripted broadcast whose origin is up.
+    fn next_broadcast(&self, script: &[(Loc, u64)]) -> Option<usize> {
+        (self.pos..script.len()).find(|&p| !self.crashed.contains(script[p].0))
+    }
 }
 
 impl Env {
@@ -229,18 +245,8 @@ impl Automaton for Env {
                 })
             }
             Env::Broadcast { script } => {
-                let mut pos = s.pos;
-                while pos < script.len() {
-                    let (origin, payload) = script[pos];
-                    if !s.crashed.contains(origin) {
-                        return Some(Action::Broadcast {
-                            at: origin,
-                            payload,
-                        });
-                    }
-                    pos += 1;
-                }
-                None
+                let (at, payload) = script[s.next_broadcast(script)?];
+                Some(Action::Broadcast { at, payload })
             }
             Env::Votes { pi, votes } => {
                 let i = Loc(u8::try_from(t.0).ok()?);
@@ -255,67 +261,41 @@ impl Automaton for Env {
         }
     }
 
-    fn step(&self, s: &EnvState, a: &Action) -> Option<EnvState> {
-        let mut next = s.clone();
+    fn apply(&self, s: &mut EnvState, a: &Action) -> bool {
         match (self, a) {
             (_, Action::Crash(l)) => {
-                next.crashed.insert(*l);
+                s.crashed.insert(*l);
                 // Algorithm 4: crash_i sets stop := true at E_{C,i}.
-                next.stopped.insert(*l);
-                Some(next)
+                s.stopped.insert(*l);
+                true
             }
             (Env::Consensus { pi, prefs }, Action::Propose { at, v }) => {
-                if !pi.contains(*at)
-                    || s.stopped.contains(*at)
-                    || prefs[at.index()].is_some_and(|p| p != *v)
-                {
-                    return None;
-                }
-                next.stopped.insert(*at);
-                Some(next)
+                let allowed = prefs
+                    .get(at.index())
+                    .is_some_and(|p| p.is_none_or(|p| p == *v));
+                s.stop_once(pi, *at, allowed)
             }
-            (Env::Consensus { .. }, Action::Decide { .. }) => Some(next),
-            (Env::ConsensusVal { pi, values }, Action::Propose { at, v }) => {
-                if !pi.contains(*at) || s.stopped.contains(*at) || values[at.index()] != *v {
-                    return None;
-                }
-                next.stopped.insert(*at);
-                Some(next)
+            (Env::ConsensusVal { pi, values }, Action::Propose { at, v })
+            | (Env::KSet { pi, values }, Action::ProposeK { at, v }) => {
+                s.stop_once(pi, *at, values.get(at.index()) == Some(v))
             }
-            (Env::ConsensusVal { .. }, Action::Decide { .. }) => Some(next),
-            (Env::KSet { pi, values }, Action::ProposeK { at, v }) => {
-                if !pi.contains(*at) || s.stopped.contains(*at) || values[at.index()] != *v {
-                    return None;
-                }
-                next.stopped.insert(*at);
-                Some(next)
-            }
-            (Env::KSet { .. }, Action::DecideK { .. }) => Some(next),
-            (Env::Broadcast { script }, Action::Broadcast { at, payload }) => {
-                let mut pos = s.pos;
-                while pos < script.len() {
-                    let (origin, p) = script[pos];
-                    if !s.crashed.contains(origin) {
-                        if origin == *at && p == *payload {
-                            next.pos = pos + 1;
-                            return Some(next);
-                        }
-                        return None;
-                    }
-                    pos += 1;
-                }
-                None
-            }
-            (Env::Broadcast { .. }, Action::Deliver { .. }) => Some(next),
             (Env::Votes { pi, votes }, Action::Vote { at, yes }) => {
-                if !pi.contains(*at) || s.stopped.contains(*at) || votes[at.index()] != *yes {
-                    return None;
-                }
-                next.stopped.insert(*at);
-                Some(next)
+                s.stop_once(pi, *at, votes.get(at.index()) == Some(yes))
             }
-            (Env::Votes { .. }, Action::Verdict { .. }) => Some(next),
-            _ => None,
+            (Env::Broadcast { script }, Action::Broadcast { at, payload }) => {
+                match s.next_broadcast(script) {
+                    Some(pos) if script[pos] == (*at, *payload) => {
+                        s.pos = pos + 1;
+                        true
+                    }
+                    _ => false,
+                }
+            }
+            (Env::Consensus { .. } | Env::ConsensusVal { .. }, Action::Decide { .. })
+            | (Env::KSet { .. }, Action::DecideK { .. })
+            | (Env::Broadcast { .. }, Action::Deliver { .. })
+            | (Env::Votes { .. }, Action::Verdict { .. }) => true,
+            _ => false,
         }
     }
 }

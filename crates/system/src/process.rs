@@ -118,39 +118,30 @@ impl<B: LocalBehavior> Automaton for ProcessAutomaton<B> {
         self.behavior.output(self.loc, &s.inner)
     }
 
-    fn step(&self, s: &Self::State, a: &Action) -> Option<Self::State> {
+    fn apply(&self, s: &mut Self::State, a: &Action) -> bool {
         if a.crash_loc() == Some(self.loc) {
-            let mut next = s.clone();
-            next.crashed = true;
-            return Some(next);
-        }
-        if a.recover_loc() == Some(self.loc) {
+            s.crashed = true;
+        } else if a.recover_loc() == Some(self.loc) {
             // Crash-recovery: a new incarnation resumes from the state
             // the protocol had durably reached (the rejoin replay has
             // rebuilt `inner` by then); locally controlled actions are
             // re-enabled.
-            let mut next = s.clone();
-            next.crashed = false;
-            return Some(next);
-        }
-        if self.behavior.is_input(self.loc, a) {
-            let mut next = s.clone();
+            s.crashed = false;
+        } else if self.behavior.is_input(self.loc, a) {
             // Inputs after a crash are absorbed without effect: the
             // process is dead but input enabling must be preserved.
-            if !next.crashed {
-                self.behavior.on_input(self.loc, &mut next.inner, a);
+            if !s.crashed {
+                self.behavior.on_input(self.loc, &mut s.inner, a);
             }
-            return Some(next);
+        } else if self.behavior.is_output(self.loc, a)
+            && !s.crashed
+            && self.behavior.output(self.loc, &s.inner).as_ref() == Some(a)
+        {
+            self.behavior.on_output(self.loc, &mut s.inner, a);
+        } else {
+            return false;
         }
-        if self.behavior.is_output(self.loc, a) {
-            if s.crashed || self.behavior.output(self.loc, &s.inner).as_ref() != Some(a) {
-                return None;
-            }
-            let mut next = s.clone();
-            self.behavior.on_output(self.loc, &mut next.inner, a);
-            return Some(next);
-        }
-        None
+        true
     }
 }
 

@@ -156,10 +156,11 @@ impl FdGen {
     }
 
     /// The output the generator would produce at location `i` in state
-    /// `s`, if the task at `i` is enabled.
+    /// `s`, if the task at `i` is enabled: never at a location outside
+    /// Π or crashed.
     #[must_use]
     pub fn output_at(&self, s: &FdGenState, i: Loc) -> Option<FdOutput> {
-        if s.crashset.contains(i) {
+        if !self.pi.contains(i) || s.crashset.contains(i) {
             return None;
         }
         let up = self.pi.all().difference(s.crashset);
@@ -304,9 +305,6 @@ impl Automaton for FdGen {
 
     fn enabled(&self, s: &FdGenState, t: TaskId) -> Option<Action> {
         let i = Loc(u8::try_from(t.0).ok()?);
-        if !self.pi.contains(i) {
-            return None;
-        }
         let out = self.output_at(s, i)?;
         Some(match self.behavior {
             FdBehavior::Participant => Action::QueryReply { at: i, out },
@@ -336,7 +334,6 @@ impl Automaton for FdGen {
             }
             Action::Fd { at, out }
                 if self.behavior != FdBehavior::Participant
-                    && self.pi.contains(*at)
                     && self.output_at(s, *at) == Some(*out) =>
             {
                 let c = &mut s.counts[at.index()];
@@ -470,6 +467,39 @@ mod tests {
         s = gen.step(&s, &Action::Crash(Loc(1))).unwrap();
         assert_eq!(gen.enabled(&s, TaskId(1)), None);
         assert!(gen.enabled(&s, TaskId(0)).is_some());
+    }
+
+    #[test]
+    fn no_output_at_a_location_outside_pi() {
+        let pi = Pi::new(2);
+        let outside = Loc(5);
+        for behavior in [
+            FdBehavior::Omega,
+            FdBehavior::OmegaUnstable { flips: 2 },
+            FdBehavior::Perfect,
+            FdBehavior::EvPerfectNoisy {
+                lie_set: LocSet::singleton(Loc(1)),
+                lie_count: 2,
+            },
+            FdBehavior::Sigma,
+            FdBehavior::AntiOmega,
+            FdBehavior::OmegaK { k: 1 },
+            FdBehavior::PsiK { k: 1 },
+            FdBehavior::CheatingMarabout {
+                faulty: LocSet::empty(),
+            },
+            FdBehavior::Scripted {
+                script: vec![(outside, FdOutput::Leader(Loc(0)))],
+                cycle_from: Some(0),
+            },
+            FdBehavior::Participant,
+        ] {
+            let gen = FdGen::new(pi, behavior);
+            let mut s = gen.initial_state();
+            // The participant has a query from `outside` pending.
+            let _ = gen.apply(&mut s, &Action::Query { at: outside });
+            assert_eq!(gen.output_at(&s, outside), None, "{}", gen.name());
+        }
     }
 
     #[test]

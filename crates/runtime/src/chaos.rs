@@ -2,10 +2,10 @@
 //!
 //! The decision stream ([`ChannelChaos`]: one [`ChaosDecision`] per
 //! arrival, a pure function of `(run seed, from, to)`) lives in the
-//! channel automaton's seeded ADD start state ([`afd_system::AddState`]),
-//! which an engine gives every channel whose
-//! [`LinkProfile`](crate::LinkProfile) is chaotic. What the decisions
-//! mean operationally, as steps of that automaton:
+//! channel automaton's seeded ADD start state
+//! ([`afd_system::ChannelState::add`]), which an engine gives every
+//! channel whose [`LinkProfile`](crate::LinkProfile) is chaotic. What
+//! the decisions mean operationally, as steps of that automaton:
 //! * **drop** — the `Send` enqueues nothing: the message vanishes.
 //! * **dup** — the `Send` enqueues two deliveries, two `Receive` steps.
 //! * **hold `h > 0`** — the delivery is stamped `h` arrivals ahead;

@@ -73,7 +73,7 @@ use std::time::Duration;
 
 use afd_core::{Action, Loc};
 use afd_system::{
-    AddState, ChannelChaos, Component, ComponentKind, ComponentState, LinkProfile, RunStats,
+    ChannelChaos, ChannelState, Component, ComponentKind, ComponentState, LinkProfile, RunStats,
     SplitMix64, System,
 };
 use ioa::{ActionClass, Automaton, TaskId};
@@ -407,7 +407,7 @@ where
     match kind {
         ComponentKind::Channel(i, j) if links.profile(i, j).is_chaotic() => {
             let chaos = ChannelChaos::new(seed, i, j, links.profile(i, j));
-            ComponentState::Add(Box::new(AddState::new(chaos)))
+            ComponentState::Channel(ChannelState::add(chaos))
         }
         _ => comp.initial_state(),
     }
@@ -679,9 +679,9 @@ where
         let mut report = ChaosReport::default();
         for (kind, cell) in self.kinds.iter().zip(&self.cells) {
             if let (ComponentKind::Channel(i, j), Some(cell)) = (kind, cell) {
-                if let ComponentState::Add(s) = &lock(&cell.body).state {
-                    if s.stats.arrivals > 0 {
-                        report.per_channel.insert((*i, *j), s.stats);
+                if let ComponentState::Channel(s) = &lock(&cell.body).state {
+                    if let Some(adv) = s.adversary().filter(|adv| adv.stats.arrivals > 0) {
+                        report.per_channel.insert((*i, *j), adv.stats);
                     }
                 }
             }

@@ -9,7 +9,7 @@
 //! therefore a pure function of the seed and the channel: the k-th
 //! arrival on channel `(i, j)` meets the same fate in every same-seed
 //! run, on every engine. The stream lives in the channel automaton's
-//! ADD start state ([`crate::channel::AddState`]), which is where the
+//! ADD start state ([`crate::ChannelState::add`]), which is where the
 //! decisions take effect.
 
 use std::time::Duration;

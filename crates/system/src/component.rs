@@ -7,7 +7,7 @@ use afd_core::automata::{FdGen, FdGenState};
 use afd_core::{Action, Loc};
 use ioa::{ActionClass, Automaton, TaskId};
 
-use crate::channel::{AddState, Channel, ChannelState, WireChannel, WireChannelState};
+use crate::channel::{Channel, ChannelState};
 use crate::crash::{CrashAdversary, CrashState};
 use crate::environment::{Env, EnvState};
 
@@ -17,10 +17,8 @@ use crate::environment::{Env, EnvState};
 pub enum Component<P> {
     /// The process automaton at one location (§4.2).
     Process(P),
-    /// A reliable FIFO channel (§4.3).
+    /// A channel (§4.3), over either alphabet.
     Channel(Channel),
-    /// A wire channel carrying frames over an adversarial link.
-    Wire(WireChannel),
     /// The crash automaton (§4.4).
     Crash(CrashAdversary),
     /// The environment automaton (§4.5).
@@ -34,12 +32,8 @@ pub enum Component<P> {
 pub enum ComponentState<S> {
     /// Process state.
     Process(S),
-    /// Channel state.
+    /// Channel state, FIFO or ADD.
     Channel(ChannelState),
-    /// Wire channel state.
-    Wire(WireChannelState),
-    /// A channel (of either flavour) started in its seeded ADD state.
-    Add(Box<AddState>),
     /// Crash-automaton state.
     Crash(CrashState),
     /// Environment state.
@@ -59,7 +53,6 @@ where
         match self {
             Component::Process(p) => p.name(),
             Component::Channel(c) => c.name(),
-            Component::Wire(w) => w.name(),
             Component::Crash(c) => c.name(),
             Component::Env(e) => e.name(),
             Component::Fd(f) => f.name(),
@@ -70,7 +63,6 @@ where
         match self {
             Component::Process(p) => ComponentState::Process(p.initial_state()),
             Component::Channel(c) => ComponentState::Channel(c.initial_state()),
-            Component::Wire(w) => ComponentState::Wire(w.initial_state()),
             Component::Crash(c) => ComponentState::Crash(c.initial_state()),
             Component::Env(e) => ComponentState::Env(e.initial_state()),
             Component::Fd(f) => ComponentState::Fd(f.initial_state()),
@@ -81,7 +73,6 @@ where
         match self {
             Component::Process(p) => p.classify(a),
             Component::Channel(c) => c.classify(a),
-            Component::Wire(w) => w.classify(a),
             Component::Crash(c) => c.classify(a),
             Component::Env(e) => e.classify(a),
             Component::Fd(f) => f.classify(a),
@@ -92,7 +83,6 @@ where
         match self {
             Component::Process(p) => p.task_count(),
             Component::Channel(c) => c.task_count(),
-            Component::Wire(w) => w.task_count(),
             Component::Crash(c) => c.task_count(),
             Component::Env(e) => e.task_count(),
             Component::Fd(f) => f.task_count(),
@@ -103,8 +93,6 @@ where
         match (self, s) {
             (Component::Process(p), ComponentState::Process(s)) => p.enabled(s, t),
             (Component::Channel(c), ComponentState::Channel(s)) => c.enabled(s, t),
-            (Component::Wire(w), ComponentState::Wire(s)) => w.enabled(s, t),
-            (Component::Channel(_) | Component::Wire(_), ComponentState::Add(s)) => s.enabled(),
             (Component::Crash(c), ComponentState::Crash(s)) => c.enabled(s, t),
             (Component::Env(e), ComponentState::Env(s)) => e.enabled(s, t),
             (Component::Fd(f), ComponentState::Fd(s)) => f.enabled(s, t),
@@ -119,10 +107,6 @@ where
         match (self, s) {
             (Component::Process(p), ComponentState::Process(s)) => p.apply(s, a),
             (Component::Channel(c), ComponentState::Channel(s)) => c.apply(s, a),
-            (Component::Wire(w), ComponentState::Wire(s)) => w.apply(s, a),
-            (Component::Channel(_) | Component::Wire(_), ComponentState::Add(s)) => {
-                self.classify(a).is_some() && s.apply(a)
-            }
             (Component::Crash(c), ComponentState::Crash(s)) => c.apply(s, a),
             (Component::Env(e), ComponentState::Env(s)) => e.apply(s, a),
             (Component::Fd(f), ComponentState::Fd(s)) => f.apply(s, a),

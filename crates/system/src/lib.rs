@@ -73,7 +73,7 @@ pub mod sim;
 pub mod stats;
 pub mod system;
 
-pub use channel::{AddState, Channel, ChannelState, WireChannel, WireChannelState};
+pub use channel::{Alphabet, Channel, ChannelState};
 pub use chaos::{ChannelChaos, ChannelChaosStats, ChaosDecision, LinkProfile};
 pub use component::{Component, ComponentKind, ComponentState, Label};
 pub use crash::{CrashAdversary, FaultPattern};
@@ -84,3 +84,7 @@ pub use rng::SplitMix64;
 pub use sim::{crash_midway, run_random, run_round_robin, run_sim, SimConfig, SimOutcome};
 pub use stats::{RunStats, RunStatsStream};
 pub use system::{System, SystemBuilder};
+
+// A channel state never sets `ComponentState`'s size: the ADD state's
+// adversary is boxed, so a channel costs a queue and a pointer.
+const _: () = assert!(size_of::<ChannelState>() <= size_of::<afd_core::automata::FdGenState>());

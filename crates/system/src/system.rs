@@ -7,6 +7,7 @@ use afd_core::automata::FdGen;
 use afd_core::{Action, Loc, Pi};
 use ioa::{Automaton, Composition, TaskId};
 
+use crate::channel::{Alphabet, Channel};
 use crate::component::{Component, ComponentKind, Label};
 use crate::crash::CrashAdversary;
 use crate::environment::Env;
@@ -38,7 +39,7 @@ where
     fd: Option<FdGen>,
     crash_script: Vec<Loc>,
     label: String,
-    wire_channels: bool,
+    alphabet: Alphabet,
 }
 
 impl<P> SystemBuilder<P>
@@ -64,17 +65,17 @@ where
             fd: None,
             crash_script: Vec::new(),
             label: "system".into(),
-            wire_channels: false,
+            alphabet: Alphabet::Msg,
         }
     }
 
-    /// Use [`crate::channel::WireChannel`]s (frame transport for the
-    /// reliable-channel layer) instead of the paper's app-level
-    /// [`crate::channel::Channel`]s. The wiring order and `Label::Chan`
+    /// Give every channel the wire alphabet ([`Alphabet::Wire`], frame
+    /// transport for the reliable-channel layer) instead of the paper's
+    /// app-level [`Alphabet::Msg`]. The wiring order and `Label::Chan`
     /// labels are unchanged; only the channel alphabet differs.
     #[must_use]
     pub fn with_wire_channels(mut self) -> Self {
-        self.wire_channels = true;
+        self.alphabet = Alphabet::Wire;
         self
     }
 
@@ -124,11 +125,7 @@ where
         for i in pi.iter() {
             for j in pi.iter() {
                 if i != j {
-                    components.push(if self.wire_channels {
-                        Component::Wire(crate::channel::WireChannel::new(i, j))
-                    } else {
-                        Component::Channel(crate::channel::Channel::new(i, j))
-                    });
+                    components.push(Component::Channel(Channel::new(i, j, self.alphabet)));
                     labels.push(Label::Chan(i, j));
                 }
             }
@@ -224,7 +221,6 @@ where
                     ComponentKind::Process(i)
                 }
                 Component::Channel(ch) => ComponentKind::Channel(ch.from, ch.to),
-                Component::Wire(w) => ComponentKind::Channel(w.from, w.to),
                 Component::Crash(_) => ComponentKind::Crash,
                 Component::Env(_) => ComponentKind::Env,
                 Component::Fd(_) => ComponentKind::Fd,
@@ -383,16 +379,16 @@ mod tests {
             .component_kinds()
             .contains(&ComponentKind::Channel(Loc(1), Loc(0))));
         // But the channels are wire channels over frames.
-        assert!(sys
+        let alphabets: Vec<_> = sys
             .composition
             .components()
             .iter()
-            .any(|c| matches!(c, Component::Wire(_))));
-        assert!(!sys
-            .composition
-            .components()
-            .iter()
-            .any(|c| matches!(c, Component::Channel(_))));
+            .filter_map(|c| match c {
+                Component::Channel(ch) => Some(ch.alphabet),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(alphabets, [Alphabet::Wire; 2]);
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub fn similar_modulo_i<B: LocalBehavior>(pi: Pi, i: Loc, a: &Node<B>, b: &Node<
         }
     }
     // (3) channels between other locations agree; (4) channels out of
-    // `i` are prefix-related (a's queue a prefix of b's).
+    // `i` are prefix-related (a's queue a prefix of b's). Both hold
+    // over either channel alphabet.
     for j in pi.iter() {
         for k in pi.iter() {
             if j == k {
@@ -72,10 +73,10 @@ pub fn similar_modulo_i<B: LocalBehavior>(pi: Pi, i: Loc, a: &Node<B>, b: &Node<
             match (&a.config[idx], &b.config[idx]) {
                 (ComponentState::Channel(ca), ComponentState::Channel(cb)) => {
                     if j == i {
-                        if !ioa::seq::is_prefix(&ca.queue, &cb.queue) {
+                        if !ioa::seq::is_prefix(ca.queue(), cb.queue()) {
                             return false;
                         }
-                    } else if k != i && ca.queue != cb.queue {
+                    } else if k != i && ca != cb {
                         return false;
                     }
                     // channels *into* i are unconstrained
@@ -130,7 +131,7 @@ mod tests {
         )
     }
 
-    fn tree_system(pi: Pi, seq: &FdSeq) -> System<ProcessAutomaton<PaxosOmega>> {
+    fn builder(pi: Pi, seq: &FdSeq) -> SystemBuilder<ProcessAutomaton<PaxosOmega>> {
         let procs = pi
             .iter()
             .map(|i| ProcessAutomaton::new(i, PaxosOmega::new(pi)))
@@ -138,7 +139,10 @@ mod tests {
         SystemBuilder::new(pi, procs)
             .with_env(Env::consensus(pi))
             .with_crashes(seq.crash_script())
-            .build()
+    }
+
+    fn tree_system(pi: Pi, seq: &FdSeq) -> System<ProcessAutomaton<PaxosOmega>> {
+        builder(pi, seq).build()
     }
 
     #[test]
@@ -156,14 +160,19 @@ mod tests {
     fn reflexive_after_crash() {
         let pi = Pi::new(3);
         let seq = crashy_seq(pi);
-        let sys = tree_system(pi, &seq);
-        let tree = TaggedTree::new(&sys, seq);
-        // Perform the crash via the FD edge.
-        let (_, node) = tree.child(&tree.root(), TreeLabel::Fd);
-        assert!(
-            similar_modulo_i(pi, Loc(0), &node, &node),
-            "∼_i is reflexive"
-        );
+        // Over either channel alphabet.
+        for sys in [
+            tree_system(pi, &seq),
+            builder(pi, &seq).with_wire_channels().build(),
+        ] {
+            let tree = TaggedTree::new(&sys, seq.clone());
+            // Perform the crash via the FD edge.
+            let (_, node) = tree.child(&tree.root(), TreeLabel::Fd);
+            assert!(
+                similar_modulo_i(pi, Loc(0), &node, &node),
+                "∼_i is reflexive"
+            );
+        }
     }
 
     #[test]

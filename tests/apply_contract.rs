@@ -21,8 +21,8 @@ use afd_core::problems::leader_election::LeaderElectionSolver;
 use afd_core::{Action, FdOutput, Frame, Loc, LocSet, Msg, Pi};
 use afd_runtime::{start_state, LinkFaults};
 use afd_system::{
-    AddState, Channel, ChannelChaos, Component, ComponentState, CrashAdversary, Env, LinkProfile,
-    ProcessAutomaton, SplitMix64, WireChannel,
+    Alphabet, Channel, ChannelChaos, ChannelState, Component, ComponentState, CrashAdversary, Env,
+    LinkProfile, ProcessAutomaton, SplitMix64,
 };
 use ioa::{ActionClass, Automaton};
 
@@ -207,18 +207,20 @@ fn composition_with_channels_in_their_add_state() {
         .zip(sys.component_kinds())
         .map(|(c, kind)| start_state(c, kind, &links, 5))
         .collect();
-    assert!(start.iter().any(|s| matches!(s, ComponentState::Add(_))));
+    assert!(start
+        .iter()
+        .any(|s| matches!(s, ComponentState::Channel(c) if c.adversary().is_some())));
     check_apply_contract(&sys.composition, &start, 2);
 }
 
 #[test]
 fn channel() {
-    check_initial(&Channel::new(Loc(0), Loc(1)), 3);
+    check_initial(&Channel::new(Loc(0), Loc(1), Alphabet::Msg), 3);
 }
 
 #[test]
 fn wire_channel() {
-    check_initial(&WireChannel::new(Loc(1), Loc(0)), 4);
+    check_initial(&Channel::new(Loc(1), Loc(0), Alphabet::Wire), 4);
 }
 
 #[test]
@@ -258,16 +260,16 @@ fn crash_adversary() {
     check_initial(&CrashAdversary::new(vec![Loc(1), Loc(0)]), 6);
 }
 
-/// Every arm of `Component`, with both channel flavours also started
-/// in their ADD state.
+/// Every arm of `Component`, with the channel over both alphabets and
+/// also started in its ADD state.
 #[test]
 fn component() {
     let pi = pi();
     let process = ProcessAutomaton::new(Loc(1), PaxosOmega::new(pi));
     let arms = [
         Component::Process(process),
-        Component::Channel(Channel::new(Loc(0), Loc(2))),
-        Component::Wire(WireChannel::new(Loc(2), Loc(0))),
+        Component::Channel(Channel::new(Loc(0), Loc(2), Alphabet::Msg)),
+        Component::Channel(Channel::new(Loc(2), Loc(0), Alphabet::Wire)),
         Component::Crash(CrashAdversary::new(vec![Loc(2)])),
         Component::Env(Env::consensus(pi)),
         Component::Fd(FdGen::omega(pi)),
@@ -276,13 +278,11 @@ fn component() {
         check_initial(c, 20 + k as u64);
     }
     for (k, c) in arms[1..3].iter().enumerate() {
-        let (from, to) = match c {
-            Component::Channel(ch) => (ch.from, ch.to),
-            Component::Wire(w) => (w.from, w.to),
-            _ => unreachable!(),
+        let Component::Channel(ch) = c else {
+            unreachable!()
         };
-        let add = AddState::new(ChannelChaos::new(7, from, to, chaotic()));
-        check_apply_contract(c, &ComponentState::Add(Box::new(add)), 30 + k as u64);
+        let add = ChannelState::add(ChannelChaos::new(7, ch.from, ch.to, chaotic()));
+        check_apply_contract(c, &ComponentState::Channel(add), 30 + k as u64);
     }
 }
 

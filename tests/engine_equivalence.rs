@@ -7,7 +7,8 @@
 //! messages — on all three. Because drop, duplicate and reorder are
 //! steps of that automaton, every chaotic schedule is an execution of
 //! its channels, and the simulator runs the same chaos from the same
-//! start state with no knob of its own.
+//! start state with no knob of its own. Clean runs are checked the
+//! same way from the other start state, the paper's FIFO queue.
 
 use std::time::Duration;
 
@@ -55,28 +56,42 @@ fn assert_realised_equals_planned(engine: &str, report: &ChaosReport) {
 
 /// Project `schedule` onto each channel's signature and step that
 /// projection through the channel automaton from the start state the
-/// engines give it: every step must be accepted. Adds the chaos the
-/// channels went through to `seen`.
-fn assert_channels_accept(engine: &str, schedule: &[Action], seen: &mut ChannelChaosStats) {
+/// engines give it under `links`: every step must be accepted. Adds
+/// the chaos the channels went through to `seen` (none on a FIFO
+/// channel).
+fn assert_channels_accept(
+    engine: &str,
+    links: &LinkFaults,
+    schedule: &[Action],
+    seen: &mut ChannelChaosStats,
+) {
     let sys = reliable_paxos_system(Pi::new(3), &[1, 0, 1], vec![]);
     let comps = sys.composition.components();
     for (comp, kind) in comps.iter().zip(sys.component_kinds()) {
-        if !matches!(kind, ComponentKind::Channel(..)) {
+        let ComponentKind::Channel(from, to) = kind else {
             continue;
-        }
-        let mut s = start_state(comp, kind, &links(), SEED);
+        };
+        let mut s = start_state(comp, kind, links, SEED);
         let projection = schedule.iter().filter(|a| comp.classify(a).is_some());
         for (k, a) in projection.enumerate() {
             s = comp.step(&s, a).unwrap_or_else(|| {
                 panic!("{engine}: {} rejects its event #{k}, {a:?}", comp.name())
             });
         }
-        let ComponentState::Add(add) = s else {
-            panic!("{engine}: {} did not start in the ADD state", comp.name())
+        let ComponentState::Channel(ch) = s else {
+            unreachable!("{engine}: {} is a channel", comp.name())
         };
-        seen.dropped += add.stats.dropped;
-        seen.duplicated += add.stats.duplicated;
-        seen.held += add.stats.held;
+        assert_eq!(
+            ch.adversary().is_some(),
+            links.profile(from, to).is_chaotic(),
+            "{engine}: {} started in the wrong start state",
+            comp.name()
+        );
+        if let Some(adv) = ch.adversary() {
+            seen.dropped += adv.stats.dropped;
+            seen.duplicated += adv.stats.duplicated;
+            seen.held += adv.stats.held;
+        }
     }
 }
 
@@ -88,7 +103,7 @@ fn assert_channels_accept(engine: &str, schedule: &[Action], seen: &mut ChannelC
 fn assert_runs_are_channel_executions(engine: &str, run: impl Fn() -> Vec<Action>) {
     let mut seen = ChannelChaosStats::default();
     for _ in 0..5 {
-        assert_channels_accept(engine, &run(), &mut seen);
+        assert_channels_accept(engine, &links(), &run(), &mut seen);
         if seen.dropped > 0 && seen.duplicated > 0 && seen.held > 0 {
             return;
         }
@@ -96,11 +111,25 @@ fn assert_runs_are_channel_executions(engine: &str, run: impl Fn() -> Vec<Action
     panic!("{engine}: five schedules exercised too little chaos: {seen:?}");
 }
 
-fn threaded_run() -> RuntimeOutcome {
+/// A clean run's schedule is an execution of its channels started as
+/// the paper's FIFO queue: every receive is the front of its queue.
+fn assert_fifo_run_is_channel_execution(engine: &str, schedule: &[Action]) {
+    assert!(
+        schedule
+            .iter()
+            .any(|a| matches!(a, Action::WireRecv { .. })),
+        "{engine}: no channel traffic to check"
+    );
+    let mut seen = ChannelChaosStats::default();
+    assert_channels_accept(engine, &LinkFaults::none(), schedule, &mut seen);
+    assert_eq!(seen, ChannelChaosStats::default(), "{engine}");
+}
+
+fn threaded_run(links: LinkFaults) -> RuntimeOutcome {
     let pi = Pi::new(3);
     let sys = reliable_paxos_system(pi, &[1, 0, 1], vec![]);
     let cfg = RuntimeConfig::default()
-        .with_links(links())
+        .with_links(links)
         .with_seed(SEED)
         .with_wire_pacing(Duration::from_micros(20))
         .with_max_events(6_000)
@@ -110,15 +139,21 @@ fn threaded_run() -> RuntimeOutcome {
 
 #[test]
 fn realised_chaos_equals_the_plan_threaded() {
-    assert_realised_equals_planned("threaded", &threaded_run().chaos);
+    assert_realised_equals_planned("threaded", &threaded_run(links()).chaos);
 }
 
 #[test]
 fn threaded_chaos_schedule_is_an_execution_of_its_channels() {
-    assert_runs_are_channel_executions("threaded", || threaded_run().schedule);
+    assert_runs_are_channel_executions("threaded", || threaded_run(links()).schedule);
 }
 
-fn distributed_run(transport: Transport) -> NetReport {
+#[test]
+fn threaded_fifo_schedule_is_an_execution_of_its_channels() {
+    let out = threaded_run(LinkFaults::none());
+    assert_fifo_run_is_channel_execution("threaded", &out.schedule);
+}
+
+fn distributed_run(transport: Transport, links: LinkFaults) -> NetReport {
     let spec = DeploymentSpec::ReliablePaxos {
         n: 3,
         values: vec![1, 0, 1],
@@ -127,19 +162,19 @@ fn distributed_run(transport: Transport) -> NetReport {
         .with_deadlines(Duration::from_secs(10), Duration::from_secs(120))
         .with_max_events(6_000)
         .with_seed(SEED)
-        .with_links(links())
+        .with_links(links)
         .with_transport(transport);
     run_distributed(&spec, &cfg).expect("run")
 }
 
 #[test]
 fn realised_chaos_equals_the_plan_tcp() {
-    assert_realised_equals_planned("tcp", &distributed_run(Transport::Tcp).chaos);
+    assert_realised_equals_planned("tcp", &distributed_run(Transport::Tcp, links()).chaos);
 }
 
 #[test]
 fn realised_chaos_equals_the_plan_udp() {
-    assert_realised_equals_planned("udp", &distributed_run(Transport::Udp).chaos);
+    assert_realised_equals_planned("udp", &distributed_run(Transport::Udp, links()).chaos);
 }
 
 /// UDP is left out: a datagram the socket loses never reaches its
@@ -147,7 +182,13 @@ fn realised_chaos_equals_the_plan_udp() {
 /// channel's execution.
 #[test]
 fn tcp_chaos_schedule_is_an_execution_of_its_channels() {
-    assert_runs_are_channel_executions("tcp", || distributed_run(Transport::Tcp).schedule);
+    assert_runs_are_channel_executions("tcp", || distributed_run(Transport::Tcp, links()).schedule);
+}
+
+#[test]
+fn tcp_fifo_schedule_is_an_execution_of_its_channels() {
+    let report = distributed_run(Transport::Tcp, LinkFaults::none());
+    assert_fifo_run_is_channel_execution("tcp", &report.schedule);
 }
 
 /// The simulator runs the same chaos from the same start state:
@@ -186,10 +227,25 @@ fn simulator_runs_chaos_from_the_add_start_state() {
             .last_state()
             .iter()
             .filter_map(|s| match s {
-                ComponentState::Add(add) => Some(add.stats.dropped),
+                ComponentState::Channel(ch) => Some(ch.adversary()?.stats.dropped),
                 _ => None,
             })
             .sum();
         assert!(dropped > 0, "seed {seed}: the adversary dropped nothing");
     }
+}
+
+/// The simulator's clean schedule, from every channel's FIFO start
+/// state, is an execution of its channels too.
+#[test]
+fn simulator_fifo_schedule_is_an_execution_of_its_channels() {
+    let pi = Pi::new(3);
+    let sys = reliable_paxos_system(pi, &[1, 0, 1], vec![]);
+    let opts = RunOptions::default()
+        .endpoints_only()
+        .with_max_steps(20_000)
+        .stop_when(move |_, s: &[Action]| all_live_decided(pi, s));
+    let out = Runner::new(&sys.composition).run_detailed(&mut RandomFair::new(1), opts);
+    assert_eq!(out.reason, ioa::StopReason::Predicate, "no decision");
+    assert_fifo_run_is_channel_execution("simulator", &out.execution.actions);
 }

@@ -324,6 +324,26 @@ impl Action {
         }
     }
 
+    /// The variant and the locations that decide which automata have
+    /// this action in their signature, packed as `kind << 16 | x << 8 | y`.
+    /// Sound because every `classify` in the system model is
+    /// payload-independent: actions with equal keys are classified the
+    /// same by every automaton. The runtime's routing index and
+    /// `ioa::Composition`'s participants index are keyed by it.
+    #[must_use]
+    pub fn route_key(&self) -> u64 {
+        let (x, y) = match *self {
+            Action::Send { from, to, .. }
+            | Action::Receive { from, to, .. }
+            | Action::WireSend { from, to, .. }
+            | Action::WireRecv { from, to, .. } => (from, to),
+            Action::Elect { at, leader } => (at, leader),
+            Action::Deliver { at, origin, .. } => (at, origin),
+            _ => (self.loc(), Loc(0)),
+        };
+        (self.kind_index() as u64) << 16 | u64::from(x.0) << 8 | u64::from(y.0)
+    }
+
     /// A stable machine-readable tag for the action's variant — the
     /// `kind` field of exported traces and the key of per-kind metrics.
     #[must_use]

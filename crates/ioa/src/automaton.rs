@@ -81,6 +81,17 @@ pub trait Automaton {
     /// `a` is not an action of this automaton.
     fn classify(&self, a: &Self::Action) -> Option<ActionClass>;
 
+    /// A key that stands for `a`'s classification, or `None` (the
+    /// default) where the automaton type offers none.
+    ///
+    /// Contract: two actions with equal keys are classified the same by
+    /// every automaton of this type. A [`crate::Composition`] of such
+    /// automata keys its participants index by it, so it classifies
+    /// each key once instead of once per event.
+    fn route_key(_a: &Self::Action) -> Option<u64> {
+        None
+    }
+
     /// Number of tasks. Tasks are indexed `0..task_count()`.
     fn task_count(&self) -> usize;
 

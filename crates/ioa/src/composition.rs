@@ -7,8 +7,15 @@
 //! output or internal action of at most one component (name uniqueness),
 //! and when it occurs, *every* component that has it in its signature
 //! performs it simultaneously.
+//!
+//! Who takes part in an action is a function of its classification, so
+//! a composition of components with an [`Automaton::route_key`] keeps a
+//! participants index: one classify scan per key, filled on first use,
+//! then every [`Automaton::apply`] and [`Composition::controller`] is a
+//! lookup. Component types without a key are scanned on every call.
 
 use std::collections::HashMap;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::automaton::{ActionClass, Automaton, TaskId};
 
@@ -68,6 +75,15 @@ impl std::error::Error for SignatureError {}
 /// A boxed predicate selecting output actions to hide.
 type HidePredicate<A> = Box<dyn Fn(&A) -> bool + Send + Sync>;
 
+/// The participants of the actions sharing one route key: the
+/// component controlling them, if any, and every other component that
+/// has them in its signature, in component order.
+#[derive(Debug)]
+struct Route {
+    controller: Option<usize>,
+    inputs: Vec<usize>,
+}
+
 /// The composition of a vector of same-alphabet automata, with optional
 /// hiding of output actions (§2.3).
 pub struct Composition<C: Automaton> {
@@ -75,6 +91,9 @@ pub struct Composition<C: Automaton> {
     tasks: Vec<GlobalTask>,
     hide: Option<HidePredicate<C::Action>>,
     label: String,
+    /// The participants index. Readers clone an entry out, so no lock
+    /// is held while a component runs.
+    routes: RwLock<HashMap<u64, Arc<Route>>>,
 }
 
 impl<C: Automaton> std::fmt::Debug for Composition<C> {
@@ -110,6 +129,7 @@ impl<C: Automaton> Composition<C> {
             tasks,
             hide: None,
             label: "composition".into(),
+            routes: RwLock::new(HashMap::new()),
         }
     }
 
@@ -220,10 +240,44 @@ impl<C: Automaton> Composition<C> {
     /// if any.
     #[must_use]
     pub fn controller(&self, a: &C::Action) -> Option<usize> {
-        self.components.iter().position(|c| {
-            c.classify(a)
-                .is_some_and(ActionClass::is_locally_controlled)
-        })
+        self.route(a).controller
+    }
+
+    /// The participants of `a`: the component controlling it, if any,
+    /// and every other component with `a` in its signature, in
+    /// component order.
+    #[must_use]
+    pub fn participants(&self, a: &C::Action) -> (Option<usize>, Vec<usize>) {
+        let route = self.route(a);
+        (route.controller, route.inputs.clone())
+    }
+
+    /// `a`'s entry in the participants index, filled by one classify
+    /// scan on a miss; a fresh scan when `C` has no route keys.
+    fn route(&self, a: &C::Action) -> Arc<Route> {
+        let scan = || {
+            let controller = self.components.iter().position(|c| {
+                c.classify(a)
+                    .is_some_and(ActionClass::is_locally_controlled)
+            });
+            let inputs = (0..self.components.len())
+                .filter(|&ci| Some(ci) != controller && self.components[ci].classify(a).is_some())
+                .collect();
+            Arc::new(Route { controller, inputs })
+        };
+        let Some(key) = C::route_key(a) else {
+            return scan();
+        };
+        if let Some(route) = self
+            .routes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return Arc::clone(route);
+        }
+        let mut routes = self.routes.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(routes.entry(key).or_insert_with(scan))
     }
 
     /// Projection of an execution's state onto component `ci` (§2.3):
@@ -306,21 +360,18 @@ impl<C: Automaton> Automaton for Composition<C> {
     fn apply(&self, s: &mut Self::State, a: &Self::Action) -> bool {
         // The controller, if any, goes first: it is the only participant
         // that may refuse, and a refusal must leave `s` as it was.
-        let controller = self.controller(a);
-        if let Some(ci) = controller {
+        let route = self.route(a);
+        if let Some(ci) = route.controller {
             if !self.components[ci].apply(&mut s[ci], a) {
                 return false;
             }
         }
-        let mut participated = controller.is_some();
-        for (ci, c) in self.components.iter().enumerate() {
-            if Some(ci) != controller && c.classify(a).is_some() {
-                let accepted = c.apply(&mut s[ci], a);
-                debug_assert!(accepted, "{} refused its input {a:?}", c.name());
-                participated = true;
-            }
+        for &ci in &route.inputs {
+            let c = &self.components[ci];
+            let accepted = c.apply(&mut s[ci], a);
+            debug_assert!(accepted, "{} refused its input {a:?}", c.name());
         }
-        participated
+        route.controller.is_some() || !route.inputs.is_empty()
     }
 }
 
@@ -398,6 +449,97 @@ mod tests {
                 _ => return false,
             }
             true
+        }
+    }
+
+    /// [`Comp`] with route keys, so its compositions go through the
+    /// participants index.
+    #[derive(Debug, Clone)]
+    struct Keyed(Comp);
+
+    impl Automaton for Keyed {
+        type Action = Act;
+        type State = St;
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn initial_state(&self) -> St {
+            self.0.initial_state()
+        }
+        fn classify(&self, a: &Act) -> Option<ActionClass> {
+            self.0.classify(a)
+        }
+        fn route_key(a: &Act) -> Option<u64> {
+            Some(match a {
+                Act::Msg => 0,
+                Act::Tick => 1,
+            })
+        }
+        fn task_count(&self) -> usize {
+            self.0.task_count()
+        }
+        fn enabled(&self, s: &St, t: TaskId) -> Option<Act> {
+            self.0.enabled(s, t)
+        }
+        fn apply(&self, s: &mut St, a: &Act) -> bool {
+            self.0.apply(s, a)
+        }
+    }
+
+    fn keyed(budget: u32) -> Composition<Keyed> {
+        Composition::new(vec![Keyed(Comp::Sender { budget }), Keyed(Comp::Sink)])
+    }
+
+    /// Sends until the budget is spent, ticking after each send.
+    fn script(budget: u32) -> Vec<Act> {
+        (0..=budget).flat_map(|_| [Act::Msg, Act::Tick]).collect()
+    }
+
+    #[test]
+    fn index_agrees_with_the_scan() {
+        let (plain, keyed) = (comp(), keyed(2));
+        for a in [Act::Msg, Act::Tick] {
+            assert_eq!(keyed.participants(&a), plain.participants(&a));
+            assert_eq!(keyed.controller(&a), plain.controller(&a));
+        }
+        assert_eq!(plain.participants(&Act::Msg), (Some(0), vec![1]));
+        assert_eq!(plain.participants(&Act::Tick), (Some(1), vec![]));
+        let (mut p, mut k) = (plain.initial_state(), keyed.initial_state());
+        for a in script(2) {
+            assert_eq!(plain.apply(&mut p, &a), keyed.apply(&mut k, &a), "{a:?}");
+            assert_eq!(p, k);
+        }
+    }
+
+    /// Four threads step their own states through one composition,
+    /// released together so they race to fill the index.
+    #[test]
+    fn threads_share_one_index() {
+        const BUDGET: u32 = 50;
+        let c = keyed(BUDGET);
+        let go = std::sync::Barrier::new(4);
+        let finals: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut s = c.initial_state();
+                        go.wait();
+                        let accepted = script(BUDGET).iter().filter(|a| c.apply(&mut s, a)).count();
+                        (accepted, s)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let done = vec![
+            St::Sender { sent: BUDGET },
+            St::Sink {
+                got: BUDGET,
+                ticks: BUDGET,
+            },
+        ];
+        for f in finals {
+            assert_eq!(f, (2 * BUDGET as usize, done.clone()));
         }
     }
 

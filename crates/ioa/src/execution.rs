@@ -1,4 +1,9 @@
 //! Executions, schedules, and traces (§2.2).
+//!
+//! [`Execution::apply`] is how every driver extends an execution
+//! ([`crate::Runner`], [`crate::runner::run_script`], [`apply_schedule`],
+//! the system simulator): when only the endpoints are kept, it steps the
+//! final state in place instead of cloning it.
 
 use crate::automaton::{ActionClass, Automaton};
 
@@ -88,21 +93,26 @@ impl<M: Automaton> Execution<M> {
         self.actions.iter().filter(|a| keep(a)).cloned().collect()
     }
 
-    /// Append one step. Only meaningful with [`StatePolicy::Full`] if the
-    /// caller wants a well-formed alternating sequence; with
-    /// [`StatePolicy::Endpoints`] the final state is replaced instead.
-    pub fn push(&mut self, a: M::Action, s: M::State) {
-        self.actions.push(a);
-        match self.policy {
-            StatePolicy::Full => self.states.push(s),
-            StatePolicy::Endpoints => {
-                if self.states.len() < 2 {
-                    self.states.push(s);
-                } else {
-                    *self.states.last_mut().expect("nonempty") = s;
-                }
+    /// Perform `a` on the final state through `m` and record it; `false`,
+    /// with the execution untouched, where `m` refuses `a`. Under
+    /// [`StatePolicy::Endpoints`] `a` steps the final state in place (the
+    /// first step clones it, so `states[0]` keeps the start state); under
+    /// [`StatePolicy::Full`] it steps a copy, which is pushed.
+    pub fn apply(&mut self, m: &M, a: M::Action) -> bool {
+        if self.policy == StatePolicy::Endpoints && self.states.len() == 2 {
+            let last = self.states.last_mut().expect("nonempty");
+            if !m.apply(last, &a) {
+                return false;
             }
+        } else {
+            let mut next = self.last_state().clone();
+            if !m.apply(&mut next, &a) {
+                return false;
+            }
+            self.states.push(next);
         }
+        self.actions.push(a);
+        true
     }
 
     /// Concatenation `self · other` (§2.2): requires `other` to start in
@@ -171,8 +181,9 @@ pub fn apply_schedule<M: Automaton>(
 ) -> Option<Execution<M>> {
     let mut exec = Execution::null(s0);
     for a in schedule {
-        let next = m.step(exec.last_state(), a)?;
-        exec.push(a.clone(), next);
+        if !exec.apply(m, a.clone()) {
+            return None;
+        }
     }
     Some(exec)
 }
@@ -277,12 +288,55 @@ mod tests {
     fn endpoints_policy_keeps_two_states() {
         let mut e: Execution<Toggler> = Execution::null(false);
         e.policy = StatePolicy::Endpoints;
-        e.push(Act::Flip, true);
-        e.push(Act::Flip, false);
-        e.push(Act::Flip, true);
-        assert_eq!(e.states.len(), 2);
-        assert!(*e.last_state());
+        for _ in 0..3 {
+            assert!(e.apply(&Toggler, Act::Flip));
+        }
+        assert_eq!(e.states, vec![false, true], "start state and final state");
         assert_eq!(e.len(), 3);
+    }
+
+    /// Accepts `Flip` only from `false`.
+    #[derive(Debug, Clone)]
+    struct Once;
+
+    impl Automaton for Once {
+        type Action = Act;
+        type State = bool;
+        fn name(&self) -> String {
+            "once".into()
+        }
+        fn initial_state(&self) -> bool {
+            false
+        }
+        fn classify(&self, a: &Act) -> Option<ActionClass> {
+            (*a == Act::Flip).then_some(ActionClass::Output)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+        fn enabled(&self, s: &bool, _t: TaskId) -> Option<Act> {
+            (!*s).then_some(Act::Flip)
+        }
+        fn apply(&self, s: &mut bool, a: &Act) -> bool {
+            if *a != Act::Flip || *s {
+                return false;
+            }
+            *s = true;
+            true
+        }
+    }
+
+    #[test]
+    fn refused_apply_leaves_the_execution_untouched() {
+        for policy in [StatePolicy::Full, StatePolicy::Endpoints] {
+            let mut e: Execution<Once> = Execution::null(false);
+            e.policy = policy;
+            assert!(!e.apply(&Once, Act::Noise), "{policy:?}: foreign action");
+            assert_eq!((e.states.clone(), e.len()), (vec![false], 0));
+            assert!(e.apply(&Once, Act::Flip));
+            assert!(!e.apply(&Once, Act::Flip), "{policy:?}: disabled action");
+            assert_eq!((e.states, e.actions), (vec![false, true], vec![Act::Flip]));
+        }
     }
 
     #[test]
@@ -301,9 +355,7 @@ mod tests {
 
     #[test]
     fn apply_schedule_rejects_inapplicable() {
-        // Toggler accepts everything, so use a schedule against a guard:
-        // re-use Counter-like behavior via is_legal on corrupted exec instead.
-        let e = apply_schedule(&Toggler, false, &[Act::Flip]);
-        assert!(e.is_some());
+        assert!(apply_schedule(&Once, false, &[Act::Flip]).is_some());
+        assert!(apply_schedule(&Once, false, &[Act::Flip, Act::Flip]).is_none());
     }
 }

@@ -146,10 +146,8 @@ impl<'m, M: Automaton> Runner<'m, M> {
                     break;
                 }
             };
-            let next = m
-                .step(exec.last_state(), &a)
-                .expect("enabled action must apply");
-            exec.push(a, next);
+            let applied = exec.apply(m, a);
+            assert!(applied, "enabled action must apply");
         }
         // Final predicate check so `Predicate` is reported even when the
         // condition becomes true on the last budgeted step.
@@ -174,8 +172,9 @@ pub fn run_script<M: Automaton>(machine: &M, tasks: &[TaskId]) -> Option<Executi
     let mut exec = Execution::null(machine.initial_state());
     for &t in tasks {
         let a = machine.enabled(exec.last_state(), t)?;
-        let next = machine.step(exec.last_state(), &a)?;
-        exec.push(a, next);
+        if !exec.apply(machine, a) {
+            return None;
+        }
     }
     Some(exec)
 }

@@ -73,6 +73,8 @@ impl<M: Automaton> Scheduler<M> for RoundRobin {
 pub struct RandomFair {
     rng: StdRng,
     debt: Vec<u64>,
+    /// The enabled tasks of the current step; kept to reuse its buffer.
+    enabled: Vec<usize>,
     /// Hard cap on how long an enabled task may be passed over.
     pub max_debt: u64,
 }
@@ -84,6 +86,7 @@ impl RandomFair {
         RandomFair {
             rng: StdRng::seed_from_u64(seed),
             debt: Vec::new(),
+            enabled: Vec::new(),
             max_debt: 64,
         }
     }
@@ -100,21 +103,28 @@ impl<M: Automaton> Scheduler<M> for RandomFair {
     fn next_task(&mut self, m: &M, s: &M::State, _step: usize) -> Option<TaskId> {
         let n = m.task_count();
         self.debt.resize(n, 0);
-        let enabled: Vec<usize> = (0..n)
-            .filter(|&t| m.enabled(s, TaskId(t)).is_some())
-            .collect();
-        if enabled.is_empty() {
-            return None;
-        }
+        let mut enabled = std::mem::take(&mut self.enabled);
+        enabled.clear();
+        enabled.extend((0..n).filter(|&t| m.enabled(s, TaskId(t)).is_some()));
+        let chosen = self.choose(&enabled);
+        self.enabled = enabled;
+        chosen.map(TaskId)
+    }
+}
+
+impl RandomFair {
+    /// Pick one of `enabled` and settle the debts.
+    fn choose(&mut self, enabled: &[usize]) -> Option<usize> {
+        let first = *enabled.first()?;
         // Anti-starvation: any task over the cap goes first.
         if let Some(&t) = enabled.iter().find(|&&t| self.debt[t] >= self.max_debt) {
-            self.settle(&enabled, t);
-            return Some(TaskId(t));
+            self.settle(enabled, t);
+            return Some(t);
         }
         let total: u64 = enabled.iter().map(|&t| 1 + self.debt[t]).sum();
         let mut roll = self.rng.gen_range(0..total);
-        let mut chosen = enabled[0];
-        for &t in &enabled {
+        let mut chosen = first;
+        for &t in enabled {
             let w = 1 + self.debt[t];
             if roll < w {
                 chosen = t;
@@ -122,12 +132,10 @@ impl<M: Automaton> Scheduler<M> for RandomFair {
             }
             roll -= w;
         }
-        self.settle(&enabled, chosen);
-        Some(TaskId(chosen))
+        self.settle(enabled, chosen);
+        Some(chosen)
     }
-}
 
-impl RandomFair {
     fn settle(&mut self, enabled: &[usize], chosen: usize) {
         for &t in enabled {
             if t == chosen {

@@ -413,38 +413,9 @@ where
     }
 }
 
-/// The routing-index key of an action: variant tag plus the locations
-/// that determine its fan-out set. Sound because every `classify`
-/// implementation in the system is payload-independent — two actions
-/// with the same key are inputs to exactly the same components.
-fn route_key(a: &Action) -> (u8, u8, u8) {
-    match *a {
-        Action::Crash(l) => (0, l.0, 0),
-        Action::Recover(l) => (1, l.0, 0),
-        Action::Send { from, to, .. } => (2, from.0, to.0),
-        Action::Receive { from, to, .. } => (3, from.0, to.0),
-        Action::WireSend { from, to, .. } => (4, from.0, to.0),
-        Action::WireRecv { from, to, .. } => (5, from.0, to.0),
-        Action::Fd { at, .. } => (6, at.0, 0),
-        Action::FdRenamed { at, .. } => (7, at.0, 0),
-        Action::Propose { at, .. } => (8, at.0, 0),
-        Action::Decide { at, .. } => (9, at.0, 0),
-        Action::Elect { at, leader } => (10, at.0, leader.0),
-        Action::Broadcast { at, .. } => (11, at.0, 0),
-        Action::Deliver { at, origin, .. } => (12, at.0, origin.0),
-        Action::ProposeK { at, .. } => (13, at.0, 0),
-        Action::DecideK { at, .. } => (14, at.0, 0),
-        Action::Vote { at, .. } => (15, at.0, 0),
-        Action::Verdict { at, .. } => (16, at.0, 0),
-        Action::Query { at } => (17, at.0, 0),
-        Action::QueryReply { at, .. } => (18, at.0, 0),
-        Action::Internal { at, .. } => (19, at.0, 0),
-    }
-}
-
 /// The routing index: route key → indices of the components that
-/// classify such actions as inputs (see [`route_key`]).
-type RouteIndex = RwLock<HashMap<(u8, u8, u8), Arc<[u32]>>>;
+/// classify such actions as inputs (see [`Action::route_key`]).
+type RouteIndex = RwLock<HashMap<u64, Arc<[u32]>>>;
 
 /// The activation loop and everything it needs to run any hosted
 /// component: the composition, per-component cells, the pool, the
@@ -584,7 +555,7 @@ where
     /// an input). A miss costs one classify scan; every later action
     /// with the same variant and locations hits the cache.
     pub fn targets(&self, a: &Action) -> Arc<[u32]> {
-        let key = route_key(a);
+        let key = a.route_key();
         if let Some(t) = self
             .router
             .read()

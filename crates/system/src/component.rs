@@ -79,6 +79,12 @@ where
         }
     }
 
+    /// [`Action::route_key`]: every arm classifies payload-independently,
+    /// and so must `P` (`tests/apply_contract.rs` checks the contract).
+    fn route_key(a: &Action) -> Option<u64> {
+        Some(a.route_key())
+    }
+
     fn task_count(&self) -> usize {
         match self {
             Component::Process(p) => p.task_count(),

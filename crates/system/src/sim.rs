@@ -7,6 +7,11 @@
 //! the paper's "every sequence over Î is fair"). All other steps come
 //! from the scheduler, so the produced executions are fair modulo the
 //! finite cutoff.
+//!
+//! Every event goes through [`Execution::apply`]: by default it steps
+//! the final state in place, only the event's participants (found in the
+//! composition's index) run, and nothing is cloned.
+//! [`SimConfig::record_states`] keeps every state at one clone per event.
 
 use std::sync::Arc;
 
@@ -186,8 +191,7 @@ where
         if let Some(&(when, loc)) = pending.first() {
             if exec.actions.len() >= when {
                 let a = Action::Crash(loc);
-                if let Some(next) = m.step(exec.last_state(), &a) {
-                    exec.push(a, next);
+                if exec.apply(m, a) {
                     if let Some(obs) = &config.observer {
                         afd_obs::dispatch(
                             obs.as_ref(),
@@ -210,10 +214,8 @@ where
         let Some(a) = m.enabled(exec.last_state(), t) else {
             break;
         };
-        let next = m
-            .step(exec.last_state(), &a)
-            .expect("enabled action applies");
-        exec.push(a, next);
+        let applied = exec.apply(m, a);
+        assert!(applied, "enabled action applies");
         if let Some(obs) = &config.observer {
             afd_obs::dispatch(
                 obs.as_ref(),

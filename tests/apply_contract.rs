@@ -9,6 +9,13 @@
 //! and actions foreign to the automaton (including a location outside
 //! Π). An implementation that writes before one of its guards fails
 //! here.
+//!
+//! Each composition also has its participants index checked against a
+//! fresh classify scan over the same universe, and the route-key
+//! contract on its components: actions with equal
+//! `Action::route_key` are classified the same by every component.
+
+use std::collections::HashMap;
 
 use afd_algorithms::consensus::{paxos_system, PaxosOmega};
 use afd_algorithms::query_based::ParticipantFromConsensus;
@@ -24,7 +31,7 @@ use afd_system::{
     Alphabet, Channel, ChannelChaos, ChannelState, Component, ComponentState, CrashAdversary, Env,
     LinkProfile, ProcessAutomaton, SplitMix64,
 };
-use ioa::{ActionClass, Automaton};
+use ioa::{ActionClass, Automaton, Composition};
 
 const WALKS: u64 = 6;
 const DEPTH: usize = 40;
@@ -186,6 +193,31 @@ fn check_initial<M: Automaton<Action = Action>>(m: &M, seed: u64) {
     check_apply_contract(m, &m.initial_state(), seed);
 }
 
+/// `m`'s participants index (controller, then the other participants)
+/// against a fresh classify scan of every action of [`universe`], once
+/// filling the index and once reading it; and equal route keys classify
+/// the same on every component.
+fn check_participants_index<P: Automaton<Action = Action>>(m: &Composition<Component<P>>) {
+    let mut by_key: HashMap<u64, (Action, Vec<Option<ActionClass>>)> = HashMap::new();
+    for a in &universe() {
+        let classes: Vec<_> = m.components().iter().map(|c| c.classify(a)).collect();
+        let controller = classes
+            .iter()
+            .position(|c| c.is_some_and(ActionClass::is_locally_controlled));
+        let inputs: Vec<usize> = (0..classes.len())
+            .filter(|&ci| Some(ci) != controller && classes[ci].is_some())
+            .collect();
+        for _ in 0..2 {
+            assert_eq!(m.participants(a), (controller, inputs.clone()), "{a:?}");
+            assert_eq!(m.controller(a), controller, "{a:?}");
+        }
+        let (first, seen) = by_key
+            .entry(a.route_key())
+            .or_insert_with(|| (*a, classes.clone()));
+        assert_eq!(seen, &classes, "{a:?} and {first:?} share a route key");
+    }
+}
+
 fn chaotic() -> LinkProfile {
     LinkProfile::lossy(0.3).with_dup(0.2).with_reorder(3)
 }
@@ -193,7 +225,9 @@ fn chaotic() -> LinkProfile {
 #[test]
 fn composition_of_a_system() {
     let sys = paxos_system(pi(), &[0, 1, 1], vec![Loc(2)]);
+    check_participants_index(&sys.composition);
     check_initial(&sys.composition, 1);
+    check_participants_index(&sys.composition);
 }
 
 #[test]
@@ -211,6 +245,7 @@ fn composition_with_channels_in_their_add_state() {
         .iter()
         .any(|s| matches!(s, ComponentState::Channel(c) if c.adversary().is_some())));
     check_apply_contract(&sys.composition, &start, 2);
+    check_participants_index(&sys.composition);
 }
 
 #[test]

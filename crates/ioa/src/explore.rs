@@ -7,125 +7,138 @@
 //! state spaces of protocol components (channels, detectors, small
 //! process automata) are often finite or finitely explorable, and an
 //! exhaustive sweep catches corner cases randomized runs miss.
+//! `afd-tree` runs the same sweep, depth-bound, over the tagged tree
+//! `R^{t_D}`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashSet;
 
 use crate::automaton::{Automaton, TaskId};
 
-/// A counterexample: the action path from the initial state to a
-/// violating state, plus the violating state itself.
-#[derive(Debug, Clone)]
-pub struct CounterExample<M: Automaton> {
-    /// Actions leading to the violation, in order.
-    pub path: Vec<M::Action>,
-    /// The violating state.
-    pub state: M::State,
+/// How a sweep first reached a state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Edge<A> {
+    /// Index of the state the edge leaves.
+    pub parent: usize,
+    /// The task whose enabled action it is; `None` for an input.
+    pub task: Option<TaskId>,
+    /// The action.
+    pub action: A,
 }
 
-/// Outcome of a bounded invariant sweep.
+/// The states a bounded breadth-first sweep ([`check_invariant`])
+/// reached.
 #[derive(Debug)]
-pub enum SweepOutcome<M: Automaton> {
-    /// The invariant holds on every reachable state explored; the flag
-    /// says whether the whole reachable space fit in the budget.
-    Holds {
-        /// Distinct states visited.
-        states: usize,
-        /// True iff the frontier was exhausted within the budget.
-        complete: bool,
-    },
-    /// The invariant fails; here is a shortest path to a violation.
-    Violated(CounterExample<M>),
+pub struct Sweep<M: Automaton> {
+    /// Distinct states in discovery order; `states[0]` is the initial
+    /// state.
+    pub states: Vec<M::State>,
+    /// `edges[k]` first reached `states[k]`; `None` for the initial
+    /// state.
+    pub edges: Vec<Option<Edge<M::Action>>>,
+    /// Task edges of expanded states whose task was enabled, including
+    /// those into states already known.
+    pub live_edges: usize,
+    /// Task edges of expanded states whose task was disabled (⊥).
+    pub bottom_edges: usize,
+    /// True iff the frontier was exhausted within both bounds.
+    pub complete: bool,
+    /// The first state found to violate the invariant, if any: the
+    /// sweep stopped there, and [`Sweep::path`] leads to it.
+    pub violation: Option<usize>,
 }
 
-impl<M: Automaton> SweepOutcome<M> {
-    /// True iff the invariant held on the explored region.
+impl<M: Automaton> Sweep<M> {
+    /// Number of distinct states reached.
     #[must_use]
-    pub fn holds(&self) -> bool {
-        matches!(self, SweepOutcome::Holds { .. })
+    pub fn len(&self) -> usize {
+        self.states.len()
     }
 
-    /// The counterexample, if violated.
+    /// Never true: a sweep holds at least the initial state.
     #[must_use]
-    pub fn counterexample(&self) -> Option<&CounterExample<M>> {
-        match self {
-            SweepOutcome::Violated(c) => Some(c),
-            SweepOutcome::Holds { .. } => None,
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// The discovery edges from the initial state to `states[k]`, in
+    /// order: a shortest path, by breadth-first order.
+    #[must_use]
+    pub fn path(&self, mut k: usize) -> Vec<&Edge<M::Action>> {
+        let mut path = Vec::new();
+        while let Some(e) = &self.edges[k] {
+            path.push(e);
+            k = e.parent;
         }
+        path.reverse();
+        path
     }
 }
 
 /// Breadth-first sweep of `m`'s reachable states (so counterexamples
-/// are shortest): successors are all enabled locally controlled actions
-/// plus every applicable action from `inputs`. Checks `invariant` on
-/// every state; stops at `max_states`.
+/// are shortest): successors are the enabled action of each task, in
+/// task order, then every applicable action from `inputs`. Checks
+/// `invariant` on every state and stops at the first that fails it;
+/// keeps at most `max_states` states and expands none `max_depth` edges
+/// deep.
 pub fn check_invariant<M, F>(
     m: &M,
     inputs: &[M::Action],
     max_states: usize,
+    max_depth: usize,
     invariant: F,
-) -> SweepOutcome<M>
+) -> Sweep<M>
 where
     M: Automaton,
     F: Fn(&M::State) -> bool,
 {
     let s0 = m.initial_state();
-    if !invariant(&s0) {
-        return SweepOutcome::Violated(CounterExample {
-            path: Vec::new(),
-            state: s0,
-        });
-    }
-    let mut seen: HashMap<M::State, usize> = HashMap::new();
-    let mut parents: Vec<Option<(usize, M::Action)>> = vec![None];
-    let mut states: Vec<M::State> = vec![s0.clone()];
-    seen.insert(s0, 0);
-    let mut queue = VecDeque::from([0usize]);
-    let mut complete = true;
-    while let Some(id) = queue.pop_front() {
-        let cur = states[id].clone();
-        let mut successors: Vec<(M::Action, M::State)> = Vec::new();
-        for t in 0..m.task_count() {
-            if let Some(a) = m.enabled(&cur, TaskId(t)) {
-                if let Some(next) = m.step(&cur, &a) {
-                    successors.push((a, next));
-                }
-            }
+    let mut sw: Sweep<M> = Sweep {
+        violation: (!invariant(&s0)).then_some(0),
+        states: vec![s0.clone()],
+        edges: vec![None],
+        live_edges: 0,
+        bottom_edges: 0,
+        complete: true,
+    };
+    let mut seen: HashSet<M::State> = HashSet::from([s0]);
+    let mut depths = vec![0];
+    // Expanding in discovery order is breadth-first.
+    let mut id = 0;
+    while sw.violation.is_none() && id < sw.states.len() {
+        if depths[id] >= max_depth {
+            sw.complete = false;
+            break;
         }
-        for a in inputs {
-            if let Some(next) = m.step(&cur, a) {
-                successors.push((a.clone(), next));
-            }
-        }
-        for (a, next) in successors {
-            if seen.contains_key(&next) {
+        let cur = sw.states[id].clone();
+        let enabled = m.enabled_actions(&cur);
+        sw.live_edges += enabled.len();
+        sw.bottom_edges += m.task_count() - enabled.len();
+        let tasks = enabled.into_iter().map(|(t, a)| (Some(t), a));
+        for (task, action) in tasks.chain(inputs.iter().map(|a| (None, a.clone()))) {
+            let Some(next) = m.step(&cur, &action).filter(|s| !seen.contains(s)) else {
+                continue;
+            };
+            let holds = invariant(&next);
+            if holds && sw.states.len() >= max_states {
+                sw.complete = false;
                 continue;
             }
-            if !invariant(&next) {
-                // Reconstruct the path.
-                let mut path = vec![a];
-                let mut k = id;
-                while let Some((p, ref pa)) = parents[k] {
-                    path.push(pa.clone());
-                    k = p;
-                }
-                path.reverse();
-                return SweepOutcome::Violated(CounterExample { path, state: next });
+            seen.insert(next.clone());
+            sw.states.push(next);
+            depths.push(depths[id] + 1);
+            sw.edges.push(Some(Edge {
+                parent: id,
+                task,
+                action,
+            }));
+            if !holds {
+                sw.violation = Some(sw.states.len() - 1);
+                break;
             }
-            if states.len() >= max_states {
-                complete = false;
-                continue;
-            }
-            let nid = states.len();
-            seen.insert(next.clone(), nid);
-            states.push(next);
-            parents.push(Some((id, a.clone())));
-            queue.push_back(nid);
         }
+        id += 1;
     }
-    SweepOutcome::Holds {
-        states: states.len(),
-        complete,
-    }
+    sw
 }
 
 /// Count the distinct reachable states within `max_states` (a trivial
@@ -134,10 +147,8 @@ pub fn reachable_states<M>(m: &M, inputs: &[M::Action], max_states: usize) -> (u
 where
     M: Automaton,
 {
-    match check_invariant(m, inputs, max_states, |_| true) {
-        SweepOutcome::Holds { states, complete } => (states, complete),
-        SweepOutcome::Violated(_) => unreachable!("trivial invariant cannot fail"),
-    }
+    let sw = check_invariant(m, inputs, max_states, usize::MAX, |_| true);
+    (sw.len(), sw.complete)
 }
 
 #[cfg(test)]
@@ -191,25 +202,21 @@ mod tests {
     #[test]
     fn invariant_holds_on_complete_space() {
         let m = Counter { limit: 5 };
-        let out = check_invariant(&m, &[Act::Reset], 1000, |s| *s <= 5);
-        assert!(out.holds());
-        match out {
-            SweepOutcome::Holds { states, complete } => {
-                assert_eq!(states, 6, "0..=5");
-                assert!(complete);
-            }
-            SweepOutcome::Violated(_) => panic!(),
-        }
+        let out = check_invariant(&m, &[Act::Reset], 1000, usize::MAX, |s| *s <= 5);
+        assert_eq!(out.violation, None);
+        assert_eq!(out.len(), 6, "0..=5");
+        assert!(out.complete);
     }
 
     #[test]
     fn violation_yields_shortest_path() {
         let m = Counter { limit: 5 };
-        let out = check_invariant(&m, &[Act::Reset], 1000, |s| *s < 3);
-        let cex = out.counterexample().expect("violated");
-        assert_eq!(cex.state, 3);
+        let out = check_invariant(&m, &[Act::Reset], 1000, usize::MAX, |s| *s < 3);
+        let k = out.violation.expect("violated");
+        assert_eq!(out.states[k], 3);
+        let path: Vec<Act> = out.path(k).into_iter().map(|e| e.action.clone()).collect();
         assert_eq!(
-            cex.path,
+            path,
             vec![Act::Inc, Act::Inc, Act::Inc],
             "BFS finds the shortest"
         );
@@ -218,10 +225,10 @@ mod tests {
     #[test]
     fn initial_state_violation() {
         let m = Counter { limit: 1 };
-        let out = check_invariant(&m, &[], 10, |s| *s > 0);
-        let cex = out.counterexample().unwrap();
-        assert!(cex.path.is_empty());
-        assert_eq!(cex.state, 0);
+        let out = check_invariant(&m, &[], 10, usize::MAX, |s| *s > 0);
+        assert_eq!(out.violation, Some(0));
+        assert!(out.path(0).is_empty());
+        assert_eq!(out.states[0], 0);
     }
 
     #[test]
@@ -291,15 +298,44 @@ mod tests {
             }
         }
         let m = Queue;
-        let out = check_invariant(&m, &[QA::Send(1), QA::Send(2)], 10_000, |s| s.len() <= 3);
-        assert!(out.holds());
-        match out {
-            SweepOutcome::Holds { states, complete } => {
-                // Queues over {1,2} of length ≤ 3: 1 + 2 + 4 + 8 = 15.
-                assert_eq!(states, 15);
-                assert!(complete);
-            }
-            SweepOutcome::Violated(_) => panic!(),
-        }
+        let out = check_invariant(&m, &[QA::Send(1), QA::Send(2)], 10_000, usize::MAX, |s| {
+            s.len() <= 3
+        });
+        assert_eq!(out.violation, None);
+        // Queues over {1,2} of length ≤ 3: 1 + 2 + 4 + 8 = 15.
+        assert_eq!(out.len(), 15);
+        assert!(out.complete);
+    }
+
+    #[test]
+    fn depth_bound_edges_and_edge_counts() {
+        let m = Counter { limit: 5 };
+        // Depth 2: the states 0, 1, 2; only 0 and 1 are expanded.
+        let out = check_invariant(&m, &[], 1000, 2, |_| true);
+        assert_eq!(out.states, vec![0, 1, 2]);
+        assert!(!out.complete, "state 2 has a successor left unexpanded");
+        assert_eq!((out.live_edges, out.bottom_edges), (2, 0));
+        let inc = |parent| {
+            Some(Edge {
+                parent,
+                task: Some(TaskId(0)),
+                action: Act::Inc,
+            })
+        };
+        assert_eq!(out.edges, vec![None, inc(0), inc(1)]);
+        // At the limit the task is disabled: one ⊥ edge. Inputs count
+        // as neither, and reach states through task-less edges.
+        let m = Counter { limit: 1 };
+        let out = check_invariant(&m, &[Act::Reset], 1000, usize::MAX, |_| true);
+        assert!(out.complete);
+        assert_eq!((out.live_edges, out.bottom_edges), (1, 1));
+        assert_eq!(out.edges, vec![None, inc(0)]);
+        let m = Counter { limit: 0 };
+        let out = check_invariant(&m, &[], 1000, 0, |_| true);
+        assert_eq!(
+            (out.len(), out.complete),
+            (1, false),
+            "depth 0 expands nothing"
+        );
     }
 }

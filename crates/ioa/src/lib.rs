@@ -62,7 +62,7 @@ pub use automaton::{ActionClass, Automaton, TaskId};
 pub use composition::{CompositeState, Composition, GlobalTask, SignatureError};
 pub use determinism::{check_input_enabled, check_task_determinism, DeterminismError};
 pub use execution::{Execution, StatePolicy};
-pub use explore::{check_invariant, reachable_states, CounterExample, SweepOutcome};
+pub use explore::{check_invariant, reachable_states, Edge, Sweep};
 pub use fairness::{fairness_report, is_quiescently_fair, FairnessReport};
 pub use runner::{RunOptions, Runner, StopReason};
 pub use scheduler::{Adversarial, RandomFair, RoundRobin, Scheduler};

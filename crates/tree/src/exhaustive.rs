@@ -11,63 +11,34 @@
 //!   agree on every node reachable while consuming fewer than `x` FD
 //!   events.
 //!
-//! Exploration is BFS with node-count and depth budgets; states are
-//! deduplicated by (config, FD-position), which is exactly the paper's
-//! observation (Lemma 33) that equal tags imply equal subtrees.
-
-use std::collections::HashMap;
+//! Exploration is `ioa`'s breadth-first sweep ([`check_invariant`]) of
+//! the tree automaton with node-count and depth budgets; states are deduplicated by
+//! (config, FD-position), which is exactly the paper's observation
+//! (Lemma 33) that equal tags imply equal subtrees. Each node's
+//! discovery path is read back from the sweep's edges.
 
 use afd_core::Action;
 use afd_system::LocalBehavior;
+use ioa::{check_invariant, execution::apply_schedule, Sweep};
 
-use crate::explorer::{Node, TaggedTree, TreeLabel};
-use crate::fdseq::FdPos;
+use crate::explorer::{TaggedTree, TreeLabel, FD_TASK};
 
-/// One explored node with its discovery metadata.
-#[derive(Debug, Clone)]
-pub struct ExploredNode {
-    /// FD-sequence tag.
-    pub pos: FdPos,
-    /// BFS depth (non-⊥ edges from the root).
-    pub depth: usize,
-    /// Discovery path: `(label, action)` pairs from the root.
-    pub path: Vec<(TreeLabel, Action)>,
+/// A bounded exploration of `R^{t_D}`: the nodes, their discovery
+/// edges, the live and ⊥ edge counts, and whether the frontier was
+/// exhausted within the budgets.
+pub type Exploration<'a, B> = Sweep<TaggedTree<'a, B>>;
+
+/// Readings of an [`Exploration`] particular to the tree.
+pub trait TreeExploration {
+    /// The number of FD events consumed on node `k`'s discovery path.
+    fn fd_events_consumed(&self, k: usize) -> usize;
 }
 
-/// Result of a bounded exploration.
-#[derive(Debug)]
-pub struct Exploration {
-    /// Explored nodes (deduplicated by (config, pos)).
-    pub nodes: Vec<ExploredNode>,
-    /// Number of ⊥-tagged edges encountered.
-    pub bottom_edges: usize,
-    /// Number of non-⊥ edges encountered (including duplicates into
-    /// already-known nodes).
-    pub live_edges: usize,
-    /// True iff the frontier was exhausted within the budgets.
-    pub complete: bool,
-}
-
-impl Exploration {
-    /// Number of distinct explored nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True iff only the root was explored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
-    /// The number of FD events consumed on each node's discovery path.
-    #[must_use]
-    pub fn fd_events_consumed(&self, k: usize) -> usize {
-        self.nodes[k]
-            .path
+impl<B: LocalBehavior> TreeExploration for Exploration<'_, B> {
+    fn fd_events_consumed(&self, k: usize) -> usize {
+        self.path(k)
             .iter()
-            .filter(|(l, _)| *l == TreeLabel::Fd)
+            .filter(|e| e.task == Some(FD_TASK))
             .count()
     }
 }
@@ -75,97 +46,39 @@ impl Exploration {
 /// Explore `R^{t_D}` breadth-first up to `max_nodes` distinct nodes and
 /// `max_depth` non-⊥ edges.
 #[must_use]
-pub fn explore<B: LocalBehavior>(
-    tree: &TaggedTree<'_, B>,
+pub fn explore<'a, B: LocalBehavior>(
+    tree: &TaggedTree<'a, B>,
     max_nodes: usize,
     max_depth: usize,
-) -> Exploration {
-    let mut index: HashMap<Node<B>, usize> = HashMap::new();
-    let mut nodes: Vec<ExploredNode> = Vec::new();
-    let mut queue: std::collections::VecDeque<Node<B>> = std::collections::VecDeque::new();
-    let root = tree.root();
-    index.insert(root.clone(), 0);
-    nodes.push(ExploredNode {
-        pos: root.pos,
-        depth: 0,
-        path: Vec::new(),
-    });
-    queue.push_back(root);
-    let mut bottom_edges = 0;
-    let mut live_edges = 0;
-    let mut complete = true;
-    while let Some(node) = queue.pop_front() {
-        let meta = nodes[index[&node]].clone();
-        if meta.depth >= max_depth {
-            complete = false;
-            continue;
-        }
-        for label in tree.labels() {
-            let (tag, child) = tree.child(&node, label);
-            match tag {
-                None => bottom_edges += 1,
-                Some(a) => {
-                    live_edges += 1;
-                    if !index.contains_key(&child) {
-                        if nodes.len() >= max_nodes {
-                            complete = false;
-                            continue;
-                        }
-                        let mut path = meta.path.clone();
-                        path.push((label, a));
-                        index.insert(child.clone(), nodes.len());
-                        nodes.push(ExploredNode {
-                            pos: child.pos,
-                            depth: meta.depth + 1,
-                            path,
-                        });
-                        queue.push_back(child);
-                    }
-                }
-            }
-        }
-    }
-    Exploration {
-        nodes,
-        bottom_edges,
-        live_edges,
-        complete,
-    }
+) -> Exploration<'a, B> {
+    check_invariant(tree, &[], max_nodes, max_depth, |_| true)
 }
 
 /// Proposition 29's reconstruction invariant, checked for every
 /// explored node: replaying the discovery path from the initial config
-/// is legal, and the path's `Î ∪ O_D` projection equals the prefix of
-/// `t_D` consumed by the FD edges.
+/// is legal and reaches the node, and the path's `Î ∪ O_D` projection
+/// equals the prefix of `t_D` consumed by the FD edges.
 ///
 /// # Errors
 /// A description of the first violated node.
 pub fn check_proposition_29<B: LocalBehavior>(
     tree: &TaggedTree<'_, B>,
-    exploration: &Exploration,
+    exploration: &Exploration<'_, B>,
 ) -> Result<(), String> {
-    for (k, node) in exploration.nodes.iter().enumerate() {
-        // Replay the path.
-        let mut cur = tree.root();
-        for (label, expected) in &node.path {
-            let (tag, next) = tree.child(&cur, *label);
-            if tag.as_ref() != Some(expected) {
-                return Err(format!("node {k}: path action mismatch at {label}"));
-            }
-            cur = next;
-        }
-        if cur.pos != node.pos {
-            return Err(format!("node {k}: FD tag mismatch after replay"));
+    for (k, node) in exploration.states.iter().enumerate() {
+        let path = exploration.path(k);
+        let actions: Vec<Action> = path.iter().map(|e| e.action).collect();
+        let replay = apply_schedule(tree, tree.root(), &actions);
+        if replay.as_ref().map(|x| x.last_state()) != Some(node) {
+            return Err(format!("node {k}: replaying its path does not reach it"));
         }
         // FD-projection of exe(N) equals the consumed prefix of t_D.
-        let consumed: Vec<Action> = node
-            .path
+        let consumed: Vec<Action> = path
             .iter()
-            .filter(|(l, _)| *l == TreeLabel::Fd)
-            .map(|(_, a)| *a)
+            .filter(|e| e.task == Some(FD_TASK))
+            .map(|e| e.action)
             .collect();
-        let expected = tree.seq.window(consumed.len());
-        if consumed != expected {
+        if consumed != tree.seq.window(consumed.len()) {
             return Err(format!("node {k}: exe(N)|FD ≠ consumed prefix of t_D"));
         }
     }
@@ -183,22 +96,21 @@ pub fn check_theorem_41<B: LocalBehavior>(
     common_prefix_len: usize,
     max_nodes: usize,
 ) -> bool {
-    let depth = common_prefix_len; // consuming < x FD events needs ≤ x depth
-    let e1 = explore(t1, max_nodes, depth);
-    let e2 = explore(t2, max_nodes, depth);
-    let sig = |e: &Exploration| {
-        let mut v: Vec<Vec<(TreeLabel, Action)>> = e
-            .nodes
-            .iter()
-            .filter(|n| {
-                n.path.iter().filter(|(l, _)| *l == TreeLabel::Fd).count() < common_prefix_len
+    // Consuming < x FD events needs ≤ x depth.
+    let sig = |t: &TaggedTree<'_, B>| {
+        let e = explore(t, max_nodes, common_prefix_len);
+        let mut v: Vec<Vec<(TreeLabel, Action)>> = (0..e.len())
+            .filter(|&k| e.fd_events_consumed(k) < common_prefix_len)
+            .map(|k| {
+                let path = e.path(k).into_iter();
+                path.map(|edge| (t.label(edge.task.expect("no inputs")), edge.action))
+                    .collect()
             })
-            .map(|n| n.path.clone())
             .collect();
-        v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        v.sort();
         v
     };
-    sig(&e1) == sig(&e2)
+    sig(t1) == sig(t2)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! The tagged tree `R^{t_D}` (§8.1–§8.2), explored lazily.
+//! The tagged tree `R^{t_D}` (§8.1–§8.2) as an `ioa` automaton.
 //!
 //! A node is a pair (config tag, FD-sequence tag): the composite state
-//! of the system plus the canonical position in `t_D`. Outgoing edges
-//! carry the §8 labels: `FD` (perform `head(t_N)`, advancing the
-//! FD-sequence tag) and one edge per task of the composition
-//! (`Proc_i`, `Chan_{i,j}`, `Env_{i,x}`). An edge whose action tag is
-//! ⊥ leaves the config unchanged (§8.2).
+//! of the system plus the canonical position in `t_D`. Task 0 is the
+//! `FD` edge (perform `head(t_N)`, advancing the FD-sequence tag) and
+//! task `k + 1` is the composition's task `k` (`Proc_i`, `Chan_{i,j}`,
+//! `Env_{i,x}`). An edge whose action tag is ⊥ is a disabled task and
+//! leaves the node unchanged (§8.2). Playouts run on [`Runner`].
 //!
 //! The systems analysed here are built **without** a failure-detector
 //! component: the FD edge injects `t_D`'s events (outputs *and*
@@ -13,65 +13,47 @@
 
 use afd_core::{Action, Val};
 use afd_system::{ComponentState, Label, LocalBehavior, ProcState, ProcessAutomaton, System};
-use ioa::{Automaton, TaskId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ioa::{
+    ActionClass, Automaton, Execution, RandomFair, RunOptions, Runner, Scheduler, StatePolicy,
+    TaskId,
+};
 
 use crate::fdseq::{FdPos, FdSeq};
 
-/// The composite state type of a tree system.
-pub type Config<B> = Vec<ComponentState<ProcState<<B as LocalBehavior>::State>>>;
+/// A node of `R^{t_D}` for behavior `B`: the tree automaton's state.
+pub type Node<B> = TaggedNode<<B as LocalBehavior>::State>;
 
-/// A node of `R^{t_D}`: config tag + FD-sequence tag.
-pub struct Node<B: LocalBehavior> {
-    /// The config tag `c_N`.
-    pub config: Config<B>,
+/// A node of `R^{t_D}` over process states `S`: config tag +
+/// FD-sequence tag.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct TaggedNode<S> {
     /// The FD-sequence tag `t_N`, canonically.
     pub pos: FdPos,
+    /// The config tag `c_N`.
+    pub config: Vec<ComponentState<ProcState<S>>>,
 }
 
-// Manual impls: deriving would demand `B: Clone`/`B: Eq`/… although
-// only `B::State` appears in the fields.
-impl<B: LocalBehavior> Clone for Node<B> {
-    fn clone(&self) -> Self {
-        Node {
-            config: self.config.clone(),
-            pos: self.pos,
-        }
-    }
-}
-
-impl<B: LocalBehavior> PartialEq for Node<B> {
-    fn eq(&self, other: &Self) -> bool {
-        self.pos == other.pos && self.config == other.config
-    }
-}
-
-impl<B: LocalBehavior> Eq for Node<B> {}
-
-impl<B: LocalBehavior> std::hash::Hash for Node<B> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.config.hash(state);
-        self.pos.hash(state);
-    }
-}
-
-impl<B: LocalBehavior> std::fmt::Debug for Node<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Node")
-            .field("pos", &self.pos)
-            .field("config", &self.config)
-            .finish()
-    }
-}
+/// The tree automaton's FD edge.
+pub const FD_TASK: TaskId = TaskId(0);
 
 /// An edge label of the tagged tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TreeLabel {
     /// The FD edge.
     Fd,
-    /// A task edge, carrying the §8 label and the global task index.
+    /// A task edge, carrying the §8 label and the composition's task.
     Task(Label, TaskId),
+}
+
+impl TreeLabel {
+    /// The tree automaton's task for this label.
+    #[must_use]
+    pub fn task(self) -> TaskId {
+        match self {
+            TreeLabel::Fd => FD_TASK,
+            TreeLabel::Task(_, t) => TaskId(t.0 + 1),
+        }
+    }
 }
 
 impl std::fmt::Display for TreeLabel {
@@ -90,6 +72,9 @@ pub struct TaggedTree<'a, B: LocalBehavior> {
     pub sys: &'a System<ProcessAutomaton<B>>,
     /// The FD sequence `t_D`.
     pub seq: FdSeq,
+    /// Steering: with `Some(v)`, environment tasks for values other
+    /// than `v` are disabled, so proposals can only be `v`.
+    pub steer: Option<Val>,
 }
 
 impl<'a, B: LocalBehavior> TaggedTree<'a, B> {
@@ -105,86 +90,108 @@ impl<'a, B: LocalBehavior> TaggedTree<'a, B> {
             !sys.has_fd(),
             "tree systems take t_D via the FD edge, not an FD automaton"
         );
-        TaggedTree { sys, seq }
+        TaggedTree {
+            sys,
+            seq,
+            steer: None,
+        }
     }
 
     /// The root node ⊤ (unique initial config, `t_⊤ = t_D`).
     #[must_use]
     pub fn root(&self) -> Node<B> {
-        Node {
+        self.initial_state()
+    }
+
+    /// The label of the tree automaton's task `t`.
+    #[must_use]
+    pub fn label(&self, t: TaskId) -> TreeLabel {
+        match t.0.checked_sub(1) {
+            None => TreeLabel::Fd,
+            Some(k) => TreeLabel::Task(self.sys.label(TaskId(k)), TaskId(k)),
+        }
+    }
+
+    /// All edge labels of the tree, in task order: FD first.
+    #[must_use]
+    pub fn labels(&self) -> Vec<TreeLabel> {
+        (0..self.task_count())
+            .map(|t| self.label(TaskId(t)))
+            .collect()
+    }
+
+    /// The `label`-child of `node` with its action tag (⊥ = `None`,
+    /// §8.2): [`Automaton::enabled`] and [`Automaton::step`], where a ⊥
+    /// tag leaves the node as it is.
+    #[must_use]
+    pub fn child(&self, node: &Node<B>, label: TreeLabel) -> (Option<Action>, Node<B>) {
+        let tag = self.enabled(node, label.task());
+        let child = match &tag {
+            Some(a) => self.step(node, a).expect("enabled actions apply"),
+            None => node.clone(),
+        };
+        (tag, child)
+    }
+}
+
+impl<B: LocalBehavior> Automaton for TaggedTree<'_, B> {
+    type Action = Action;
+    type State = Node<B>;
+
+    fn name(&self) -> String {
+        "tagged tree".into()
+    }
+
+    fn initial_state(&self) -> Node<B> {
+        TaggedNode {
             config: self.sys.composition.initial_state(),
             pos: self.seq.start(),
         }
     }
 
-    /// All edge labels of the tree, FD first then tasks in global-task
-    /// order.
-    #[must_use]
-    pub fn labels(&self) -> Vec<TreeLabel> {
-        let mut v = vec![TreeLabel::Fd];
-        for t in 0..self.sys.composition.task_count() {
-            v.push(TreeLabel::Task(self.sys.label(TaskId(t)), TaskId(t)));
-        }
-        v
+    /// The FD edge controls the `t_D` events (FD outputs and crashes);
+    /// every other action is classified as the composition does.
+    fn classify(&self, a: &Action) -> Option<ActionClass> {
+        let fd_edge = is_fd_event(a).then_some(ActionClass::Output);
+        self.sys
+            .composition
+            .classify(a)
+            .map(|c| fd_edge.unwrap_or(c))
     }
 
-    /// The action tag of `label` at `node` (⊥ = `None`, §8.2).
-    #[must_use]
-    pub fn action_tag(&self, node: &Node<B>, label: TreeLabel) -> Option<Action> {
-        match label {
-            TreeLabel::Fd => Some(self.seq.at(node.pos)),
-            TreeLabel::Task(_, t) => self.sys.composition.enabled(&node.config, t),
-        }
+    fn task_count(&self) -> usize {
+        1 + self.sys.composition.task_count()
     }
 
-    /// The `label`-child of `node` with its action tag. A ⊥ tag leaves
-    /// the config unchanged; the FD edge advances the FD-sequence tag.
-    #[must_use]
-    pub fn child(&self, node: &Node<B>, label: TreeLabel) -> (Option<Action>, Node<B>) {
-        match label {
-            TreeLabel::Fd => {
-                let a = self.seq.at(node.pos);
-                let config = self
-                    .sys
-                    .composition
-                    .step(&node.config, &a)
-                    .unwrap_or_else(|| node.config.clone());
-                (
-                    Some(a),
-                    Node {
-                        config,
-                        pos: self.seq.advance(node.pos),
-                    },
-                )
-            }
-            TreeLabel::Task(_, t) => match self.sys.composition.enabled(&node.config, t) {
-                Some(a) => {
-                    let config = self
-                        .sys
-                        .composition
-                        .step(&node.config, &a)
-                        .expect("enabled action applies");
-                    (
-                        Some(a),
-                        Node {
-                            config,
-                            pos: node.pos,
-                        },
-                    )
-                }
-                None => (None, node.clone()),
-            },
+    fn enabled(&self, node: &Node<B>, t: TaskId) -> Option<Action> {
+        let Some(k) = t.0.checked_sub(1).map(TaskId) else {
+            return Some(self.seq.at(node.pos));
+        };
+        match (self.steer, self.sys.label(k)) {
+            (Some(v), Label::Env(_, x)) if x as Val != v => None,
+            _ => self.sys.composition.enabled(&node.config, k),
         }
     }
 
-    /// Labels with non-⊥ action tags at `node`.
-    #[must_use]
-    pub fn active_labels(&self, node: &Node<B>) -> Vec<TreeLabel> {
-        self.labels()
-            .into_iter()
-            .filter(|&l| self.action_tag(node, l).is_some())
-            .collect()
+    /// A `t_D` event is taken only as `head(t_N)`. It advances the
+    /// FD-sequence tag even where no component accepts it, leaving the
+    /// config unchanged then (§8.2).
+    fn apply(&self, node: &mut Node<B>, a: &Action) -> bool {
+        if !is_fd_event(a) {
+            return self.sys.composition.apply(&mut node.config, a);
+        }
+        if *a != self.seq.at(node.pos) {
+            return false;
+        }
+        self.sys.composition.apply(&mut node.config, a);
+        node.pos = self.seq.advance(node.pos);
+        true
     }
+}
+
+/// Whether `a` is a `t_D` event, which no task of a tree system performs.
+fn is_fd_event(a: &Action) -> bool {
+    matches!(a, Action::Fd { .. } | Action::Crash(_))
 }
 
 /// Options for a fair playout (a finite prefix of a fair branch, §8.3).
@@ -216,17 +223,41 @@ pub struct PlayoutOutcome {
     pub steps: usize,
 }
 
+/// The playouts' anti-starvation cap on [`RandomFair`]'s debts.
+const MAX_DEBT: u64 = 48;
+
+/// Records the tasks the inner scheduler chose.
+struct Recorded<S>(S, Vec<TaskId>);
+
+impl<M: Automaton, S: Scheduler<M>> Scheduler<M> for Recorded<S> {
+    fn next_task(&mut self, m: &M, s: &M::State, step: usize) -> Option<TaskId> {
+        let t = self.0.next_task(m, s, step);
+        self.1.extend(t);
+        t
+    }
+}
+
+/// The value decided by `schedule`'s last event, if it is a `decide`.
+fn decided(schedule: &[Action]) -> Option<Val> {
+    match schedule.last() {
+        Some(Action::Decide { v, .. }) => Some(*v),
+        _ => None,
+    }
+}
+
 impl<'a, B: LocalBehavior> TaggedTree<'a, B> {
     /// Run a seeded fair playout from `node` until a `decide` event or
     /// the step budget. Fair branches of `R^{t_D}` carry every label
-    /// infinitely often (§8.3); the playout approximates one with a
-    /// randomized anti-starvation schedule over all labels including
-    /// the FD edge. For a fixed `(seed, opts)` the run is
+    /// infinitely often (§8.3); the playout approximates one with
+    /// [`RandomFair`]'s anti-starvation schedule over all tasks
+    /// including the FD edge. For a fixed `(seed, opts)` the run is
     /// deterministic, so a decision observed here is a *replayable
     /// witness*.
     #[must_use]
     pub fn playout(&self, node: &Node<B>, seed: u64, opts: PlayoutOptions) -> PlayoutOutcome {
-        self.playout_impl(node, seed, opts, None)
+        let mut fair = RandomFair::new(seed).with_max_debt(MAX_DEBT);
+        self.run_playout(node, opts, StatePolicy::Endpoints, &mut fair)
+            .0
     }
 
     /// Like [`TaggedTree::playout`], but records the walk: every step's
@@ -239,81 +270,41 @@ impl<'a, B: LocalBehavior> TaggedTree<'a, B> {
         seed: u64,
         opts: PlayoutOptions,
     ) -> (PlayoutOutcome, Vec<(TreeLabel, Node<B>)>) {
-        let mut path = Vec::new();
-        let outcome = self.playout_impl(node, seed, opts, Some(&mut path));
-        (outcome, path)
+        let mut fair = Recorded(RandomFair::new(seed).with_max_debt(MAX_DEBT), Vec::new());
+        let (outcome, exec) = self.run_playout(node, opts, StatePolicy::Full, &mut fair);
+        let labels = fair.1.into_iter().map(|t| self.label(t));
+        (
+            outcome,
+            labels.zip(exec.states.into_iter().skip(1)).collect(),
+        )
     }
 
-    #[allow(clippy::type_complexity)]
-    fn playout_impl(
+    /// Run `scheduler` from `node` on the tree steered as `opts` says,
+    /// until the first `decide` or the step budget.
+    fn run_playout(
         &self,
         node: &Node<B>,
-        seed: u64,
         opts: PlayoutOptions,
-        mut path: Option<&mut Vec<(TreeLabel, Node<B>)>>,
-    ) -> PlayoutOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let labels = self.labels();
-        let mut debt = vec![0u64; labels.len()];
-        let mut cur = node.clone();
-        for step in 0..opts.max_steps {
-            // Gather active labels (steered).
-            let active: Vec<usize> = (0..labels.len())
-                .filter(|&k| self.steer_allows(labels[k], opts.steer_env))
-                .filter(|&k| self.action_tag(&cur, labels[k]).is_some())
-                .collect();
-            if active.is_empty() {
-                return PlayoutOutcome {
-                    decision: None,
-                    steps: step,
-                };
-            }
-            let pick = if let Some(&k) = active.iter().find(|&&k| debt[k] >= 48) {
-                k
-            } else {
-                let total: u64 = active.iter().map(|&k| 1 + debt[k]).sum();
-                let mut roll = rng.gen_range(0..total);
-                let mut chosen = active[0];
-                for &k in &active {
-                    let w = 1 + debt[k];
-                    if roll < w {
-                        chosen = k;
-                        break;
-                    }
-                    roll -= w;
-                }
-                chosen
-            };
-            for &k in &active {
-                if k == pick {
-                    debt[k] = 0;
-                } else {
-                    debt[k] += 1;
-                }
-            }
-            let (tag, next) = self.child(&cur, labels[pick]);
-            if let Some(p) = path.as_deref_mut() {
-                p.push((labels[pick], next.clone()));
-            }
-            if let Some(Action::Decide { v, .. }) = tag {
-                return PlayoutOutcome {
-                    decision: Some(v),
-                    steps: step + 1,
-                };
-            }
-            cur = next;
-        }
-        PlayoutOutcome {
-            decision: None,
-            steps: opts.max_steps,
-        }
-    }
-
-    fn steer_allows(&self, label: TreeLabel, steer: Option<Val>) -> bool {
-        match (label, steer) {
-            (TreeLabel::Task(Label::Env(_, x), _), Some(v)) => x as Val == v,
-            _ => true,
-        }
+        policy: StatePolicy,
+        scheduler: &mut impl Scheduler<Self>,
+    ) -> (PlayoutOutcome, Execution<Self>) {
+        let steered = TaggedTree {
+            steer: opts.steer_env,
+            seq: self.seq.clone(),
+            ..*self
+        };
+        let mut run = RunOptions::default()
+            .with_max_steps(opts.max_steps)
+            .stop_when(|_, schedule| decided(schedule).is_some());
+        run.policy = policy;
+        let exec = Runner::new(&steered)
+            .run_from(node.clone(), scheduler, run)
+            .execution;
+        let outcome = PlayoutOutcome {
+            decision: decided(&exec.actions),
+            steps: exec.len(),
+        };
+        (outcome, exec)
     }
 }
 
@@ -360,6 +351,50 @@ mod tests {
         let (tag, child) = tree.child(&root, TreeLabel::Fd);
         assert_eq!(tag, Some(seq.at(FdPos(0))));
         assert_eq!(child.pos, seq.advance(FdPos(0)));
+    }
+
+    #[test]
+    fn fd_edge_takes_only_the_head_of_the_sequence() {
+        let pi = Pi::new(3);
+        let seq = random_t_omega(pi, 0, 2);
+        let sys = tree_system(pi, &seq);
+        let tree = TaggedTree::new(&sys, seq.clone());
+        let root = tree.root();
+        let head = seq.at(root.pos);
+        let later = seq.window(8).into_iter().find(|&a| a != head).unwrap();
+        for a in [later, Action::Crash(Loc(1))] {
+            let mut node = root.clone();
+            assert!(!tree.apply(&mut node, &a), "{a:?} is not head(t_N)");
+            assert_eq!(node, root);
+        }
+        let mut node = root.clone();
+        assert!(tree.apply(&mut node, &head));
+        assert_eq!(node.pos, seq.advance(root.pos));
+    }
+
+    #[test]
+    fn an_fd_output_no_component_accepts_still_advances_the_tag() {
+        let pi = Pi::new(2);
+        // No process sits at p2, so no component takes its FD output.
+        let orphan = Action::Fd {
+            at: Loc(2),
+            out: afd_core::FdOutput::Leader(Loc(0)),
+        };
+        let seq = FdSeq::new(
+            vec![orphan],
+            vec![Action::Fd {
+                at: Loc(0),
+                out: afd_core::FdOutput::Leader(Loc(0)),
+            }],
+        );
+        let sys = tree_system(pi, &seq);
+        let tree = TaggedTree::new(&sys, seq.clone());
+        let root = tree.root();
+        assert!(!sys.composition.apply(&mut root.config.clone(), &orphan));
+        let (tag, child) = tree.child(&root, TreeLabel::Fd);
+        assert_eq!(tag, Some(orphan));
+        assert_eq!(child.config, root.config);
+        assert_eq!(child.pos, seq.advance(root.pos));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use afd_core::{Action, Loc, Val};
 use afd_system::LocalBehavior;
+use ioa::Automaton;
 
 use crate::explorer::{Node, PlayoutOptions, TaggedTree, TreeLabel};
 use crate::valence::{estimate_valence_witnessed, Valence, ValenceOptions};
@@ -169,13 +170,8 @@ fn l_child_valence<B: LocalBehavior>(
     l: TreeLabel,
     opts: ValenceOptions,
 ) -> (crate::valence::ValenceEstimate, Node<B>) {
-    match tree.action_tag(p, l) {
-        Some(_) => {
-            let (_, c) = tree.child(p, l);
-            (estimate_valence_witnessed(tree, &c, opts), c)
-        }
-        None => (estimate_valence_witnessed(tree, p, opts), p.clone()),
-    }
+    let (_, c) = tree.child(p, l);
+    (estimate_valence_witnessed(tree, &c, opts), c)
 }
 
 /// Find a hook by the constructive walk of Lemmas 53–55.
@@ -205,10 +201,9 @@ pub fn find_hook<B: LocalBehavior>(
         let l = labels[queue % labels.len()];
         queue += 1;
         // Serve label l at the current bivalent node.
-        let Some(_a_l) = tree.action_tag(&node, l) else {
+        let (Some(_), l_child) = tree.child(&node, l) else {
             continue; // ⊥ edge: l is disabled, fairness is satisfied vacuously
         };
-        let (_, l_child) = tree.child(&node, l);
         let l_est = estimate_valence_witnessed(tree, &l_child, opts.valence);
         let v = match l_est.valence {
             Valence::Bivalent => {
@@ -260,7 +255,7 @@ pub fn find_hook<B: LocalBehavior>(
                     let val = val_here.value().expect("univalent");
                     if val == nv {
                         if prev_lval == Some(v) {
-                            if let Some(action_l) = tree.action_tag(&prev, l) {
+                            if let Some(action_l) = tree.enabled(&prev, l.task()) {
                                 // Univalence is an empirical verdict, so a
                                 // candidate flip can be sampling noise. Before
                                 // certifying, re-estimate both endpoints with a
@@ -287,7 +282,7 @@ pub fn find_hook<B: LocalBehavior>(
                                 let (pv, cv) = (p_est.valence, c_est.valence);
                                 if pv.value() == Some(v) && cv.value() == Some(nv) {
                                     let action_r = tree
-                                        .action_tag(&prev, r_label)
+                                        .enabled(&prev, r_label.task())
                                         .expect("path edges are non-⊥");
                                     let critical = action_l.loc();
                                     return Ok(HookReport {

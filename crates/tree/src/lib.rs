@@ -4,19 +4,19 @@
 //!
 //! * [`fdseq`] — ultimately periodic FD sequences `t_D` (with a
 //!   seeded generator of members of `T_Ω`);
-//! * [`explorer`] — the tagged tree `R^{t_D}`: nodes are (config,
-//!   FD-sequence tag) pairs, edges carry the §8 labels, the FD edge
-//!   injects `t_D` (outputs **and** crashes), and fair *playouts*
-//!   sample fair branches;
+//! * [`explorer`] — the tagged tree `R^{t_D}` as an `ioa` automaton:
+//!   nodes are (config, FD-sequence tag) pairs, task 0 is the FD edge
+//!   injecting `t_D` (outputs **and** crashes), and fair *playouts* on
+//!   `ioa`'s runner sample fair branches;
 //! * [`valence`] — bivalence/univalence estimation (§9.5): playouts
 //!   prove bivalence one-sidedly; univalence is an empirical verdict
 //!   cross-checked against the theorems;
 //! * [`hook`] — the constructive hook search of Lemmas 53–55 plus the
 //!   Theorem 59 verification (non-⊥ action tags, shared critical
 //!   location, critical location live in `t_D`);
-//! * [`exhaustive`] — bounded BFS over `R^{t_D}` checking the §8.3
-//!   structural propositions (Prop. 29–32, Theorem 41) exactly on the
-//!   explored prefix;
+//! * [`exhaustive`] — `ioa`'s bounded sweep over `R^{t_D}`, checking
+//!   the §8.3 structural propositions (Prop. 29–32, Theorem 41)
+//!   exactly on the explored prefix;
 //! * [`simmod`] — the similar-modulo-i relation of §8.3.
 
 //! # Example: find a hook and verify Theorem 59
@@ -46,7 +46,9 @@ pub mod hook;
 pub mod simmod;
 pub mod valence;
 
-pub use exhaustive::{check_proposition_29, check_theorem_41, explore, Exploration};
+pub use exhaustive::{
+    check_proposition_29, check_theorem_41, explore, Exploration, TreeExploration,
+};
 pub use explorer::{Node, PlayoutOptions, PlayoutOutcome, TaggedTree, TreeLabel};
 pub use fdseq::{is_in_t_evp, is_in_t_omega, random_t_evp, random_t_omega, FdPos, FdSeq};
 pub use hook::{find_hook, HookKind, HookReport, HookSearchError, HookSearchOptions, HookSurvey};

@@ -8,9 +8,9 @@
 //! preserved edge-by-edge — is exercised in the integration tests.
 
 use afd_core::{Loc, Pi};
-use afd_system::{ComponentState, LocalBehavior};
+use afd_system::ComponentState;
 
-use crate::explorer::Node;
+use crate::explorer::TaggedNode;
 
 /// Index of the process component for location `i` (component order is
 /// fixed by `SystemBuilder::build`).
@@ -41,14 +41,14 @@ pub fn env_index(pi: Pi) -> usize {
 /// Is `a ∼_i b` (§8.3)? Both nodes must come from the same tree
 /// (same system, same `t_D`).
 #[must_use]
-pub fn similar_modulo_i<B: LocalBehavior>(pi: Pi, i: Loc, a: &Node<B>, b: &Node<B>) -> bool {
+pub fn similar_modulo_i<S: Eq>(pi: Pi, i: Loc, a: &TaggedNode<S>, b: &TaggedNode<S>) -> bool {
     // (6) FD-sequence tags agree.
     if a.pos != b.pos {
         return false;
     }
     // (1) crash_i has occurred in both executions: visible as the
     // process-level crash flag.
-    let crashed = |n: &Node<B>| match &n.config[proc_index(i)] {
+    let crashed = |n: &TaggedNode<S>| match &n.config[proc_index(i)] {
         ComponentState::Process(p) => p.crashed,
         _ => false,
     };

@@ -4,7 +4,8 @@
 //! the Theorem 59 properties — non-⊥ action tags, a single critical
 //! location, and the critical location's liveness in `t_D`.
 //!
-//! Run with: `cargo run --release --example hook_analysis`
+//! Run with: `cargo run --release --example hook_analysis` (exits 1
+//! if a search fails or a hook breaks Theorem 59).
 
 use afd_algorithms::consensus::paxos_omega::PaxosOmega;
 use afd_core::Pi;
@@ -18,8 +19,9 @@ fn main() {
         "{:<6} {:<9} {:<12} {:<28} {:<10} {:<6} {:<5}",
         "seed", "crashes", "l-label", "action tags (l / r)", "critical", "live", "T59"
     );
-    let mut found = 0;
-    for seed in 0..12u64 {
+    const SEEDS: u64 = 12;
+    let (mut found, mut live, mut clean) = (0, 0, 0);
+    for seed in 0..SEEDS {
         let seq = random_t_omega(pi, 1, seed);
         let crashes = seq.faulty();
         let procs = pi
@@ -34,6 +36,8 @@ fn main() {
         match find_hook(&tree, HookSearchOptions::default()) {
             Ok(hook) => {
                 found += 1;
+                live += usize::from(hook.critical_live);
+                clean += usize::from(hook.satisfies_theorem_59());
                 println!(
                     "{:<6} {:<9} {:<12} {:<28} {:<10} {:<6} {:<5}",
                     seed,
@@ -48,5 +52,13 @@ fn main() {
             Err(e) => println!("{seed:<6} {crashes:<9} search failed: {e}"),
         }
     }
-    println!("\nhooks found: {found}/12 — every hook's critical location is live (Lemma 58)");
+    let liveness = if live == found {
+        "every hook's critical location is live".to_string()
+    } else {
+        format!("{live}/{found} hooks have a live critical location")
+    };
+    println!("\nhooks found: {found}/{SEEDS} — {liveness} (Lemma 58)");
+    if found < SEEDS as usize || clean < found {
+        std::process::exit(1);
+    }
 }

@@ -4,15 +4,17 @@
 //! invariant; (3) confirm Theorem 41 — trees over sequences sharing a
 //! prefix agree on the corresponding region.
 //!
-//! Run with: `cargo run --release --example model_checking`
+//! Run with: `cargo run --release --example model_checking` (exits 1
+//! if any check fails).
 
 use afd_algorithms::consensus::paxos_omega::{paxos_system, PaxosOmega};
 use afd_core::{Action, FdOutput, Loc, Pi};
 use afd_system::{ComponentState, Env, ProcState, ProcessAutomaton, SystemBuilder};
 use afd_tree::{check_proposition_29, check_theorem_41, explore, FdSeq, TaggedTree};
-use ioa::{check_invariant, SweepOutcome};
+use ioa::check_invariant;
 
 fn main() {
+    let mut failed = 0;
     // (1) Full-space agreement check.
     let pi = Pi::new(2);
     let sys = paxos_system(pi, &[0, 1], vec![]);
@@ -20,6 +22,7 @@ fn main() {
         &sys.composition,
         &[],
         600_000,
+        usize::MAX,
         |s: &Vec<ComponentState<ProcState<afd_algorithms::consensus::paxos_omega::PaxosState>>>| {
             let decided: Vec<u64> = s
                 .iter()
@@ -31,11 +34,16 @@ fn main() {
             decided.windows(2).all(|w| w[0] == w[1])
         },
     );
-    match out {
-        SweepOutcome::Holds { states, complete } => println!(
-            "paxos n=2: agreement holds on all {states} reachable states (complete: {complete})"
+    match out.violation {
+        None => println!(
+            "paxos n=2: agreement holds on all {} reachable states (complete: {})",
+            out.len(),
+            out.complete
         ),
-        SweepOutcome::Violated(cex) => println!("VIOLATED after {:?}", cex.path),
+        Some(k) => {
+            failed += 1;
+            println!("VIOLATED after {:?}", out.path(k));
+        }
     }
 
     // (2) Tagged-tree prefix + Proposition 29.
@@ -66,7 +74,10 @@ fn main() {
     );
     match check_proposition_29(&tree, &exploration) {
         Ok(()) => println!("Proposition 29 reconstruction invariant: holds on every node ✓"),
-        Err(e) => println!("Proposition 29 VIOLATED: {e}"),
+        Err(e) => {
+            failed += 1;
+            println!("Proposition 29 VIOLATED: {e}");
+        }
     }
 
     // (3) Theorem 41 on a shared-prefix pair.
@@ -104,12 +115,15 @@ fn main() {
         .build();
     let t1 = TaggedTree::new(&sys1, s1);
     let t2 = TaggedTree::new(&sys2, s2);
+    let theorem_41 = check_theorem_41(&t1, &t2, 2, 4_000);
     println!(
         "Theorem 41 (shared 2-event prefix ⇒ equal explored regions): {}",
-        if check_theorem_41(&t1, &t2, 2, 4_000) {
-            "holds ✓"
-        } else {
-            "VIOLATED"
-        }
+        if theorem_41 { "holds ✓" } else { "VIOLATED" }
     );
+    if !theorem_41 {
+        failed += 1;
+    }
+    if failed > 0 {
+        std::process::exit(1);
+    }
 }

@@ -29,8 +29,9 @@ use afd_core::{Action, FdOutput, Frame, Loc, LocSet, Msg, Pi};
 use afd_runtime::{start_state, LinkFaults};
 use afd_system::{
     Alphabet, Channel, ChannelChaos, ChannelState, Component, ComponentState, CrashAdversary, Env,
-    LinkProfile, ProcessAutomaton, SplitMix64,
+    LinkProfile, ProcessAutomaton, SplitMix64, SystemBuilder,
 };
+use afd_tree::{random_t_omega, TaggedTree};
 use ioa::{ActionClass, Automaton, Composition};
 
 const WALKS: u64 = 6;
@@ -246,6 +247,31 @@ fn composition_with_channels_in_their_add_state() {
         .any(|s| matches!(s, ComponentState::Channel(c) if c.adversary().is_some())));
     check_apply_contract(&sys.composition, &start, 2);
     check_participants_index(&sys.composition);
+}
+
+#[test]
+fn tagged_tree() {
+    let pi = pi();
+    let seq = random_t_omega(pi, 1, 7);
+    let procs = pi
+        .iter()
+        .map(|i| ProcessAutomaton::new(i, PaxosOmega::new(pi)))
+        .collect();
+    let sys = SystemBuilder::new(pi, procs)
+        .with_env(Env::consensus(pi))
+        .with_crashes(seq.crash_script())
+        .build();
+    let tree = TaggedTree::new(&sys, seq);
+    check_initial(&tree, 70);
+    // Steering only disables the other value's environment tasks.
+    for v in [0, 1] {
+        let steered = TaggedTree {
+            steer: Some(v),
+            seq: tree.seq.clone(),
+            ..tree
+        };
+        check_initial(&steered, 71 + v);
+    }
 }
 
 #[test]

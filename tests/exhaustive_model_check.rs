@@ -8,7 +8,7 @@ use afd_algorithms::broadcast::{urb_system, Urb};
 use afd_algorithms::consensus::paxos_omega::{paxos_system, PaxosOmega};
 use afd_core::{Action, Loc, Pi};
 use afd_system::{ComponentState, ProcState, ProcessAutomaton};
-use ioa::{check_invariant, reachable_states, Automaton, SweepOutcome};
+use ioa::{check_invariant, reachable_states, Automaton};
 
 type PaxosCompState =
     Vec<ComponentState<ProcState<afd_algorithms::consensus::paxos_omega::PaxosState>>>;
@@ -35,7 +35,7 @@ fn paxos_agreement_exhaustive_n2() {
     let pi = Pi::new(2);
     let sys = paxos_system(pi, &[0, 1], vec![]);
     let m = &sys.composition;
-    let out = check_invariant(m, &[], 600_000, |s: &PaxosCompState| {
+    let out = check_invariant(m, &[], 600_000, usize::MAX, |s: &PaxosCompState| {
         let procs = paxos_procs(s);
         // Agreement: all decided values equal.
         let decided: Vec<u64> = procs.iter().filter_map(|p| p.inner.decided).collect();
@@ -45,22 +45,21 @@ fn paxos_agreement_exhaustive_n2() {
         // Validity: decided values were proposed ({0, 1} here).
         decided.iter().all(|v| *v == 0 || *v == 1)
     });
-    match out {
-        SweepOutcome::Holds { states, complete } => {
-            assert!(
-                complete,
-                "state space unexpectedly exceeded the budget ({states} states)"
-            );
-            assert!(
-                states > 50,
-                "the sweep actually explored the protocol: {states}"
-            );
-            println!("paxos n=2 exhaustive: {states} states, agreement holds everywhere");
-        }
-        SweepOutcome::Violated(cex) => {
-            panic!("agreement violated after {:?}", cex.path);
-        }
+    if let Some(k) = out.violation {
+        panic!("agreement violated after {:?}", out.path(k));
     }
+    let states = out.len();
+    assert!(
+        out.complete,
+        "state space unexpectedly exceeded the budget ({states} states)"
+    );
+    assert!(
+        states > 50,
+        "the sweep actually explored the protocol: {states}"
+    );
+    // Pins the sweep's deduplication: the count is the model's own.
+    assert_eq!(states, 96, "paxos n=2 reachable states");
+    println!("paxos n=2 exhaustive: {states} states, agreement holds everywhere");
 }
 
 #[test]
@@ -72,25 +71,25 @@ fn paxos_decided_states_are_reachable_in_the_sweep() {
     let sys = paxos_system(pi, &[1, 1], vec![]);
     let m = &sys.composition;
     // Invariant "not everyone decided" must be violated somewhere.
-    let out = check_invariant(m, &[], 600_000, |s: &PaxosCompState| {
+    let out = check_invariant(m, &[], 600_000, usize::MAX, |s: &PaxosCompState| {
         !paxos_procs(s).iter().all(|p| p.inner.announced)
     });
-    let cex = match out {
-        SweepOutcome::Violated(c) => c,
-        SweepOutcome::Holds { states, complete } => {
-            panic!("no fully-decided state found ({states} states, complete={complete})")
-        }
+    let Some(k) = out.violation else {
+        panic!(
+            "no fully-decided state found ({} states, complete={})",
+            out.len(),
+            out.complete
+        )
     };
+    let path: Vec<Action> = out.path(k).into_iter().map(|e| e.action).collect();
     // The shortest path to full decision announces both decides.
-    let decides = cex
-        .path
+    let decides = path
         .iter()
         .filter(|a| matches!(a, Action::Decide { .. }))
         .count();
     assert_eq!(decides, 2);
     // And by validity the decided value is the unanimous input.
-    assert!(cex
-        .path
+    assert!(path
         .iter()
         .all(|a| !matches!(a, Action::Decide { v, .. } if *v != 1)));
 }
@@ -116,7 +115,7 @@ fn urb_safety_exhaustive_n2_with_crash_interleavings() {
     let sys = urb_system(pi, vec![(Loc(0), 7)], vec![Loc(0)]);
     let m = &sys.composition;
     let inputs = vec![Action::Crash(Loc(0))];
-    let out = check_invariant(m, &inputs, 400_000, |s: &UrbCompState| {
+    let out = check_invariant(m, &inputs, 400_000, usize::MAX, |s: &UrbCompState| {
         let procs = urb_procs(s);
         // No creation: only payload 7 from p0 may ever be delivered.
         for p in &procs {
@@ -146,14 +145,17 @@ fn urb_safety_exhaustive_n2_with_crash_interleavings() {
         }
         true
     });
-    match out {
-        SweepOutcome::Holds { states, complete } => {
-            assert!(complete, "URB space must be finite here ({states} states)");
-            assert!(states > 20);
-            println!("urb n=2 exhaustive (with crash interleavings): {states} states");
-        }
-        SweepOutcome::Violated(cex) => panic!("URB safety violated after {:?}", cex.path),
+    if let Some(k) = out.violation {
+        panic!("URB safety violated after {:?}", out.path(k));
     }
+    let states = out.len();
+    assert!(
+        out.complete,
+        "URB space must be finite here ({states} states)"
+    );
+    assert!(states > 20);
+    assert_eq!(states, 28, "urb n=2 reachable states with crash inputs");
+    println!("urb n=2 exhaustive (with crash interleavings): {states} states");
 }
 
 /// Is any task of the composition enabled in `s`? (Free function so the
@@ -174,6 +176,11 @@ fn state_space_grows_with_universe_size() {
     let (n3, c3) = reachable_states(&sys3.composition, &[], 400_000);
     assert!(c3, "3-process URB with one payload still fits: {n3}");
     assert!(n3 > n2, "more locations, more interleavings ({n2} vs {n3})");
+    assert_eq!(
+        (n2, n3),
+        (14, 502),
+        "urb reachable states at n = 2 and n = 3"
+    );
 }
 
 #[test]

@@ -11,6 +11,7 @@ use afd_tree::{
     estimate_valence, find_hook, is_in_t_evp, is_in_t_omega, random_t_evp, random_t_omega, FdSeq,
     HookSearchOptions, TaggedTree, Valence, ValenceOptions,
 };
+use ioa::Automaton;
 
 fn tree_system(pi: Pi, seq: &FdSeq) -> System<ProcessAutomaton<PaxosOmega>> {
     let procs = pi
@@ -149,7 +150,8 @@ fn lemma_52_valence_is_hereditary_along_edges() {
     }
     let opts = ValenceOptions::default();
     assert_eq!(estimate_valence(&tree, &node, opts), Valence::OneValent);
-    for label in tree.active_labels(&node).into_iter().take(6) {
+    for (task, _) in tree.enabled_actions(&node).into_iter().take(6) {
+        let label = tree.label(task);
         let (_, child) = tree.child(&node, label);
         let v = estimate_valence(&tree, &child, opts);
         assert_eq!(v, Valence::OneValent, "label {label}");

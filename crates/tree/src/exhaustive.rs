@@ -19,7 +19,7 @@
 
 use afd_core::Action;
 use afd_system::LocalBehavior;
-use ioa::{check_invariant, execution::apply_schedule, Sweep};
+use ioa::{check_invariant, Automaton, Sweep};
 
 use crate::explorer::{TaggedTree, TreeLabel, FD_TASK};
 
@@ -28,19 +28,10 @@ use crate::explorer::{TaggedTree, TreeLabel, FD_TASK};
 /// exhausted within the budgets.
 pub type Exploration<'a, B> = Sweep<TaggedTree<'a, B>>;
 
-/// Readings of an [`Exploration`] particular to the tree.
-pub trait TreeExploration {
-    /// The number of FD events consumed on node `k`'s discovery path.
-    fn fd_events_consumed(&self, k: usize) -> usize;
-}
-
-impl<B: LocalBehavior> TreeExploration for Exploration<'_, B> {
-    fn fd_events_consumed(&self, k: usize) -> usize {
-        self.path(k)
-            .iter()
-            .filter(|e| e.task == Some(FD_TASK))
-            .count()
-    }
+/// The number of FD events consumed on node `k`'s discovery path.
+#[must_use]
+pub fn fd_events_consumed<B: LocalBehavior>(e: &Exploration<'_, B>, k: usize) -> usize {
+    e.path(k).iter().filter(|e| e.task == Some(FD_TASK)).count()
 }
 
 /// Explore `R^{t_D}` breadth-first up to `max_nodes` distinct nodes and
@@ -55,9 +46,10 @@ pub fn explore<'a, B: LocalBehavior>(
 }
 
 /// Proposition 29's reconstruction invariant, checked for every
-/// explored node: replaying the discovery path from the initial config
-/// is legal and reaches the node, and the path's `Î ∪ O_D` projection
-/// equals the prefix of `t_D` consumed by the FD edges.
+/// explored node: replaying the discovery path from the initial config,
+/// each edge's action is its task's action tag, the replay reaches the
+/// node, and the path's `Î ∪ O_D` projection equals the prefix of `t_D`
+/// consumed by the FD edges.
 ///
 /// # Errors
 /// A description of the first violated node.
@@ -67,9 +59,15 @@ pub fn check_proposition_29<B: LocalBehavior>(
 ) -> Result<(), String> {
     for (k, node) in exploration.states.iter().enumerate() {
         let path = exploration.path(k);
-        let actions: Vec<Action> = path.iter().map(|e| e.action).collect();
-        let replay = apply_schedule(tree, tree.root(), &actions);
-        if replay.as_ref().map(|x| x.last_state()) != Some(node) {
+        let mut cur = tree.root();
+        for e in &path {
+            let tag = e.task.and_then(|t| tree.enabled(&cur, t));
+            match tree.step(&cur, &e.action) {
+                Some(next) if tag == Some(e.action) => cur = next,
+                _ => return Err(format!("node {k}: {:?} is not its task's tag", e.action)),
+            }
+        }
+        if cur != *node {
             return Err(format!("node {k}: replaying its path does not reach it"));
         }
         // FD-projection of exe(N) equals the consumed prefix of t_D.
@@ -100,7 +98,7 @@ pub fn check_theorem_41<B: LocalBehavior>(
     let sig = |t: &TaggedTree<'_, B>| {
         let e = explore(t, max_nodes, common_prefix_len);
         let mut v: Vec<Vec<(TreeLabel, Action)>> = (0..e.len())
-            .filter(|&k| e.fd_events_consumed(k) < common_prefix_len)
+            .filter(|&k| fd_events_consumed(&e, k) < common_prefix_len)
             .map(|k| {
                 let path = e.path(k).into_iter();
                 path.map(|edge| (t.label(edge.task.expect("no inputs")), edge.action))
@@ -169,6 +167,23 @@ mod tests {
     }
 
     #[test]
+    fn proposition_29_checks_each_edges_task() {
+        let pi = Pi::new(2);
+        let seq = small_seq(pi);
+        let sys = tree_system(pi, &seq);
+        let tree = TaggedTree::new(&sys, seq);
+        let mut e = explore(&tree, 400, 5);
+        // Relabel an FD edge as the first process task's.
+        let fd_edge = e
+            .edges
+            .iter_mut()
+            .flatten()
+            .find(|x| x.task == Some(FD_TASK));
+        fd_edge.unwrap().task = Some(ioa::TaskId(1));
+        assert!(check_proposition_29(&tree, &e).is_err());
+    }
+
+    #[test]
     fn depth_budget_marks_incomplete() {
         let pi = Pi::new(2);
         let seq = small_seq(pi);
@@ -217,7 +232,7 @@ mod tests {
         let tree = TaggedTree::new(&sys, seq);
         let e = explore(&tree, 200, 4);
         // The root consumed none; some node consumed at least one.
-        assert_eq!(e.fd_events_consumed(0), 0);
-        assert!((0..e.len()).any(|k| e.fd_events_consumed(k) > 0));
+        assert_eq!(fd_events_consumed(&e, 0), 0);
+        assert!((0..e.len()).any(|k| fd_events_consumed(&e, k) > 0));
     }
 }

@@ -72,9 +72,10 @@ pub struct TaggedTree<'a, B: LocalBehavior> {
     pub sys: &'a System<ProcessAutomaton<B>>,
     /// The FD sequence `t_D`.
     pub seq: FdSeq,
-    /// Steering: with `Some(v)`, environment tasks for values other
-    /// than `v` are disabled, so proposals can only be `v`.
-    pub steer: Option<Val>,
+    /// A playout's steering ([`PlayoutOptions::steer_env`]): with
+    /// `Some(v)`, environment tasks for values other than `v` are
+    /// disabled, so proposals can only be `v`.
+    steer: Option<Val>,
 }
 
 impl<'a, B: LocalBehavior> TaggedTree<'a, B> {
@@ -152,11 +153,10 @@ impl<B: LocalBehavior> Automaton for TaggedTree<'_, B> {
     /// The FD edge controls the `t_D` events (FD outputs and crashes);
     /// every other action is classified as the composition does.
     fn classify(&self, a: &Action) -> Option<ActionClass> {
-        let fd_edge = is_fd_event(a).then_some(ActionClass::Output);
-        self.sys
-            .composition
-            .classify(a)
-            .map(|c| fd_edge.unwrap_or(c))
+        if is_fd_event(a) {
+            return Some(ActionClass::Output);
+        }
+        self.sys.composition.classify(a)
     }
 
     fn task_count(&self) -> usize {
@@ -432,6 +432,45 @@ mod tests {
                 },
             );
             assert_eq!(out.decision, Some(v), "steer {v}: {out:?}");
+        }
+    }
+
+    #[test]
+    fn steering_only_disables_the_other_values_env_tasks() {
+        let pi = Pi::new(3);
+        let seq = random_t_omega(pi, 1, 7);
+        let sys = tree_system(pi, &seq);
+        let tree = TaggedTree::new(&sys, seq);
+        for v in [0u64, 1] {
+            let steered = TaggedTree {
+                steer: Some(v),
+                seq: tree.seq.clone(),
+                ..tree
+            };
+            let opts = PlayoutOptions {
+                steer_env: Some(v),
+                ..PlayoutOptions::default()
+            };
+            let (_, path) = tree.playout_with_path(&tree.root(), 71 + v, opts);
+            let nodes = std::iter::once(tree.root()).chain(path.into_iter().map(|(_, n)| n));
+            for node in nodes {
+                for t in (0..tree.task_count()).map(TaskId) {
+                    let tag = steered.enabled(&node, t);
+                    match tree.label(t) {
+                        TreeLabel::Task(Label::Env(_, x), _) if x as Val != v => {
+                            assert_eq!(tag, None);
+                        }
+                        _ => assert_eq!(tag, tree.enabled(&node, t)),
+                    }
+                    // A steered tree accepts what it enables, and `step`
+                    // is `apply` on a copy.
+                    if let Some(a) = tag {
+                        let mut next = node.clone();
+                        assert!(steered.apply(&mut next, &a), "refused enabled {a:?}");
+                        assert_eq!(steered.step(&node, &a), Some(next));
+                    }
+                }
+            }
         }
     }
 

@@ -47,7 +47,7 @@ pub mod simmod;
 pub mod valence;
 
 pub use exhaustive::{
-    check_proposition_29, check_theorem_41, explore, Exploration, TreeExploration,
+    check_proposition_29, check_theorem_41, explore, fd_events_consumed, Exploration,
 };
 pub use explorer::{Node, PlayoutOptions, PlayoutOutcome, TaggedTree, TreeLabel};
 pub use fdseq::{is_in_t_evp, is_in_t_omega, random_t_evp, random_t_omega, FdPos, FdSeq};

@@ -31,7 +31,7 @@ use afd_system::{
     Alphabet, Channel, ChannelChaos, ChannelState, Component, ComponentState, CrashAdversary, Env,
     LinkProfile, ProcessAutomaton, SplitMix64, SystemBuilder,
 };
-use afd_tree::{random_t_omega, TaggedTree};
+use afd_tree::{random_t_omega, FdSeq, TaggedTree};
 use ioa::{ActionClass, Automaton, Composition};
 
 const WALKS: u64 = 6;
@@ -252,26 +252,35 @@ fn composition_with_channels_in_their_add_state() {
 #[test]
 fn tagged_tree() {
     let pi = pi();
+    let tree_system = |seq: &FdSeq| {
+        let procs = pi
+            .iter()
+            .map(|i| ProcessAutomaton::new(i, PaxosOmega::new(pi)))
+            .collect();
+        SystemBuilder::new(pi, procs)
+            .with_env(Env::consensus(pi))
+            .with_crashes(seq.crash_script())
+            .build()
+    };
     let seq = random_t_omega(pi, 1, 7);
-    let procs = pi
-        .iter()
-        .map(|i| ProcessAutomaton::new(i, PaxosOmega::new(pi)))
-        .collect();
-    let sys = SystemBuilder::new(pi, procs)
-        .with_env(Env::consensus(pi))
-        .with_crashes(seq.crash_script())
-        .build();
-    let tree = TaggedTree::new(&sys, seq);
-    check_initial(&tree, 70);
-    // Steering only disables the other value's environment tasks.
-    for v in [0, 1] {
-        let steered = TaggedTree {
-            steer: Some(v),
-            seq: tree.seq.clone(),
-            ..tree
-        };
-        check_initial(&steered, 71 + v);
-    }
+    let sys = tree_system(&seq);
+    check_initial(&TaggedTree::new(&sys, seq), 70);
+    // An FD output no component takes (at a location outside Π) is
+    // still the FD edge's output: the tree enables and accepts it.
+    let orphan = FdSeq::new(
+        vec![Action::Fd {
+            at: Loc(3),
+            out: FdOutput::Leader(Loc(0)),
+        }],
+        pi.iter()
+            .map(|at| Action::Fd {
+                at,
+                out: FdOutput::Leader(Loc(0)),
+            })
+            .collect(),
+    );
+    let sys = tree_system(&orphan);
+    check_initial(&TaggedTree::new(&sys, orphan), 71);
 }
 
 #[test]

@@ -9,8 +9,8 @@ use afd_algorithms::consensus::paxos_omega::PaxosOmega;
 use afd_core::{Pi, Val};
 use afd_system::{Env, ProcessAutomaton, System, SystemBuilder};
 use afd_tree::{
-    check_proposition_29, explore, find_hook, random_t_omega, FdSeq, HookSearchOptions,
-    PlayoutOptions, TaggedTree, TreeExploration,
+    check_proposition_29, explore, fd_events_consumed, find_hook, random_t_omega, FdSeq,
+    HookSearchOptions, PlayoutOptions, TaggedTree,
 };
 
 fn tree_system(pi: Pi, seq: &FdSeq) -> System<ProcessAutomaton<PaxosOmega>> {
@@ -149,7 +149,7 @@ fn explorations_are_pinned() {
         check_proposition_29(&tree, &e).unwrap();
         let (mut fd_hash, mut fd_total) = (FNV_OFFSET, 0usize);
         for k in 0..e.len() {
-            let c = e.fd_events_consumed(k);
+            let c = fd_events_consumed(&e, k);
             fd_total += c;
             fd_hash = fnv(fd_hash, &(c as u64).to_le_bytes());
         }

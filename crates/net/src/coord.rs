@@ -433,7 +433,11 @@ pub struct NetReport {
     pub chaos_plan: String,
     /// Per-node summaries.
     pub nodes: Vec<NodeSummary>,
-    /// Wall-clock duration of the run proper (post-handshake).
+    /// Wall-clock duration from the start of the run proper
+    /// (post-handshake) to the end of teardown. Besides the run, it
+    /// covers the `shutdown` wait that notices the stop (sampled every
+    /// 5 ms) and the grace loop that waits for the nodes to exit
+    /// (polled every 20 ms).
     pub elapsed: Duration,
     /// The merged multi-process profile (coordinator pid 0, node `i`
     /// as pid `i + 1`), present when [`NetConfig::profiling`] was on.

@@ -165,11 +165,14 @@ pub struct RuntimeConfig {
     pub stop_check_interval: usize,
     /// Scripted network partitions (cuts that may heal).
     pub partitions: Vec<Partition>,
-    /// Watchdog sampling period. The run is declared quiescent
+    /// Watchdog sampling period of the idle, stall, wall-clock and
+    /// deferred-heal checks. The run is declared quiescent
     /// ([`crate::StopReason::Idle`]) once the commit count is stable
     /// across two consecutive ticks with every input queue drained and
     /// every worker parked — sequence-number-based quiescence, not a
-    /// fixed sleep.
+    /// fixed sleep. It is no floor on a run: the watchdog waits on the
+    /// sink's stop between samples, so a run stopped by its predicate,
+    /// `max_events`, a panic or a halt ends at that event.
     pub watchdog_tick: Duration,
     /// Stall deadline: if the run is *not* quiescent but nothing
     /// commits for this long, the watchdog stops it with

@@ -56,6 +56,9 @@
 //! component is parked. A run that is *not* quiescent but commits
 //! nothing within the watchdog deadline is stopped with
 //! [`StopReason::Watchdog`] and a [`RunDiagnostic`] instead of hanging.
+//! A run stopped by its predicate, its budget, a panic or a halt ends
+//! at that event: between samples the watchdog waits on the sink's stop
+//! signal ([`EventSink::wait_stopped`]), not on a sleep.
 //!
 //! **Panic containment.** Activations run under `catch_unwind`. A
 //! panicking process component becomes a `Crash` event at its location
@@ -896,7 +899,12 @@ where
 /// across two ticks, all inboxes drained, all components parked),
 /// stops stalls at the deadline with a diagnostic, enforces the
 /// wall-clock safety net, and backstops deferred partition heals.
-/// Always shuts the pool down on the way out.
+///
+/// It waits on the sink's stop between samples, so a stop by
+/// predicate, `max_events`, panic or halt shuts the pool down as soon
+/// as it lands. `watchdog_tick` is only the sampling period of the
+/// idle, stall, wall-clock and deferred-heal checks; it puts no floor
+/// under a run. Always shuts the pool down on the way out.
 fn monitor<P>(eng: &Engine<'_, P, EventSink>)
 where
     P: Automaton<Action = Action>,
@@ -906,8 +914,7 @@ where
     let deadline_ns = u64::try_from(cfg.watchdog_deadline.as_nanos()).unwrap_or(u64::MAX);
     let mut prev_len = usize::MAX;
     let mut stable_ticks = 0u32;
-    while !sink.is_stopped() {
-        thread::sleep(cfg.watchdog_tick);
+    while !sink.wait_stopped(cfg.watchdog_tick) {
         if sink.elapsed() >= cfg.wall_timeout {
             sink.stop(StopReason::WallClock);
             break;

@@ -42,7 +42,7 @@
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use afd_core::{Action, Loc, Stamped};
 use afd_obs::Observer;
@@ -135,12 +135,14 @@ struct DrainState {
     stream_pred: Option<StreamPredicate>,
 }
 
-/// Event-driven wait on the log length. One waiter at a time (the
-/// crash injector) registers a threshold; the commit path signals the
-/// condvar when the log crosses it, and [`EventSink::stop`] signals
-/// unconditionally so a waiter never outlives the run. `usize::MAX`
-/// means "nobody is waiting", so the hot-path check is a single
-/// always-false compare.
+/// Event-driven wait on the log length and on the stop. One length
+/// waiter at a time (the crash injector) registers a threshold; the
+/// commit path signals the condvar when the log crosses it. Every stop
+/// path signals it too — [`EventSink::stop`] (predicate, panic, halt,
+/// watchdog) and the commit that fills `max_events` — so neither a
+/// length waiter nor a [`EventSink::wait_stopped`] waiter outlives the
+/// run. `usize::MAX` means "nobody is waiting", so the hot-path check
+/// is a single always-false compare.
 struct LenWatch {
     threshold: AtomicUsize,
     lock: Mutex<()>,
@@ -320,6 +322,9 @@ impl EventSink {
                     (g, wait.handoff(afd_prof::Stage::LockHold))
                 }
             };
+            // Set only by the commit that fills the budget: its stop is
+            // signalled once, after the lock is released.
+            let mut hit_budget = false;
             let status = if g.stop.is_some() {
                 Commit::Stopped
             } else if self.is_suppressed(&a) {
@@ -346,6 +351,7 @@ impl EventSink {
                 if g.log.len() >= self.max_events {
                     g.stop = Some(StopReason::MaxEvents);
                     self.stopped.store(true, Ordering::Release);
+                    hit_budget = true;
                 }
                 self.len.store(g.log.len(), Ordering::Release);
                 self.last_commit_ns.store(now_ns, Ordering::Relaxed);
@@ -353,6 +359,9 @@ impl EventSink {
             };
             drop(g);
             hold.done();
+            if hit_budget {
+                self.wake_watch();
+            }
             status
         };
         if status == Commit::Accepted {
@@ -459,7 +468,11 @@ impl EventSink {
         self.drain_locked(&mut d);
     }
 
-    /// Stop the run with `reason` (first stop wins).
+    /// Stop the run with `reason` (first stop wins) and wake every
+    /// waiter on the watch. The budget-filling commit stops the run
+    /// without this call and wakes the watch itself, so every stop
+    /// path releases [`EventSink::wait_len_at_least`] and
+    /// [`EventSink::wait_stopped`].
     pub fn stop(&self, reason: StopReason) {
         {
             let mut g = self
@@ -473,6 +486,14 @@ impl EventSink {
         }
         // Unconditional wake: a length waiter whose threshold will
         // never be reached must still observe the stop.
+        self.wake_watch();
+    }
+
+    /// Wake every waiter on the watch. Taking and dropping the watch
+    /// lock first orders the wake after any waiter's check of its
+    /// condition: a waiter that checked before the caller's store is
+    /// already parked on the condvar, one that checks after sees it.
+    fn wake_watch(&self) {
         drop(
             self.watch
                 .lock
@@ -490,13 +511,7 @@ impl EventSink {
     fn notify_len_watch(&self) {
         fence(Ordering::SeqCst);
         if self.len.load(Ordering::Relaxed) >= self.watch.threshold.load(Ordering::Relaxed) {
-            drop(
-                self.watch
-                    .lock
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            self.watch.cv.notify_all();
+            self.wake_watch();
         }
     }
 
@@ -521,6 +536,26 @@ impl EventSink {
         }
         drop(g);
         self.watch.threshold.store(usize::MAX, Ordering::Relaxed);
+    }
+
+    /// Block until the run stops or `timeout` elapses, whichever comes
+    /// first; returns whether the run has stopped. Event-driven: every
+    /// stop path signals the watch (see [`EventSink::stop`]), so the
+    /// return follows the stopping commit or call, not a poll period.
+    /// Any number of threads may wait at once; a length waiter's wakes
+    /// only re-check the condition.
+    pub fn wait_stopped(&self, timeout: Duration) -> bool {
+        let g = self
+            .watch
+            .lock
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _ = self
+            .watch
+            .cv
+            .wait_timeout_while(g, timeout, |()| !self.is_stopped())
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.is_stopped()
     }
 
     /// Lock-free: has the run stopped?
@@ -952,6 +987,77 @@ mod tests {
             sink.wait_len_at_least(1_000_000);
             assert!(sink.is_stopped());
         });
+    }
+
+    #[test]
+    fn wait_stopped_wakes_on_stop_and_on_the_budget_commit() {
+        // A generous timeout: a wake that is missed shows as a return
+        // near it, far from the prompt return a signal gives.
+        const LONG: Duration = Duration::from_secs(20);
+        let sink = EventSink::new(100, 16, None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(2));
+                sink.stop(StopReason::Idle);
+            });
+            let t = Instant::now();
+            assert!(sink.wait_stopped(LONG));
+            assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+        });
+        // The commit that fills max_events stops the run without
+        // calling stop(): it must wake the waiter too.
+        let sink = EventSink::new(3, 16, None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..3 {
+                    std::thread::sleep(Duration::from_millis(1));
+                    assert_eq!(sink.try_commit(send01()), Commit::Accepted);
+                }
+            });
+            let t = Instant::now();
+            assert!(sink.wait_stopped(LONG));
+            assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+        });
+        assert_eq!(sink.into_log().1, Some(StopReason::MaxEvents));
+    }
+
+    #[test]
+    fn wait_stopped_times_out_on_a_live_run() {
+        let sink = EventSink::new(100, 16, None);
+        assert_eq!(sink.try_commit(send01()), Commit::Accepted);
+        let t = Instant::now();
+        assert!(!sink.wait_stopped(Duration::from_millis(5)));
+        assert!(t.elapsed() >= Duration::from_millis(5));
+        // Already stopped: returns at once, whatever the timeout.
+        sink.stop(StopReason::Idle);
+        assert!(sink.wait_stopped(Duration::ZERO));
+    }
+
+    #[test]
+    fn wait_len_past_the_budget_returns_at_the_last_commit() {
+        // A threshold past max_events is never crossed; the commit
+        // that fills the budget must release the waiter. The waiter
+        // runs on its own thread so a missed wake fails the test at
+        // the timeout instead of hanging it.
+        let sink = Arc::new(EventSink::new(4, 16, None));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let sink = Arc::clone(&sink);
+            std::thread::spawn(move || {
+                sink.wait_len_at_least(1_000);
+                tx.send(sink.len()).unwrap();
+            })
+        };
+        for _ in 0..4 {
+            std::thread::sleep(Duration::from_micros(200));
+            assert_eq!(sink.try_commit(send01()), Commit::Accepted);
+        }
+        let len = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the budget-filling commit must wake the length waiter");
+        assert_eq!(len, 4);
+        assert!(sink.is_stopped());
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -199,6 +199,20 @@ where
         self.fd_present
     }
 
+    /// The crash automaton's scripted crash order
+    /// ([`SystemBuilder::with_crashes`]).
+    #[must_use]
+    pub fn crash_script(&self) -> &[Loc] {
+        self.composition
+            .components()
+            .iter()
+            .find_map(|c| match c {
+                Component::Crash(adv) => Some(adv.script.as_slice()),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
     /// The structural kind of every component, aligned with
     /// `composition.components()` indices.
     ///

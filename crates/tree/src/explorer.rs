@@ -84,12 +84,20 @@ impl<'a, B: LocalBehavior> TaggedTree<'a, B> {
     /// crash script matching `seq`'s crash order.
     ///
     /// # Panics
-    /// Panics if the system contains an FD component.
+    /// Panics if the system contains an FD component, or if its crash
+    /// script is not `seq.crash_script()`: the crash automaton would
+    /// refuse a `t_D` crash it does not have pending, and the FD edge
+    /// would advance past it without crashing anything.
     #[must_use]
     pub fn new(sys: &'a System<ProcessAutomaton<B>>, seq: FdSeq) -> Self {
         assert!(
             !sys.has_fd(),
             "tree systems take t_D via the FD edge, not an FD automaton"
+        );
+        assert_eq!(
+            sys.crash_script(),
+            seq.crash_script().as_slice(),
+            "the system's crash script must be t_D's crash order"
         );
         TaggedTree {
             sys,
@@ -339,6 +347,23 @@ mod tests {
         assert_eq!(root.pos, FdPos(0));
         // Labels: FD + 3 proc + 6 chan + 6 env tasks.
         assert_eq!(tree.labels().len(), 1 + 3 + 6 + 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "the system's crash script must be t_D's crash order")]
+    fn a_crash_script_other_than_t_d_s_is_refused() {
+        let pi = Pi::new(3);
+        // A crash-free t_D over a system that scripts a crash of p1.
+        let seq = random_t_omega(pi, 0, 1);
+        let procs = pi
+            .iter()
+            .map(|i| ProcessAutomaton::new(i, PaxosOmega::new(pi)))
+            .collect();
+        let sys = SystemBuilder::new(pi, procs)
+            .with_env(Env::consensus(pi))
+            .with_crashes(vec![Loc(1)])
+            .build();
+        let _ = TaggedTree::new(&sys, seq);
     }
 
     #[test]

@@ -306,6 +306,30 @@ fn links_honour_configured_delay() {
     }
 }
 
+/// A fault scripted past `max_events` never fires: the coordinator's
+/// injector waits on the sink's length watch for a threshold the run
+/// never reaches, and the commit that fills the budget must wake it.
+/// The deployment runs on a helper thread so that a missed wake fails
+/// this test at the timeout instead of hanging the suite.
+#[test]
+fn budget_stop_releases_a_fault_scripted_past_it() {
+    const BUDGET: usize = 2_000;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cfg = base_cfg(3)
+            .with_max_events(BUDGET)
+            .with_fault(NetFault::halt(10_000_000, Loc(2)));
+        let report = run_distributed(&DeploymentSpec::BoundedEvP { n: 3 }, &cfg);
+        let _ = tx.send(report.map(|r| (r.stop, r.events)));
+    });
+    let (stop, events) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("run_distributed returned")
+        .expect("run");
+    assert_eq!(stop, Some(StopReason::MaxEvents));
+    assert_eq!(events, BUDGET);
+}
+
 /// Deployment failure modes: whatever goes wrong while the nodes come
 /// up, `run_distributed` returns a typed error promptly and every node
 /// process it spawned is dead *and reaped* (`common::marked` finds

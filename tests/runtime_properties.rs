@@ -2,13 +2,16 @@
 //! Figure 1 signature validation for every system we build, fairness
 //! reports of recorded runs, and run-statistics sanity.
 
+use afd_algorithms::bounded_evp::bounded_evp_system;
 use afd_algorithms::broadcast::urb_system;
 use afd_algorithms::consensus::{all_live_decided, ct_system, paxos_system};
 use afd_algorithms::kset::kset_system;
 use afd_algorithms::self_impl::self_impl_system;
 use afd_core::automata::FdGen;
 use afd_core::{Action, FdOutput, Loc, LocSet, Msg, Pi};
-use afd_runtime::{fifo_violation, run_threaded, LinkFaults, LinkProfile, RuntimeConfig};
+use afd_runtime::{
+    fifo_violation, run_threaded, LinkFaults, LinkProfile, RuntimeConfig, StopReason,
+};
 use afd_system::{run_random, run_sim, FaultPattern, RunStats, SimConfig};
 use proptest::prelude::*;
 
@@ -212,4 +215,31 @@ fn urb_stats_show_quadratic_relay_traffic() {
     assert_eq!(st.receives, 12);
     assert_eq!(st.in_flight(), 0, "run drained the channels");
     assert_eq!(st.problem_outputs, 4, "one delivery per location");
+}
+
+/// A crash scripted past `max_events` never fires: the injector waits
+/// on the sink's length watch for a threshold the run never reaches,
+/// so the commit that fills the budget must wake it, and the watchdog
+/// must end the run at that commit. The run goes on a helper thread so
+/// that a missed wake fails this test at the timeout instead of
+/// hanging the suite.
+#[test]
+fn budget_stop_releases_a_crash_scripted_past_it() {
+    const BUDGET: usize = 200_000;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pi = Pi::new(3);
+        let sys = bounded_evp_system(pi, vec![Loc(2)]);
+        let cfg = RuntimeConfig::default()
+            .with_max_events(BUDGET)
+            .with_faults(FaultPattern::at(vec![(10_000_000, Loc(2))]))
+            .with_wall_timeout(std::time::Duration::from_secs(5));
+        let out = run_threaded(&sys, &cfg);
+        let _ = tx.send((out.stop, out.schedule.len()));
+    });
+    let (stop, events) = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("run_threaded returned");
+    assert_eq!(stop, StopReason::MaxEvents);
+    assert_eq!(events, BUDGET);
 }

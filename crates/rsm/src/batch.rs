@@ -2,9 +2,10 @@
 //! id* (a `u64`, the consensus value), and the [`BatchStore`] maps ids
 //! back to the ops they carry. Sealed batches stay pending until some
 //! slot decides them; batches proposed by losing replicas simply stay
-//! pending and are re-proposed at the next slot.
+//! pending and are re-proposed at the next slot. A decided batch is
+//! handed to the caller and leaves the store.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::kv::Command;
 
@@ -17,13 +18,12 @@ pub struct Batch {
     pub ops: Vec<(u64, Command)>,
 }
 
-/// Driver-side bookkeeping for open, pending, and committed batches.
+/// Driver-side bookkeeping for open and pending batches.
 #[derive(Debug, Default)]
 pub struct BatchStore {
     next_id: u64,
     open: Vec<(u64, Command)>,
     pending: VecDeque<Batch>,
-    committed: BTreeMap<u64, Batch>,
 }
 
 impl BatchStore {
@@ -63,19 +63,11 @@ impl BatchStore {
         self.pending.iter().map(|b| b.id).collect()
     }
 
-    /// Mark `id` decided: move it from pending to committed and return
-    /// it. `None` if `id` is not pending (unknown or already decided).
-    pub fn complete(&mut self, id: u64) -> Option<&Batch> {
+    /// Mark `id` decided: take it out of pending and return it. `None`
+    /// if `id` is not pending (unknown or already decided).
+    pub fn complete(&mut self, id: u64) -> Option<Batch> {
         let at = self.pending.iter().position(|b| b.id == id)?;
-        let batch = self.pending.remove(at).expect("position just found");
-        self.committed.insert(id, batch);
-        self.committed.get(&id)
-    }
-
-    /// A committed batch by id.
-    #[must_use]
-    pub fn batch(&self, id: u64) -> Option<&Batch> {
-        self.committed.get(&id)
+        self.pending.remove(at)
     }
 
     /// Ops not yet decided: open plus pending.
@@ -108,7 +100,6 @@ mod tests {
         assert_eq!(b.ops.len(), 2);
         assert_eq!(s.pending_ids(), vec![1, 3]);
         assert!(s.complete(2).is_none(), "double-complete is rejected");
-        assert!(s.batch(2).is_some());
         s.complete(1);
         s.complete(3);
         assert!(s.is_drained());

@@ -510,7 +510,7 @@ impl Rsm {
             ));
             return None;
         };
-        let ops = batch.ops.clone();
+        let ops = batch.ops;
         let slot = self.slot;
         for l in pi.iter().filter(|l| !self.crashed.contains(*l)) {
             self.checker.push(&ApplyEvent {

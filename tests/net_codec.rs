@@ -1,10 +1,16 @@
-//! Wire-codec properties: every `Action` round-trips byte-for-byte
-//! through the hand-rolled length-prefixed codec — including the
-//! `WireSend`/`WireRecv` frame variants, the crash-recovery alphabet
-//! (`Recover`, the epoch-carrying `Hello`/`Assign` handshake), and
-//! boundary locations at and past `Loc(64)` — and malformed input (truncations, bad tags,
+//! Wire-codec properties: every type in the codec's tables round-trips
+//! byte-for-byte — every variant of every enum, the `WireSend`/`WireRecv`
+//! frame variants, the crash-recovery alphabet (`Recover`, the
+//! epoch-carrying `Hello`/`Assign` handshake), boundary locations at and
+//! past `Loc(64)` — and malformed input (truncations, bad tags,
 //! trailing bytes, garbage) always comes back as a typed
-//! [`DecodeError`], never a panic.
+//! [`DecodeError`], never a panic. Values come from each type's
+//! [`Wire::arbitrary`], so a row added to a table is covered here
+//! without editing this file; `tests/data/wire_golden.txt` pins the
+//! bytes every existing row produces.
+//!
+//! The stream framing keeps a frame whole when a read timeout fires
+//! partway through it.
 //!
 //! The datagram plane gets the same treatment: encoded actions survive
 //! MTU-bounded fragmentation and reassembly byte-for-byte, duplicate
@@ -19,294 +25,59 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Debug;
+use std::io::{ErrorKind, Write};
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 use afd_core::{Action, Ballot, FdOutput, Frame, Loc, LocSet, Msg};
-use afd_dgram::{fragment, ChannelDgramStats, DgramError, Reassembly, HDR_LEN};
+use afd_dgram::{fragment, DgramError, Reassembly, HDR_LEN};
 use afd_net::codec::{
-    decode_action, decode_msg, encode_action, encode_msg, read_frame, write_frame, DecodeError,
-    FRAME_RESERVE, MAX_FRAME,
+    decode, decode_action, decode_msg, encode_action, encode_msg, read_frame, write_frame,
+    DecodeError, Wire, FRAME_RESERVE, MAX_FRAME,
 };
-use afd_net::{CommitStatus, DeploymentSpec, FdKindSpec, WireLinkProfile, WireMsg};
-use afd_runtime::ChannelChaosStats;
+use afd_net::{CommitStatus, DeploymentSpec, FdKindSpec, WireMsg};
+use afd_system::SplitMix64;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Boundary-heavy location pool: the codec must not care that `Loc`'s
-/// payload exceeds the `LocSet` word width (128) or saturates `u8`.
-const LOCS: [Loc; 7] = [
-    Loc(0),
-    Loc(1),
-    Loc(7),
-    Loc(63),
-    Loc(127),
-    Loc(128),
-    Loc(255),
-];
-
-fn rloc(rng: &mut StdRng) -> Loc {
-    LOCS[rng.gen_range(0usize..LOCS.len())]
+/// A uniform index below `n`.
+fn pick(rng: &mut SplitMix64, n: usize) -> usize {
+    rng.below(n as u64) as usize
 }
 
-fn rset(rng: &mut StdRng) -> LocSet {
-    LocSet(match rng.gen_range(0u32..4) {
-        0 => 0,
-        1 => u128::MAX,
-        2 => 1 << 127,
-        _ => {
-            u128::from(rng.gen_range(0u64..u64::MAX)) << 64
-                | u128::from(rng.gen_range(0u64..u64::MAX))
-        }
-    })
+fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut buf = Vec::new();
+    v.put(&mut buf);
+    buf
 }
 
-fn rval(rng: &mut StdRng) -> u64 {
-    match rng.gen_range(0u32..3) {
-        0 => 0,
-        1 => u64::MAX,
-        _ => rng.gen_range(0u64..u64::MAX),
-    }
+/// The first of up to 10 000 draws that `keep` accepts.
+fn draw<T: Wire>(rng: &mut SplitMix64, keep: impl Fn(&T) -> bool) -> T {
+    (0..10_000)
+        .map(|_| T::arbitrary(rng))
+        .find(keep)
+        .expect("the generator reaches every variant")
 }
 
-fn rballot(rng: &mut StdRng) -> Ballot {
-    Ballot {
-        round: if rng.gen_range(0u32..2) == 0 {
-            u32::MAX
-        } else {
-            rng.gen_range(0u32..1000)
-        },
-        owner: rloc(rng),
-    }
-}
-
-fn rout(rng: &mut StdRng) -> FdOutput {
-    match rng.gen_range(0u32..6) {
-        0 => FdOutput::Leader(rloc(rng)),
-        1 => FdOutput::Suspects(rset(rng)),
-        2 => FdOutput::Quorum(rset(rng)),
-        3 => FdOutput::AntiLeader(rloc(rng)),
-        4 => FdOutput::Leaders(rset(rng)),
-        _ => FdOutput::PsiK {
-            quorum: rset(rng),
-            leaders: rset(rng),
-        },
-    }
-}
-
-fn rmsg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0u32..16) {
-        0 => Msg::Prepare {
-            ballot: rballot(rng),
-        },
-        1 => Msg::Promise {
-            ballot: rballot(rng),
-            accepted: if rng.gen_range(0u32..2) == 0 {
-                None
-            } else {
-                Some((rballot(rng), rval(rng)))
-            },
-        },
-        2 => Msg::Accept {
-            ballot: rballot(rng),
-            value: rval(rng),
-        },
-        3 => Msg::Accepted {
-            ballot: rballot(rng),
-            value: rval(rng),
-        },
-        4 => Msg::DecideMsg { value: rval(rng) },
-        5 => Msg::CtEstimate {
-            round: rng.gen_range(0u32..u32::MAX),
-            est: rval(rng),
-            ts: rng.gen_range(0u32..u32::MAX),
-        },
-        6 => Msg::CtPropose {
-            round: rng.gen_range(0u32..u32::MAX),
-            est: rval(rng),
-        },
-        7 => Msg::CtAck {
-            round: rng.gen_range(0u32..u32::MAX),
-            ok: rng.gen_range(0u32..2) == 0,
-        },
-        8 => Msg::LeJoin,
-        9 => Msg::LeElected { leader: rloc(rng) },
-        10 => Msg::RbRelay {
-            origin: rloc(rng),
-            seq: rng.gen_range(0u32..u32::MAX),
-            payload: rval(rng),
-        },
-        11 => Msg::KsEstimate {
-            phase: rng.gen_range(0u32..u32::MAX),
-            est: rval(rng),
-        },
-        12 => Msg::VoteMsg {
-            yes: rng.gen_range(0u32..2) == 0,
-        },
-        13 => Msg::FdSample {
-            epoch: rng.gen_range(0u32..u32::MAX),
-            out: rout(rng),
-        },
-        14 => Msg::Heartbeat {
-            epoch: rng.gen_range(0u32..u32::MAX),
-        },
-        _ => Msg::Token(rval(rng)),
-    }
-}
-
-fn rframe(rng: &mut StdRng) -> Frame {
-    if rng.gen_range(0u32..2) == 0 {
-        Frame::Data {
-            seq: rng.gen_range(0u32..u32::MAX),
-            msg: rmsg(rng),
-        }
-    } else {
-        Frame::Ack {
-            cum: rng.gen_range(0u32..u32::MAX),
-        }
-    }
-}
-
-/// A random Telemetry frame: a lane directory (unicode names included)
-/// plus a batch of span/gauge records with boundary timestamps.
-fn rtelemetry(rng: &mut StdRng) -> WireMsg {
-    let n_lanes = rng.gen_range(0usize..4);
-    let lanes: Vec<(u32, String)> = (0..n_lanes)
-        .map(|i| {
-            (
-                rng.gen_range(0u32..u32::MAX),
-                format!("lane-{i}-Π{}", rng.gen_range(0u32..100)),
-            )
-        })
-        .collect();
-    let n_recs = rng.gen_range(0usize..32);
-    let recs: Vec<afd_prof::Rec> = (0..n_recs)
-        .map(|_| afd_prof::Rec {
-            kind: if rng.gen_range(0u32..2) == 0 {
-                afd_prof::REC_SPAN
-            } else {
-                afd_prof::REC_GAUGE
-            },
-            id: rng.gen_range(0u64..256) as u8,
-            lane: rng.gen_range(0u32..u32::MAX),
-            t_ns: rval(rng),
-            v: rval(rng),
-        })
-        .collect();
-    WireMsg::Telemetry {
-        node: rng.gen_range(0u32..u32::MAX),
-        lanes,
-        recs,
-    }
-}
-
-/// One random action from the full 20-variant alphabet.
-/// The handshake pair of one incarnation: any epoch, with or without
-/// a datagram port, any replay length.
-fn rhandshake(rng: &mut StdRng) -> [WireMsg; 2] {
-    let node = rng.gen_range(0u32..16);
-    let epoch = rng.gen_range(0u32..4) * rng.gen_range(0u32..u32::MAX / 4);
-    [
-        WireMsg::Hello {
-            node,
-            epoch,
-            udp_port: rng.gen_range(0u32..3) as u16 * 0x7FFF,
-        },
-        WireMsg::Assign {
-            node,
-            epoch,
-            spec: DeploymentSpec::SelfImpl {
-                n: 5,
-                fd: FdKindSpec::EvPerfectNoisy {
-                    lie_set: rset(rng),
-                    lie_count: 7,
-                },
-            },
-            locations: vec![rloc(rng), rloc(rng)],
-            seed: rval(rng),
-            wire_pacing_us: rval(rng),
-            replay_len: rval(rng),
-        },
-    ]
-}
-
-/// `m` round-trips byte-for-byte, and every strict prefix of its
+/// `v` round-trips byte-for-byte, and every strict prefix of its
 /// encoding decodes to a typed error — never a panic, never a silent
-/// partial message.
-fn assert_roundtrip_and_typed_prefixes(m: &WireMsg) {
-    let bytes = encode_msg(m);
-    let back = decode_msg(&bytes).expect("decode own encoding");
-    assert_eq!(format!("{back:?}"), format!("{m:?}"));
-    assert_eq!(encode_msg(&back), bytes);
+/// partial value.
+fn assert_roundtrip_and_typed_prefixes<T: Wire + Debug>(v: &T, what: &'static str) {
+    let bytes = encode(v);
+    let back: T = decode(&bytes, what).unwrap_or_else(|e| panic!("decode {v:?}: {e}"));
+    assert_eq!(format!("{back:?}"), format!("{v:?}"));
+    assert_eq!(encode(&back), bytes, "canonical encoding for {v:?}");
     for cut in 0..bytes.len() {
-        match decode_msg(&bytes[..cut]) {
+        match decode::<T>(&bytes[..cut], what) {
             Err(
                 DecodeError::Truncated { .. }
                 | DecodeError::BadTag { .. }
                 | DecodeError::Trailing { .. },
             ) => {}
             Err(e) => panic!("unexpected decode error on prefix: {e}"),
-            Ok(other) => panic!("prefix of {m:?} decoded as {other:?}"),
+            Ok(other) => panic!("prefix of {v:?} decoded as {other:?}"),
         }
-    }
-}
-
-fn raction(rng: &mut StdRng) -> Action {
-    let at = rloc(rng);
-    let other = rloc(rng);
-    match rng.gen_range(0u32..20) {
-        0 => Action::Crash(at),
-        19 => Action::Recover(at),
-        1 => Action::Send {
-            from: at,
-            to: other,
-            msg: rmsg(rng),
-        },
-        2 => Action::Receive {
-            from: at,
-            to: other,
-            msg: rmsg(rng),
-        },
-        3 => Action::Fd { at, out: rout(rng) },
-        4 => Action::FdRenamed { at, out: rout(rng) },
-        5 => Action::Propose { at, v: rval(rng) },
-        6 => Action::Decide { at, v: rval(rng) },
-        7 => Action::Elect { at, leader: other },
-        8 => Action::Broadcast {
-            at,
-            payload: rval(rng),
-        },
-        9 => Action::Deliver {
-            at,
-            origin: other,
-            payload: rval(rng),
-        },
-        10 => Action::ProposeK { at, v: rval(rng) },
-        11 => Action::DecideK { at, v: rval(rng) },
-        12 => Action::Vote {
-            at,
-            yes: rng.gen_range(0u32..2) == 0,
-        },
-        13 => Action::Verdict {
-            at,
-            commit: rng.gen_range(0u32..2) == 0,
-        },
-        14 => Action::Query { at },
-        15 => Action::QueryReply { at, out: rout(rng) },
-        16 => Action::Internal {
-            at,
-            tag: rng.gen_range(0u32..u32::from(u16::MAX)) as u16,
-        },
-        17 => Action::WireSend {
-            from: at,
-            to: other,
-            frame: rframe(rng),
-        },
-        _ => Action::WireRecv {
-            from: at,
-            to: other,
-            frame: rframe(rng),
-        },
     }
 }
 
@@ -317,9 +88,9 @@ proptest! {
     /// value reproduces the original bytes.
     #[test]
     fn action_roundtrip_byte_for_byte(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..64 {
-            let a = raction(&mut rng);
+            let a = Action::arbitrary(&mut rng);
             let bytes = encode_action(&a);
             let back = decode_action(&bytes).expect("decode own encoding");
             prop_assert_eq!(back, a);
@@ -331,21 +102,9 @@ proptest! {
     /// error — truncation can never panic or accidentally succeed.
     #[test]
     fn truncation_is_a_typed_error(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..8 {
-            let a = raction(&mut rng);
-            let bytes = encode_action(&a);
-            for cut in 0..bytes.len() {
-                match decode_action(&bytes[..cut]) {
-                    Err(
-                        DecodeError::Truncated { .. }
-                        | DecodeError::BadTag { .. }
-                        | DecodeError::Trailing { .. },
-                    ) => {}
-                    Err(e) => panic!("unexpected decode error on prefix: {e}"),
-                    Ok(other) => panic!("prefix of {a:?} decoded as {other:?}"),
-                }
-            }
+            assert_roundtrip_and_typed_prefixes(&Action::arbitrary(&mut rng), "Action");
         }
     }
 
@@ -353,10 +112,9 @@ proptest! {
     /// a clean `Result`.
     #[test]
     fn garbage_never_panics(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..32 {
-            let len = rng.gen_range(0usize..128);
-            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u64..256) as u8).collect();
+            let bytes: Vec<u8> = (0..pick(&mut rng, 128)).map(|_| u8::arbitrary(&mut rng)).collect();
             let _ = decode_action(&bytes);
             let _ = decode_msg(&bytes);
         }
@@ -365,32 +123,8 @@ proptest! {
     /// Control frames round-trip through the stream framing.
     #[test]
     fn wire_msgs_roundtrip_through_frames(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let [hello, assign] = rhandshake(&mut rng);
-        let msgs = vec![
-            hello,
-            assign,
-            WireMsg::CommitReq {
-                comp: rng.gen_range(0u32..64),
-                action: raction(&mut rng),
-            },
-            WireMsg::CommitResp {
-                comp: rng.gen_range(0u32..64),
-                status: match rng.gen_range(0u32..3) {
-                    0 => CommitStatus::Accepted,
-                    1 => CommitStatus::Suppressed,
-                    _ => CommitStatus::Stopped,
-                },
-            },
-            WireMsg::Deliver {
-                comp: rng.gen_range(0u32..64),
-                action: raction(&mut rng),
-            },
-            WireMsg::Stop {
-                reason: "stop reason with unicode: Π ◇P".into(),
-            },
-            rtelemetry(&mut rng),
-        ];
+        let mut rng = SplitMix64::new(seed);
+        let msgs: Vec<WireMsg> = (0..8).map(|_| WireMsg::arbitrary(&mut rng)).collect();
         let mut wire = Vec::new();
         for m in &msgs {
             write_frame(&mut wire, m).unwrap();
@@ -408,9 +142,10 @@ proptest! {
     /// or a silent partial batch.
     #[test]
     fn telemetry_roundtrip_and_truncation(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..8 {
-            assert_roundtrip_and_typed_prefixes(&rtelemetry(&mut rng));
+            let m: WireMsg = draw(&mut rng, |m| matches!(m, WireMsg::Telemetry { .. }));
+            assert_roundtrip_and_typed_prefixes(&m, "WireMsg");
         }
     }
 
@@ -418,129 +153,189 @@ proptest! {
     /// start (epoch 0, nothing to replay) and respawn alike.
     #[test]
     fn handshake_roundtrip_and_truncation(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for m in &rhandshake(&mut rng) {
-            assert_roundtrip_and_typed_prefixes(m);
+        let mut rng = SplitMix64::new(seed);
+        let hello: WireMsg = draw(&mut rng, |m| matches!(m, WireMsg::Hello { .. }));
+        let assign: WireMsg = draw(&mut rng, |m| matches!(m, WireMsg::Assign { .. }));
+        for m in [&hello, &assign] {
+            assert_roundtrip_and_typed_prefixes(m, "WireMsg");
         }
     }
 }
 
-/// A deterministic sweep over every enum variant with boundary values,
-/// so coverage does not depend on the random draw.
+/// Every tag of `T`'s table, eight draws each: round-trip, canonical
+/// re-encoding and typed prefixes. The tags come from the table itself,
+/// so a new row is swept as soon as it exists.
+fn sweep<T: Wire + Debug>(what: &'static str, rng: &mut SplitMix64) {
+    assert!(!T::TAGS.is_empty(), "{what} has a table");
+    for (i, &tag) in T::TAGS.iter().enumerate() {
+        assert!(
+            !T::TAGS[..i].contains(&tag),
+            "{what} tag {tag} is used twice"
+        );
+        for _ in 0..8 {
+            let v: T = draw(rng, |v| encode(v)[0] == tag);
+            assert_roundtrip_and_typed_prefixes(&v, what);
+        }
+    }
+}
+
+/// A deterministic sweep over every variant of every enum table, so
+/// coverage does not depend on the random draw, plus the widest frame
+/// actions written out.
 #[test]
 fn exhaustive_variant_sweep_roundtrips() {
-    let mut rng = StdRng::seed_from_u64(0xC0DEC);
-    let mut actions: Vec<Action> = Vec::new();
-    for &at in &LOCS {
-        actions.push(Action::Crash(at));
-        actions.push(Action::Recover(at));
-        actions.push(Action::Query { at });
-    }
-    // Every Msg variant inside Send, every FdOutput inside Fd.
-    for k in 0..16u32 {
-        let mut r = StdRng::seed_from_u64(u64::from(k));
-        let mut m = rmsg(&mut r);
-        // Force variant k by rejection sampling over fresh seeds.
-        let mut s = u64::from(k);
-        while msg_tag(&m) != k {
-            s += 1000;
-            r = StdRng::seed_from_u64(s);
-            m = rmsg(&mut r);
-        }
-        actions.push(Action::Send {
+    let mut rng = SplitMix64::new(0xC0DEC);
+    sweep::<FdOutput>("FdOutput", &mut rng);
+    sweep::<Msg>("Msg", &mut rng);
+    sweep::<Frame>("Frame", &mut rng);
+    sweep::<Action>("Action", &mut rng);
+    sweep::<FdKindSpec>("FdKindSpec", &mut rng);
+    sweep::<DeploymentSpec>("DeploymentSpec", &mut rng);
+    sweep::<CommitStatus>("CommitStatus", &mut rng);
+    sweep::<WireMsg>("WireMsg", &mut rng);
+    let boundary = [
+        Action::WireSend {
             from: Loc(64),
-            to: Loc(255),
-            msg: m,
-        });
-    }
-    for k in 0..6u32 {
-        let mut s = u64::from(k);
-        let mut r = StdRng::seed_from_u64(s);
-        let mut o = rout(&mut r);
-        while out_tag(&o) != k {
-            s += 1000;
-            r = StdRng::seed_from_u64(s);
-            o = rout(&mut r);
-        }
-        actions.push(Action::Fd {
-            at: Loc(63),
-            out: o,
-        });
-        actions.push(Action::FdRenamed {
-            at: Loc(64),
-            out: o,
-        });
-        actions.push(Action::QueryReply {
-            at: Loc(65),
-            out: o,
-        });
-    }
-    for _ in 0..32 {
-        actions.push(raction(&mut rng));
-    }
-    actions.push(Action::WireSend {
-        from: Loc(64),
-        to: Loc(65),
-        frame: Frame::Data {
-            seq: u32::MAX,
-            msg: Msg::Promise {
-                ballot: Ballot {
-                    round: u32::MAX,
-                    owner: Loc(255),
-                },
-                accepted: Some((
-                    Ballot {
-                        round: 0,
-                        owner: Loc(64),
+            to: Loc(65),
+            frame: Frame::Data {
+                seq: u32::MAX,
+                msg: Msg::Promise {
+                    ballot: Ballot {
+                        round: u32::MAX,
+                        owner: Loc(255),
                     },
-                    u64::MAX,
-                )),
+                    accepted: Some((
+                        Ballot {
+                            round: 0,
+                            owner: Loc(64),
+                        },
+                        u64::MAX,
+                    )),
+                },
             },
         },
-    });
-    actions.push(Action::WireRecv {
-        from: Loc(255),
-        to: Loc(0),
-        frame: Frame::Ack { cum: u32::MAX },
-    });
-    for a in &actions {
-        let bytes = encode_action(a);
-        let back = decode_action(&bytes).unwrap_or_else(|e| panic!("decode {a:?}: {e}"));
-        assert_eq!(&back, a);
-        assert_eq!(encode_action(&back), bytes, "canonical encoding for {a:?}");
+        Action::WireRecv {
+            from: Loc(255),
+            to: Loc(0),
+            frame: Frame::Ack { cum: u32::MAX },
+        },
+    ];
+    for a in &boundary {
+        assert_roundtrip_and_typed_prefixes(a, "Action");
     }
 }
 
-fn msg_tag(m: &Msg) -> u32 {
-    match m {
-        Msg::Prepare { .. } => 0,
-        Msg::Promise { .. } => 1,
-        Msg::Accept { .. } => 2,
-        Msg::Accepted { .. } => 3,
-        Msg::DecideMsg { .. } => 4,
-        Msg::CtEstimate { .. } => 5,
-        Msg::CtPropose { .. } => 6,
-        Msg::CtAck { .. } => 7,
-        Msg::LeJoin => 8,
-        Msg::LeElected { .. } => 9,
-        Msg::RbRelay { .. } => 10,
-        Msg::KsEstimate { .. } => 11,
-        Msg::VoteMsg { .. } => 12,
-        Msg::FdSample { .. } => 13,
-        Msg::Heartbeat { .. } => 14,
-        Msg::Token(_) => 15,
+/// Decode `hex` as a `T`, check its `Debug` form and re-encode it.
+fn check_golden<T: Wire + Debug>(what: &'static str, hex: &str, debug: &str) -> u8 {
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+        .collect();
+    let v: T = decode(&bytes, what).unwrap_or_else(|e| panic!("{what} {hex}: {e}"));
+    assert_eq!(
+        format!("{v:?}"),
+        debug,
+        "{what} {hex} decodes to another value"
+    );
+    assert_eq!(encode(&v), bytes, "{debug} encodes to other bytes");
+    bytes[0]
+}
+
+/// The committed wire format: every line of `tests/data/wire_golden.txt`
+/// decodes to the value it records and re-encodes to the same bytes,
+/// and every row of every table has a line. A table edit that moves a
+/// byte fails here.
+#[test]
+fn wire_golden_bytes_are_pinned() {
+    let mut seen: Vec<(String, u8)> = Vec::new();
+    for line in include_str!("data/wire_golden.txt").lines() {
+        if line.starts_with('#') || line.is_empty() {
+            continue;
+        }
+        let mut cols = line.splitn(3, '\t');
+        let (ty, hex, debug) = (
+            cols.next().unwrap(),
+            cols.next().expect("hex column"),
+            cols.next().expect("debug column"),
+        );
+        let tag = match ty {
+            "FdOutput" => check_golden::<FdOutput>("FdOutput", hex, debug),
+            "Msg" => check_golden::<Msg>("Msg", hex, debug),
+            "Frame" => check_golden::<Frame>("Frame", hex, debug),
+            "Action" => check_golden::<Action>("Action", hex, debug),
+            "FdKindSpec" => check_golden::<FdKindSpec>("FdKindSpec", hex, debug),
+            "DeploymentSpec" => check_golden::<DeploymentSpec>("DeploymentSpec", hex, debug),
+            "CommitStatus" => check_golden::<CommitStatus>("CommitStatus", hex, debug),
+            "WireMsg" => check_golden::<WireMsg>("WireMsg", hex, debug),
+            other => panic!("unknown type {other} in the golden file"),
+        };
+        seen.push((ty.to_string(), tag));
+    }
+    let tables: [(&str, &[u8]); 8] = [
+        ("FdOutput", FdOutput::TAGS),
+        ("Msg", Msg::TAGS),
+        ("Frame", Frame::TAGS),
+        ("Action", Action::TAGS),
+        ("FdKindSpec", FdKindSpec::TAGS),
+        ("DeploymentSpec", DeploymentSpec::TAGS),
+        ("CommitStatus", CommitStatus::TAGS),
+        ("WireMsg", WireMsg::TAGS),
+    ];
+    for (ty, tags) in tables {
+        for &tag in tags {
+            assert!(
+                seen.contains(&(ty.to_string(), tag)),
+                "{ty} tag {tag} has no line in tests/data/wire_golden.txt"
+            );
+        }
     }
 }
 
-fn out_tag(o: &FdOutput) -> u32 {
-    match o {
-        FdOutput::Leader(_) => 0,
-        FdOutput::Suspects(_) => 1,
-        FdOutput::Quorum(_) => 2,
-        FdOutput::AntiLeader(_) => 3,
-        FdOutput::Leaders(_) => 4,
-        FdOutput::PsiK { .. } => 5,
+/// A read timeout that fires inside a frame must not lose it: the
+/// coordinator polls each node with a short timeout, and a frame cut
+/// there used to be dropped and the stream misread from the middle.
+/// Here the writer stalls 50 ms after six bytes — past the length
+/// prefix, inside the payload — while the reader times out every 10 ms.
+#[test]
+fn read_frame_keeps_a_frame_split_by_a_read_timeout() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let msgs = [
+        WireMsg::CommitReq {
+            comp: 1,
+            action: Action::Decide { at: Loc(2), v: 7 },
+        },
+        WireMsg::CommitReq {
+            comp: 2,
+            action: Action::Crash(Loc(0)),
+        },
+    ];
+    let mut wire = Vec::new();
+    for m in &msgs {
+        write_frame(&mut wire, m).expect("write to a Vec");
     }
+    let writer = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_nodelay(true).expect("nodelay");
+        s.write_all(&wire[..6]).expect("first part");
+        std::thread::sleep(Duration::from_millis(50));
+        s.write_all(&wire[6..]).expect("rest");
+    });
+    let (mut r, _) = listener.accept().expect("accept");
+    r.set_read_timeout(Some(Duration::from_millis(10)))
+        .expect("read timeout");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut got = Vec::new();
+    while got.len() < msgs.len() {
+        assert!(Instant::now() < deadline, "frames never completed");
+        match read_frame(&mut r) {
+            Ok(Some(m)) => got.push(m),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("after {} whole frames read_frame gave {other:?}", got.len()),
+        }
+    }
+    assert_eq!(got, msgs);
+    writer.join().expect("writer");
 }
 
 /// Trailing bytes after a complete encoding are rejected, with the
@@ -597,11 +392,12 @@ fn unknown_tag_is_bad_tag() {
 /// noise — decodes to `BadTag`, never to some newer message.
 #[test]
 fn retired_handshake_tags_are_bad_tags() {
-    let mut rng = StdRng::seed_from_u64(789);
+    let mut rng = SplitMix64::new(789);
     for retired in [7u8, 8, 9] {
+        assert!(!WireMsg::TAGS.contains(&retired));
         let old_rejoin = [&[retired][..], &2u32.to_le_bytes(), &1u32.to_le_bytes()].concat();
         let noise: Vec<u8> = std::iter::once(retired)
-            .chain((0..64).map(|_| rng.gen_range(0u64..256) as u8))
+            .chain((0..64).map(|_| u8::arbitrary(&mut rng)))
             .collect();
         for bytes in [vec![retired], old_rejoin, noise] {
             match decode_msg(&bytes) {
@@ -624,12 +420,11 @@ proptest! {
     /// duplication, never a second delivery.
     #[test]
     fn dgram_fragmentation_roundtrip(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         for round in 0..16u32 {
-            let a = raction(&mut rng);
+            let a = Action::arbitrary(&mut rng);
             let bytes = encode_action(&a);
-            let mtu = [HDR_LEN + 1, HDR_LEN + 7, 64, 1200]
-                [rng.gen_range(0usize..4)];
+            let mtu = [HDR_LEN + 1, HDR_LEN + 7, 64, 1200][pick(&mut rng, 4)];
             let (from, to) = (Loc(1), Loc(2));
             let frags = fragment(from, to, 0, round, &bytes, mtu).expect("fragment");
             prop_assert_eq!(
@@ -639,7 +434,7 @@ proptest! {
             );
             let mut r = Reassembly::new(from, to, 0, mtu);
             let mut order: Vec<usize> = (0..frags.len()).collect();
-            if rng.gen_range(0u32..2) == 0 {
+            if bool::arbitrary(&mut rng) {
                 order.reverse();
             }
             let mut delivered = None;
@@ -667,8 +462,8 @@ proptest! {
     /// fail action decoding with a typed [`DecodeError`].
     #[test]
     fn dgram_truncation_is_typed(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = raction(&mut rng);
+        let mut rng = SplitMix64::new(seed);
+        let a = Action::arbitrary(&mut rng);
         let bytes = encode_action(&a);
         let frags = fragment(Loc(0), Loc(1), 0, 9, &bytes, 4096).expect("fragment");
         prop_assert_eq!(frags.len(), 1, "mtu 4096 must not fragment an action");
@@ -863,115 +658,48 @@ fn alloc_budget(len: usize) -> usize {
     128 * len + 4096
 }
 
-/// Any control message, the two vector-heavy UDP frames included.
-fn rwire(rng: &mut StdRng) -> WireMsg {
-    let comp = rng.gen_range(0u32..64);
-    match rng.gen_range(0u32..9) {
-        0 => rtelemetry(rng),
-        1 => rhandshake(rng)[0].clone(),
-        2 => rhandshake(rng)[1].clone(),
-        3 => WireMsg::CommitReq {
-            comp,
-            action: raction(rng),
-        },
-        4 => WireMsg::Deliver {
-            comp,
-            action: raction(rng),
-        },
-        5 => WireMsg::CommitResp {
-            comp,
-            status: CommitStatus::Suppressed,
-        },
-        6 => WireMsg::Stop {
-            reason: "max-events Π".into(),
-        },
-        7 => WireMsg::UdpSetup {
-            node: comp,
-            peers: (0..rng.gen_range(0u32..5)).map(|i| (i, 4000)).collect(),
-            hosts: (0..rng.gen_range(0u32..5))
-                .map(|i| (rloc(rng), i))
-                .collect(),
-            profiles: (0..rng.gen_range(0u32..7))
-                .map(|_| {
-                    let w = WireLinkProfile {
-                        delay_ns: rval(rng),
-                        jitter_ns: rval(rng),
-                        drop_bits: rval(rng),
-                        dup_bits: rval(rng),
-                        reorder: rng.gen_range(0u32..9),
-                    };
-                    (rloc(rng), rloc(rng), w)
-                })
-                .collect(),
-        },
-        _ => WireMsg::DgramStats {
-            node: comp,
-            per_channel: (0..rng.gen_range(0u32..7))
-                .map(|_| {
-                    let s = ChannelDgramStats {
-                        datagrams_tx: rval(rng),
-                        datagrams_rx: rval(rng),
-                        ..ChannelDgramStats::default()
-                    };
-                    (rloc(rng), rloc(rng), s)
-                })
-                .collect(),
-            chaos: (0..rng.gen_range(0u32..7))
-                .map(|_| {
-                    let s = ChannelChaosStats {
-                        arrivals: rval(rng),
-                        dropped: rval(rng),
-                        ..ChannelChaosStats::default()
-                    };
-                    (rloc(rng), rloc(rng), s)
-                })
-                .collect(),
-        },
-    }
-}
-
 /// The channel the fuzz loop's reassemblers listen on.
 const FUZZ_CHAN: (Loc, Loc) = (Loc(1), Loc(2));
 
 /// One well-formed input: a control payload, a bare action, one or two
 /// length-prefixed frames, or one datagram of a fragmented action.
-fn valid_encoding(rng: &mut StdRng, mtu: usize) -> Vec<u8> {
-    match rng.gen_range(0u32..4) {
-        0 => encode_msg(&rwire(rng)),
-        1 => encode_action(&raction(rng)),
+fn valid_encoding(rng: &mut SplitMix64, mtu: usize) -> Vec<u8> {
+    match rng.below(4) {
+        0 => encode_msg(&WireMsg::arbitrary(rng)),
+        1 => encode_action(&Action::arbitrary(rng)),
         2 => {
             let mut wire = Vec::new();
-            for _ in 0..rng.gen_range(1u32..3) {
-                write_frame(&mut wire, &rwire(rng)).expect("write to a Vec");
+            for _ in 0..1 + rng.below(2) {
+                write_frame(&mut wire, &WireMsg::arbitrary(rng)).expect("write to a Vec");
             }
             wire
         }
         _ => {
-            let payload = encode_action(&raction(rng));
-            let seq = rng.gen_range(0u32..8);
+            let payload = encode_action(&Action::arbitrary(rng));
+            let seq = rng.below(8) as u32;
             let mut frags =
                 fragment(FUZZ_CHAN.0, FUZZ_CHAN.1, 0, seq, &payload, mtu).expect("fragment");
-            frags.swap_remove(rng.gen_range(0usize..frags.len()))
+            frags.swap_remove(pick(rng, frags.len()))
         }
     }
 }
 
 /// 1–4 byte flips, truncations and splices (a run of bytes from
 /// another valid encoding, inserted or written over).
-fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>, mtu: usize) {
-    for _ in 0..rng.gen_range(1u32..5) {
-        match rng.gen_range(0u32..3) {
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>, mtu: usize) {
+    for _ in 0..1 + rng.below(4) {
+        match rng.below(3) {
             0 if !bytes.is_empty() => {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
+                let i = pick(rng, bytes.len());
+                bytes[i] ^= 1 << rng.below(8);
             }
-            1 => bytes.truncate(rng.gen_range(0usize..bytes.len() + 1)),
+            1 => bytes.truncate(pick(rng, bytes.len() + 1)),
             _ => {
                 let donor = valid_encoding(rng, mtu);
-                let lo = rng.gen_range(0usize..donor.len() + 1);
-                let hi = rng.gen_range(lo..donor.len() + 1);
-                let at = rng.gen_range(0usize..bytes.len() + 1);
-                let over = rng.gen_range(0usize..2) * (hi - lo);
+                let lo = pick(rng, donor.len() + 1);
+                let hi = lo + pick(rng, donor.len() + 1 - lo);
+                let at = pick(rng, bytes.len() + 1);
+                let over = pick(rng, 2) * (hi - lo);
                 let end = (at + over).min(bytes.len());
                 bytes.splice(at..end, donor[lo..hi].iter().copied());
             }
@@ -992,16 +720,16 @@ fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>, mtu: usize) {
 fn decoders_never_panic_or_overallocate() {
     const INPUTS: usize = 200_000;
     const ROUND: usize = 32;
-    let mut rng = StdRng::seed_from_u64(0xF0_22ED);
+    let mut rng = SplitMix64::new(0xF0_22ED);
     for round in 0..INPUTS / ROUND {
         let mtu = [HDR_LEN + 1, HDR_LEN + 7, 64, 1200][round % 4];
         let mut asm = Reassembly::new(FUZZ_CHAN.0, FUZZ_CHAN.1, 0, mtu);
         let mut offered = 0usize;
         for _ in 0..ROUND {
-            let bytes = if rng.gen_range(0u32..4) == 0 {
-                let max = if rng.gen_bool(0.05) { 4096 } else { 96 };
-                let len = rng.gen_range(0usize..max);
-                (0..len).map(|_| rng.gen_range(0u64..256) as u8).collect()
+            let bytes = if rng.below(4) == 0 {
+                let max = if rng.below(20) == 0 { 4096 } else { 96 };
+                let len = pick(&mut rng, max);
+                (0..len).map(|_| rng.next_u64() as u8).collect()
             } else {
                 let mut bytes = valid_encoding(&mut rng, mtu);
                 mutate(&mut rng, &mut bytes, mtu);
